@@ -34,6 +34,7 @@ from .errors import (
     ElemsparseError,
     HypothesisViolatedError,
     InvalidSpecError,
+    NonFiniteError,
     ParseError,
     ShapeMismatchError,
     ZeroMatrixError,
@@ -150,6 +151,7 @@ __all__ = [
     # errors
     "ElemsparseError",
     "ZeroMatrixError",
+    "NonFiniteError",
     "ShapeMismatchError",
     "ZeroProbabilityError",
     "HypothesisViolatedError",

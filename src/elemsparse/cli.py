@@ -158,6 +158,8 @@ def _experiment_config(args, dist: str | None) -> ExperimentConfig:
 
 
 def _cmd_sparsify(args) -> int:
+    if args.seed < 0:
+        raise InvalidSpecError("--seed must be a nonnegative integer")
     source = _source(args)
     x = resolve_matrix(source)
     dist = distribution_for_kind(x, DistributionKind(args.dist))

@@ -9,6 +9,10 @@ class ZeroMatrixError(ElemsparseError, ValueError):
     """Raised when an operation is undefined for the all-zeros matrix."""
 
 
+class NonFiniteError(ElemsparseError, ValueError):
+    """Raised when a matrix entry is NaN or infinite."""
+
+
 class ShapeMismatchError(ElemsparseError, ValueError):
     """Raised when array shapes or lengths disagree with the matrix they describe."""
 

@@ -24,7 +24,7 @@ from .errors import InvalidSpecError
 from .generate import GeneratorSpec, generate_matrix
 from .io import load_matrix
 from .matrix import DenseMatrix, frobenius_norm, stable_rank
-from .sampler import build_alias_table, draw_samples, sampling_operator
+from .sampler import _SEED_MASK, build_alias_table, draw_samples, sampling_operator
 from .spectral import DEFAULT_CONFIG, SpectralConfig, sketch_error
 
 __all__ = [
@@ -47,8 +47,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-_SEED_MASK = (1 << 64) - 1
 
 _HARNESS_KINDS = (
     DistributionKind.HYBRID,
@@ -129,6 +127,7 @@ class ExperimentResult:
     beta: float
     dist_kind: DistributionKind
     empirical_failure_rate: float
+    unconverged_trials: int  # trials whose error solve hit max_iters
     nnz_ratio: float
     wall_times: tuple
     bound_report: BoundReport
@@ -194,14 +193,14 @@ def _trial_seeds(base_seed: int, trials: int) -> tuple:
 
 
 def _run_trials(cfg, x, dist, table, s_used, seeds):
-    """One (error, nnz, wall_time) triple per trial, in trial order."""
+    """One (SpectralEstimate, nnz, wall_time) triple per trial, in trial order."""
 
     def one(seed: int):
         t0 = time.perf_counter()
         omega = draw_samples(table, s_used, seed)
         sketch = sampling_operator(x, dist, omega)
-        err = sketch_error(x, sketch, cfg.spectral)
-        return err, sketch.matrix.nnz, time.perf_counter() - t0
+        est = sketch_error(x, sketch, cfg.spectral)
+        return est, sketch.matrix.nnz, time.perf_counter() - t0
 
     if cfg.jobs == 1:
         return [one(seed) for seed in seeds]
@@ -217,7 +216,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     table = build_alias_table(dist)
     seeds = _trial_seeds(cfg.base_seed, cfg.trials)
     triples = _run_trials(cfg, x, dist, table, s_used, seeds)
-    errors = tuple(t[0] for t in triples)
+    errors = tuple(t[0].value for t in triples)
     failures = sum(1 for e in errors if e > epsilon)
     cells = x.m * x.n
     result = ExperimentResult(
@@ -229,6 +228,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         beta=beta,
         dist_kind=cfg.dist_kind,
         empirical_failure_rate=failures / cfg.trials,
+        unconverged_trials=sum(1 for t in triples if not t[0].converged),
         nnz_ratio=float(np.mean([t[1] / cells for t in triples])),
         wall_times=tuple(t[2] for t in triples),
         bound_report=report,
@@ -253,7 +253,7 @@ def compare_distributions(cfg: ExperimentConfig) -> CompareResult:
         dist = distribution_for_kind(x, kind)
         table = build_alias_table(dist)
         triples = _run_trials(cfg, x, dist, table, s_used, seeds)
-        errors = tuple(t[0] for t in triples)
+        errors = tuple(t[0].value for t in triples)
         summaries.append(
             KindSummary(
                 kind=kind,
@@ -341,6 +341,7 @@ def experiment_payload(result: ExperimentResult, cfg: ExperimentConfig) -> dict:
             "delta": result.delta,
             "beta": result.beta,
             "empirical_failure_rate": result.empirical_failure_rate,
+            "unconverged_trials": result.unconverged_trials,
             "nnz_ratio": result.nnz_ratio,
             "passed": result.passed,
             "bound_report": _report_payload(result.bound_report),

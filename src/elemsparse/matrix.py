@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatchError, ZeroMatrixError
+from .errors import NonFiniteError, ShapeMismatchError, ZeroMatrixError
 
 __all__ = [
     "DenseMatrix",
@@ -37,7 +37,7 @@ class DenseMatrix:
         if a.shape[0] < 1 or a.shape[1] < 1:
             raise ShapeMismatchError(f"matrix dimensions must be >= 1, got {a.shape}")
         if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite (no NaN/Inf)")
+            raise NonFiniteError("matrix entries must be finite (no NaN/Inf)")
         a.setflags(write=False)
         object.__setattr__(self, "data", a)
 
@@ -89,7 +89,7 @@ class SparseCOO:
             if cols.min() < 0 or cols.max() >= self.n:
                 raise ShapeMismatchError("column index out of range")
         if not np.all(np.isfinite(vals)):
-            raise ValueError("matrix entries must be finite (no NaN/Inf)")
+            raise NonFiniteError("matrix entries must be finite (no NaN/Inf)")
         for a in (rows, cols, vals):
             a.setflags(write=False)
         object.__setattr__(self, "rows", rows)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .distributions import DistributionKind, SamplingDistribution, distribution_for_kind
 from .errors import ShapeMismatchError, ZeroProbabilityError
 from .matrix import DenseMatrix, SparseCOO
@@ -74,8 +73,51 @@ class SparseSketch:
     distribution_kind: DistributionKind
 
 
+def _alias_build(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walker/Vose two-stack construction of the (prob, alias) arrays."""
+    size = probs.shape[0]
+    scaled = probs * size
+    prob = np.ones(size)
+    alias = np.arange(size, dtype=np.int64)
+    # Stack layout and pop order are fixed, so a distribution always builds
+    # the same table; entries left on either stack keep prob=1 and self-alias.
+    below = np.nonzero(scaled < 1.0)[0]
+    above = np.nonzero(scaled >= 1.0)[0]
+    small = np.empty(size, dtype=np.int64)
+    large = np.empty(size, dtype=np.int64)
+    ns = below.shape[0]
+    nl = above.shape[0]
+    small[:ns] = below
+    large[:nl] = above
+    while ns > 0 and nl > 0:
+        ns -= 1
+        nl -= 1
+        lo = small[ns]
+        hi = large[nl]
+        prob[lo] = scaled[lo]
+        alias[lo] = hi
+        scaled[hi] = (scaled[hi] + scaled[lo]) - 1.0
+        if scaled[hi] < 1.0:
+            small[ns] = hi
+            ns += 1
+        else:
+            large[nl] = hi
+            nl += 1
+    return prob, alias
+
+
+def _alias_draw(prob, alias, u_slot, u_coin) -> np.ndarray:
+    """Flat cell index per draw: slot k = trunc(u_slot * size), clamped to
+    size - 1 in case the product rounds up to size; keep k when
+    u_coin < prob[k], else take alias[k]."""
+    size = prob.shape[0]
+    k = (u_slot * size).astype(np.int64)
+    np.minimum(k, size - 1, out=k)
+    return np.where(u_coin < prob[k], k, alias[k])
+
+
 def build_alias_table(d: SamplingDistribution) -> AliasTable:
-    prob, alias = kernels.alias_build(d.probs)
+    prob, alias = _alias_build(d.probs)
     prob.setflags(write=False)
     alias.setflags(write=False)
     return AliasTable(d.m, d.n, prob, alias)
@@ -94,7 +136,7 @@ def draw_samples(table: AliasTable, s: int, seed: int) -> SampleSet:
         raise ValueError(f"sample count must be >= 1, got {s}")
     rng = np.random.Generator(np.random.PCG64(seed))
     u = rng.random((s, 2))
-    flat = kernels.alias_draw(table.prob, table.alias, u[:, 0], u[:, 1])
+    flat = _alias_draw(table.prob, table.alias, u[:, 0], u[:, 1])
     pairs = np.stack((flat // table.n, flat % table.n), axis=1)
     return SampleSet(s, pairs, seed)
 

@@ -12,7 +12,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels
 from .errors import ShapeMismatchError
 
 __all__ = ["SpectralConfig", "SpectralEstimate", "spectral_norm", "sketch_error"]
@@ -59,6 +58,33 @@ def _as_array(a) -> np.ndarray:
     return arr
 
 
+def _power_iteration(apply, apply_t, v0: np.ndarray, cfg: SpectralConfig) -> SpectralEstimate:
+    """Iterate v <- A^T(Av) / ||A^T(Av)|| from v0, with A given by its matvecs
+    ``apply`` (v -> Av) and ``apply_t`` (u -> A^T u).
+
+    Stops once the Rayleigh quotient r = ||Av||^2 changes by at most
+    cfg.tol * r between iterations and returns sqrt(r); after cfg.max_iters
+    the last estimate comes back with converged=False.
+    """
+    v = v0 / np.sqrt(v0 @ v0)
+    r_prev = 0.0
+    r = 0.0
+    for it in range(1, cfg.max_iters + 1):
+        u = apply(v)
+        r = float(u @ u)
+        if r == 0.0:
+            return SpectralEstimate(0.0, it, True)
+        if it > 1 and abs(r - r_prev) <= cfg.tol * r:
+            return SpectralEstimate(float(np.sqrt(r)), it, True)
+        r_prev = r
+        w = apply_t(u)
+        nw = float(np.sqrt(w @ w))
+        if nw == 0.0:
+            return SpectralEstimate(float(np.sqrt(r)), it, True)
+        v = w / nw
+    return SpectralEstimate(float(np.sqrt(r)), cfg.max_iters, False)
+
+
 def spectral_norm(a, cfg: SpectralConfig = DEFAULT_CONFIG) -> SpectralEstimate:
     """Estimate the top singular value of a dense matrix.
 
@@ -69,14 +95,16 @@ def spectral_norm(a, cfg: SpectralConfig = DEFAULT_CONFIG) -> SpectralEstimate:
     """
     arr = _as_array(a)
     v0 = _start_vector(arr.shape[1], cfg.seed)
-    value, iters, converged = kernels.power_iter_dense(arr, v0, cfg.tol, cfg.max_iters)
-    return SpectralEstimate(float(value), int(iters), bool(converged))
+    return _power_iteration(lambda v: arr @ v, lambda u: arr.T @ u, v0, cfg)
 
 
-def sketch_error(x, sketch, cfg: SpectralConfig = DEFAULT_CONFIG) -> float:
+def sketch_error(x, sketch, cfg: SpectralConfig = DEFAULT_CONFIG) -> SpectralEstimate:
     """``||S - X||_2`` with S applied lazily from its COO triples.
 
-    Accepts a SparseSketch (unwrapping its COO matrix) or a SparseCOO.
+    Accepts a SparseSketch (unwrapping its COO matrix) or a SparseCOO. Like
+    spectral_norm, returns the estimate with its iteration count and
+    convergence flag. Power iteration only under-estimates, so a value with
+    converged=False may sit well below the true norm.
     """
     coo = getattr(sketch, "matrix", sketch)
     arr = _as_array(x)
@@ -84,8 +112,14 @@ def sketch_error(x, sketch, cfg: SpectralConfig = DEFAULT_CONFIG) -> float:
         raise ShapeMismatchError(
             f"sketch shape ({coo.m}, {coo.n}) does not match matrix shape {arr.shape}"
         )
-    v0 = _start_vector(arr.shape[1], cfg.seed)
-    value, _, _ = kernels.power_iter_diff(
-        coo.rows, coo.cols, coo.vals, arr, v0, cfg.tol, cfg.max_iters
-    )
-    return float(value)
+    m, n = arr.shape
+    rows, cols, vals = coo.rows, coo.cols, coo.vals
+
+    def apply(v):
+        return np.bincount(rows, weights=vals * v[cols], minlength=m) - arr @ v
+
+    def apply_t(u):
+        return np.bincount(cols, weights=vals * u[rows], minlength=n) - arr.T @ u
+
+    v0 = _start_vector(n, cfg.seed)
+    return _power_iteration(apply, apply_t, v0, cfg)

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -167,12 +166,25 @@ def test_module_entry_point(tmp_path):
     assert json.loads(res.stdout)["report"]["s_theorem1"] >= 1
 
 
-def test_numba_flag_selects_numpy_backend():
-    code = (
-        "from elemsparse.kernels import active_backend; print(active_backend())"
-    )
-    env = dict(os.environ, ELEMSPARSE_NO_NUMBA="1")
-    res = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
-    )
-    assert res.stdout.strip() == "numpy"
+_MTX_HEADER = "%%MatrixMarket matrix coordinate real general\n"
+
+
+@pytest.mark.parametrize(
+    "name, text, args",
+    [
+        pytest.param("x.csv", "1,2\nnan,3\n", ["--s", "5"], id="nan-csv"),
+        pytest.param("x.mtx", _MTX_HEADER + "2 2 2\n1 1 1.5\n2 2 inf\n", ["--s", "5"], id="inf-mtx"),
+        pytest.param(None, None, ["--generate", "gaussian,20,20,1", "--s", "10", "--seed", "-1"],
+                     id="negative-seed"),
+    ],
+)
+def test_bad_input_exits_one_with_one_error_line(tmp_path, name, text, args):
+    argv = [sys.executable, "-m", "elemsparse", "sparsify", *args, "--out", str(tmp_path / "o.mtx")]
+    if name is not None:
+        (tmp_path / name).write_text(text)
+        argv += ["--input", str(tmp_path / name)]
+    res = subprocess.run(argv, capture_output=True, text=True)
+    assert res.returncode == 1
+    assert "Traceback" not in res.stdout + res.stderr
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("elemsparse: error:"), res.stderr

@@ -12,6 +12,7 @@ from elemsparse import (
     FileSource,
     GeneratorSpec,
     InvalidSpecError,
+    SpectralConfig,
     ZeroMatrixError,
     compare_distributions,
     frobenius_norm,
@@ -167,7 +168,15 @@ def test_payload_shape():
     assert "out_path" not in json.dumps(doc)
     assert "jobs" not in doc["config"]
     assert len(doc["result"]["errors"]) == 2
+    assert doc["result"]["unconverged_trials"] == 0
     assert doc["result"]["bound_report"]["s_unsimplified"] >= 1
+
+
+def test_unconverged_trials_are_counted():
+    res = run_experiment(_cfg(trials=3, spectral=SpectralConfig(max_iters=1)))
+    assert res.unconverged_trials == 3
+    # the verdict still compares every reported error against epsilon
+    assert res.empirical_failure_rate == sum(e > res.epsilon_used for e in res.errors) / 3
 
 
 def test_experiment_writes_json(tmp_path):

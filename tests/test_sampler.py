@@ -129,7 +129,7 @@ def test_sampling_operator_single_cell(single_cell):
     d = hybrid_distribution(single_cell)
     sk = sampling_operator(single_cell, d, _omega([(0, 0)] * 5))
     np.testing.assert_array_equal(coo_to_dense(sk.matrix).data, single_cell.data)
-    assert sketch_error(single_cell, sk) <= 1e-10
+    assert sketch_error(single_cell, sk).value <= 1e-10
 
 
 def test_sampling_operator_zero_probability(toy):
@@ -204,7 +204,7 @@ def test_error_decay_one_over_sqrt_s():
     medians = []
     for s in (300, 1200):
         errs = [
-            sketch_error(x, sparsify(x, s, seed))
+            sketch_error(x, sparsify(x, s, seed)).value
             for seed in range(200)
         ]
         medians.append(float(np.median(errs)))

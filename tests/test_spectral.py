@@ -67,10 +67,11 @@ def test_transpose_agreement():
 
 
 def test_max_iters_signals_nonconvergence(toy):
-    est = spectral_norm(toy, SpectralConfig(max_iters=1))
-    assert not est.converged
-    assert est.iterations == 1
-    assert est.value > 0
+    cfg = SpectralConfig(max_iters=1)
+    for est in (spectral_norm(toy, cfg), sketch_error(toy, SparseCOO(2, 2, [], [], []), cfg)):
+        assert not est.converged
+        assert est.iterations == 1
+        assert est.value > 0
 
 
 def test_config_validation():
@@ -93,17 +94,19 @@ def test_oracle_fixture_subset():
 
 def test_sketch_error_exact_single_cell(single_cell):
     sk = sparsify(single_cell, s=3, seed=0)
-    assert sketch_error(single_cell, sk) <= 1e-10
+    assert sketch_error(single_cell, sk).value <= 1e-10
 
 
 def test_sketch_error_empty_sketch_is_norm(toy):
     empty = SparseCOO(2, 2, [], [], [])
-    assert sketch_error(toy, empty) == pytest.approx(5.0, rel=1e-6)
+    est = sketch_error(toy, empty)
+    assert est.converged
+    assert est.value == pytest.approx(5.0, rel=1e-6)
 
 
 def test_sketch_error_duplicate_example(toy):
     coo = SparseCOO(2, 2, [0], [1], [700 / 106])
-    assert sketch_error(toy, coo) == pytest.approx(SKETCH_ERR_01_DUP, rel=1e-6)
+    assert sketch_error(toy, coo).value == pytest.approx(SKETCH_ERR_01_DUP, rel=1e-6)
 
 
 def test_sketch_error_shape_mismatch(toy):
@@ -116,7 +119,7 @@ def test_sketch_error_matches_dense_difference():
     for _ in range(5):
         x = DenseMatrix(rng.standard_normal((9, 5)))
         sk = sparsify(x, s=30, seed=int(rng.integers(0, 2**32)))
-        lazy = sketch_error(x, sk)
+        lazy = sketch_error(x, sk).value
         dense = np.linalg.norm(
             np.asarray(
                 np.zeros((9, 5)) + _densify(sk.matrix) - x.data
