@@ -3,8 +3,9 @@
 Subcommands: sparsify (one-shot sketch), bounds (sample-size calculator),
 experiment (Monte-Carlo guarantee check), compare (hybrid vs l1 vs l2).
 
-Exit codes: 0 success, 1 config or I/O error, 2 guarantee violated
-(experiment only: empirical failure rate above delta).
+Exit codes: 0 success, 1 config or I/O error, 2 guarantee not shown
+(experiment only: empirical failure rate above delta, or a trial whose error
+solve stopped uncertified).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .experiment import (
     compare_payload,
     experiment_payload,
     payload_text,
+    resolve_beta,
     resolve_matrix,
     run_experiment,
 )
@@ -180,8 +182,7 @@ def _cmd_sparsify(args) -> int:
             bound_form=BoundForm(args.bound_form),
             base_seed=args.seed,
         )
-        beta = args.beta if args.beta is not None else dist.beta
-        _, _, s_used = bound_inputs(cfg, x, beta)
+        _, _, s_used = bound_inputs(cfg, x, resolve_beta(args.beta, dist))
     table = build_alias_table(dist)
     omega = draw_samples(table, s_used, args.seed)
     sketch = sampling_operator(x, dist, omega)
@@ -250,6 +251,7 @@ def _cmd_experiment(args) -> int:
         print(
             f"s={result.s_used} epsilon={result.epsilon_used:.6g} "
             f"failure_rate={result.empirical_failure_rate:.4f} delta={cfg.delta:g} "
+            f"unconverged={result.unconverged_trials} "
             f"-> {'pass' if result.passed else 'FAIL'} ({cfg.out_path})"
         )
     return 0 if result.passed else 2

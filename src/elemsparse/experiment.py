@@ -36,6 +36,7 @@ __all__ = [
     "CompareResult",
     "KindSummary",
     "resolve_matrix",
+    "resolve_beta",
     "bound_inputs",
     "run_experiment",
     "compare_distributions",
@@ -127,14 +128,16 @@ class ExperimentResult:
     beta: float
     dist_kind: DistributionKind
     empirical_failure_rate: float
-    unconverged_trials: int  # trials whose error solve hit max_iters
+    unconverged_trials: int  # trials whose error solve stopped uncertified at max_iters
     nnz_ratio: float
     wall_times: tuple
     bound_report: BoundReport
 
     @property
     def passed(self) -> bool:
-        return self.empirical_failure_rate <= self.delta
+        """The failure rate is within delta and every trial's error is
+        certified; an unconverged solve may under-report, so it never passes."""
+        return self.empirical_failure_rate <= self.delta and self.unconverged_trials == 0
 
 
 @dataclass(frozen=True)
@@ -144,6 +147,7 @@ class KindSummary:
     median_error: float
     p90_error: float
     errors: tuple
+    unconverged_trials: int
 
 
 @dataclass(frozen=True)
@@ -161,6 +165,19 @@ def resolve_matrix(source) -> DenseMatrix:
     if isinstance(source, GeneratorSpec):
         return generate_matrix(source)
     raise InvalidSpecError(f"unsupported matrix source {type(source).__name__}")
+
+
+def resolve_beta(beta: float | None, dist) -> float:
+    """The beta that sizes s: dist's certificate, or a requested value no
+    larger than it. A larger beta would shrink s below what the distribution
+    supports, so it is refused rather than trusted."""
+    if beta is None:
+        return dist.beta
+    if beta > dist.beta:
+        raise InvalidSpecError(
+            f"beta {beta!r} exceeds the {dist.kind.value} distribution's certificate {dist.beta!r}"
+        )
+    return beta
 
 
 def bound_inputs(cfg: ExperimentConfig, x: DenseMatrix, beta: float):
@@ -211,7 +228,7 @@ def _run_trials(cfg, x, dist, table, s_used, seeds):
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     x = resolve_matrix(cfg.source)
     dist = distribution_for_kind(x, cfg.dist_kind)
-    beta = cfg.beta if cfg.beta is not None else dist.beta
+    beta = resolve_beta(cfg.beta, dist)
     epsilon, report, s_used = bound_inputs(cfg, x, beta)
     table = build_alias_table(dist)
     seeds = _trial_seeds(cfg.base_seed, cfg.trials)
@@ -261,6 +278,7 @@ def compare_distributions(cfg: ExperimentConfig) -> CompareResult:
                 median_error=float(np.median(errors)),
                 p90_error=float(np.percentile(errors, 90.0)),
                 errors=errors,
+                unconverged_trials=sum(1 for t in triples if not t[0].converged),
             )
         )
         walls[kind.value] = tuple(t[2] for t in triples)
@@ -366,6 +384,7 @@ def compare_payload(result: CompareResult, cfg: ExperimentConfig) -> dict:
                     "median_error": summ.median_error,
                     "p90_error": summ.p90_error,
                     "errors": list(summ.errors),
+                    "unconverged_trials": summ.unconverged_trials,
                 }
                 for summ in result.summaries
             ],

@@ -1,8 +1,11 @@
-"""Deterministic-seeded spectral-norm estimation by power iteration.
+"""Deterministic-seeded spectral-norm solves by Golub–Kahan–Lanczos
+bidiagonalization.
 
-Used for error measurement ``||sketch - X||_2`` and for stable rank. The
-difference operator is applied lazily (COO scatter plus dense matvec per
-iteration), never densifying sketch - X.
+Used for the error measurement ``||sketch - X||_2`` and for stable rank. Both
+run one solver on a dense array: ``sketch_error`` densifies ``S - X`` once,
+at the size of X, which the program already holds dense. The solver stops on
+a residual certificate for its top Ritz triple, so ``converged`` means the
+reported value lies within ``tol`` (relative) of a singular value.
 """
 
 from __future__ import annotations
@@ -16,13 +19,21 @@ from .errors import ShapeMismatchError
 
 __all__ = ["SpectralConfig", "SpectralEstimate", "spectral_norm", "sketch_error"]
 
+# Steps between residual tests; a test costs one SVD of the k x k bidiagonal,
+# which outweighs a Lanczos step on small operators.
+_CHECK_EVERY = 4
+
 
 @dataclass(frozen=True)
 class SpectralConfig:
-    """Power-iteration controls.
+    """Lanczos controls.
 
-    tol is the relative Rayleigh-quotient change threshold; seed fixes the
-    random unit start vector, making every estimate deterministic.
+    tol is the relative Ritz residual at which a solve stops: the top Ritz
+    triple (sigma, u, v) must satisfy ``||A^T u - sigma v|| <= tol * sigma``
+    (``A v = sigma u`` holds exactly). max_iters caps the Lanczos steps, each
+    one product with A and one with A^T; a solve never needs more than
+    min(m, n). seed fixes the random start vector, making every estimate
+    deterministic.
     """
 
     tol: float = 1e-9
@@ -43,11 +54,7 @@ class SpectralEstimate(NamedTuple):
     value: float
     iterations: int
     converged: bool
-
-
-def _start_vector(n: int, seed: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return rng.standard_normal(n)
+    residual: float  # ||A^T u - value * v|| of the reported Ritz triple
 
 
 def _as_array(a) -> np.ndarray:
@@ -58,53 +65,99 @@ def _as_array(a) -> np.ndarray:
     return arr
 
 
-def _power_iteration(apply, apply_t, v0: np.ndarray, cfg: SpectralConfig) -> SpectralEstimate:
-    """Iterate v <- A^T(Av) / ||A^T(Av)|| from v0, with A given by its matvecs
-    ``apply`` (v -> Av) and ``apply_t`` (u -> A^T u).
+def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> None:
+    """Remove from w, in place, its components along the orthonormal rows of
+    basis; two Gram–Schmidt passes keep the rows orthonormal to roundoff."""
+    for _ in range(2):
+        w -= basis.T @ (basis @ w)
 
-    Stops once the Rayleigh quotient r = ||Av||^2 changes by at most
-    cfg.tol * r between iterations and returns sqrt(r); after cfg.max_iters
-    the last estimate comes back with converged=False.
+
+def _push(buf: np.ndarray, k: int, row: np.ndarray) -> np.ndarray:
+    """Store row as buf[k], doubling buf's rows when it is full."""
+    if k == buf.shape[0]:
+        grown = np.empty((2 * k, buf.shape[1]))
+        grown[:k] = buf
+        buf = grown
+    buf[k] = row
+    return buf
+
+
+def _top_ritz(alphas: list, betas: list, beta: float) -> tuple[float, float]:
+    """Top singular value of the upper bidiagonal B_k (diagonal alphas,
+    superdiagonal betas) and its residual beta * |p_k|, p the matching left
+    singular vector of B_k."""
+    p, s, _ = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1))
+    return float(s[0]), beta * float(abs(p[-1, 0]))
+
+
+def _lanczos_norm(a: np.ndarray, cfg: SpectralConfig) -> SpectralEstimate:
+    """Top singular value of a by Golub–Kahan–Lanczos bidiagonalization with
+    full reorthogonalization.
+
+    Builds orthonormal V (right) and U (left) with A V_k = U_k B_k and
+    A^T U_k = V_k B_k^T + beta_k v_{k+1} e_k^T, then tests the top Ritz
+    triple of B_k every _CHECK_EVERY steps, at the step cap, and on
+    breakdown. Runs on the transpose when a is wide, so the start vector
+    lives in the smaller dimension n and the solve is exact by step n.
     """
-    v = v0 / np.sqrt(v0 @ v0)
-    r_prev = 0.0
-    r = 0.0
-    for it in range(1, cfg.max_iters + 1):
-        u = apply(v)
-        r = float(u @ u)
-        if r == 0.0:
-            return SpectralEstimate(0.0, it, True)
-        if it > 1 and abs(r - r_prev) <= cfg.tol * r:
-            return SpectralEstimate(float(np.sqrt(r)), it, True)
-        r_prev = r
-        w = apply_t(u)
-        nw = float(np.sqrt(w @ w))
-        if nw == 0.0:
-            return SpectralEstimate(float(np.sqrt(r)), it, True)
-        v = w / nw
-    return SpectralEstimate(float(np.sqrt(r)), cfg.max_iters, False)
+    if a.shape[0] < a.shape[1]:
+        a = a.T
+    m, n = a.shape
+    steps = min(cfg.max_iters, n)
+    v = np.random.Generator(np.random.PCG64(cfg.seed)).standard_normal(n)
+    v /= np.sqrt(v @ v)
+    rows = min(n, 16)
+    vs, us = np.empty((rows, n)), np.empty((rows, m))
+    vs[0] = v
+    alphas, betas = [], []
+    beta = 0.0
+    for k in range(1, steps + 1):
+        u = a @ v
+        if k > 1:
+            u -= beta * us[k - 2]
+            _orthogonalize(u, us[: k - 1])
+        alpha = float(np.sqrt(u @ u))
+        alphas.append(alpha)
+        if alpha == 0.0 or k == n:
+            # alpha = 0 makes span(V_k) invariant under A^T A, and at k = n
+            # V_k spans the whole space: either way the Ritz triple is exact.
+            beta = 0.0
+        else:
+            u /= alpha
+            us = _push(us, k - 1, u)
+            r = a.T @ u - alpha * v
+            _orthogonalize(r, vs[:k])
+            beta = float(np.sqrt(r @ r))
+        if beta == 0.0 or k % _CHECK_EVERY == 0 or k == steps:
+            sigma, residual = _top_ritz(alphas, betas, beta)
+            converged = residual <= cfg.tol * sigma
+            if converged or k == steps:
+                return SpectralEstimate(sigma, k, converged, residual)
+        betas.append(beta)
+        v = r / beta
+        vs = _push(vs, k, v)
 
 
 def spectral_norm(a, cfg: SpectralConfig = DEFAULT_CONFIG) -> SpectralEstimate:
-    """Estimate the top singular value of a dense matrix.
+    """Top singular value of a dense matrix, with its Lanczos step count,
+    convergence flag and Ritz residual.
 
-    Power iteration on v -> A^T(Av) from a seeded random unit vector; returns
-    the square root of the Rayleigh quotient once its relative change drops
-    below cfg.tol, or the best estimate with converged=False after
-    cfg.max_iters. Non-convergence is signaled, not raised.
+    converged is True exactly when the residual test held; after cfg.max_iters
+    steps (when that is below min(m, n)) the last estimate comes back with
+    converged=False. A Lanczos estimate never exceeds the true norm.
+    Non-convergence is signaled, not raised.
     """
-    arr = _as_array(a)
-    v0 = _start_vector(arr.shape[1], cfg.seed)
-    return _power_iteration(lambda v: arr @ v, lambda u: arr.T @ u, v0, cfg)
+    return _lanczos_norm(_as_array(a), cfg)
 
 
 def sketch_error(x, sketch, cfg: SpectralConfig = DEFAULT_CONFIG) -> SpectralEstimate:
-    """``||S - X||_2`` with S applied lazily from its COO triples.
+    """``||S - X||_2``, solved on the densified difference.
 
-    Accepts a SparseSketch (unwrapping its COO matrix) or a SparseCOO. Like
-    spectral_norm, returns the estimate with its iteration count and
-    convergence flag. Power iteration only under-estimates, so a value with
-    converged=False may sit well below the true norm.
+    Accepts a SparseSketch (unwrapping its COO matrix) or a SparseCOO. S is
+    scattered into an m x n array once (duplicate cells add up) and X is
+    subtracted in place, so the solve holds one array the size of X. Returns
+    the same SpectralEstimate as spectral_norm; a value with converged=False
+    may sit below the true norm.
     """
     coo = getattr(sketch, "matrix", sketch)
     arr = _as_array(x)
@@ -113,13 +166,7 @@ def sketch_error(x, sketch, cfg: SpectralConfig = DEFAULT_CONFIG) -> SpectralEst
             f"sketch shape ({coo.m}, {coo.n}) does not match matrix shape {arr.shape}"
         )
     m, n = arr.shape
-    rows, cols, vals = coo.rows, coo.cols, coo.vals
-
-    def apply(v):
-        return np.bincount(rows, weights=vals * v[cols], minlength=m) - arr @ v
-
-    def apply_t(u):
-        return np.bincount(cols, weights=vals * u[rows], minlength=n) - arr.T @ u
-
-    v0 = _start_vector(n, cfg.seed)
-    return _power_iteration(apply, apply_t, v0, cfg)
+    d = np.bincount(coo.rows * n + coo.cols, weights=coo.vals, minlength=m * n)
+    d = d.astype(np.float64, copy=False).reshape(m, n)  # an empty sketch bincounts to int64
+    d -= arr
+    return _lanczos_norm(d, cfg)

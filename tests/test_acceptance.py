@@ -241,8 +241,8 @@ def test_criterion_09_spectral_oracle_agreement():
         ))
         est = spectral_norm(x.data).value
         worst = max(worst, abs(est - case["sigma_max"]) / case["sigma_max"])
-    _report(9, f"worst relative error vs {len(doc['cases'])} SVD oracles {worst:.2e} <= 1e-4",
-            worst <= 1e-4)
+    _report(9, f"worst relative error vs {len(doc['cases'])} SVD oracles {worst:.2e} <= 1e-9",
+            worst <= 1e-9)
 
 
 def test_criterion_10_cli_determinism(tmp_path):

@@ -172,14 +172,20 @@ _MTX_HEADER = "%%MatrixMarket matrix coordinate real general\n"
 @pytest.mark.parametrize(
     "name, text, args",
     [
-        pytest.param("x.csv", "1,2\nnan,3\n", ["--s", "5"], id="nan-csv"),
-        pytest.param("x.mtx", _MTX_HEADER + "2 2 2\n1 1 1.5\n2 2 inf\n", ["--s", "5"], id="inf-mtx"),
-        pytest.param(None, None, ["--generate", "gaussian,20,20,1", "--s", "10", "--seed", "-1"],
+        pytest.param("x.csv", "1,2\nnan,3\n", ["sparsify", "--s", "5"], id="nan-csv"),
+        pytest.param("x.mtx", _MTX_HEADER + "2 2 2\n1 1 1.5\n2 2 inf\n", ["sparsify", "--s", "5"], id="inf-mtx"),
+        pytest.param(None, None, ["sparsify", "--generate", "gaussian,20,20,1", "--s", "10", "--seed", "-1"],
                      id="negative-seed"),
+        # the l2 certificate of this matrix is about 3.4e-4
+        pytest.param(None, None, ["sparsify", "--generate", "gaussian,20,20,1", "--dist", "l2", "--beta", "1.0",
+                                  "--epsilon-rel", "0.5"], id="sparsify-beta-above-certificate"),
+        pytest.param(None, None, ["experiment", "--generate", "gaussian,20,20,1", "--dist", "l2",
+                                  "--beta", "1.0", "--epsilon-rel", "0.5", "--trials", "2"],
+                     id="experiment-beta-above-certificate"),
     ],
 )
 def test_bad_input_exits_one_with_one_error_line(tmp_path, name, text, args):
-    argv = [sys.executable, "-m", "elemsparse", "sparsify", *args, "--out", str(tmp_path / "o.mtx")]
+    argv = [sys.executable, "-m", "elemsparse", *args, "--out", str(tmp_path / "o.mtx")]
     if name is not None:
         (tmp_path / name).write_text(text)
         argv += ["--input", str(tmp_path / name)]

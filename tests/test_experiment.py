@@ -146,9 +146,19 @@ def test_beta_defaults_to_certificate():
     x = generate_matrix(GEN)
     from elemsparse import l2_distribution
 
-    assert res.beta == l2_distribution(x).beta
-    forced = run_experiment(_cfg(dist_kind="l2", trials=1, beta=0.25))
-    assert forced.beta == 0.25
+    cert = l2_distribution(x).beta
+    assert res.beta == cert
+    forced = run_experiment(_cfg(dist_kind="l2", trials=1, beta=cert / 2))
+    assert forced.beta == cert / 2
+
+
+def test_beta_above_certificate_rejected():
+    # the l2 certificate of GEN is about 5e-3: a beta of 0.25 would size s
+    # about 50x too small for what the distribution supports
+    with pytest.raises(InvalidSpecError, match="certificate"):
+        run_experiment(_cfg(dist_kind="l2", trials=1, beta=0.25))
+    # compare shares one s across kinds and keeps the requested beta
+    assert compare_distributions(_cfg(trials=1, beta=0.25)).s_used == 60
 
 
 def test_payload_deterministic_excluding_wall_times():
@@ -175,8 +185,21 @@ def test_payload_shape():
 def test_unconverged_trials_are_counted():
     res = run_experiment(_cfg(trials=3, spectral=SpectralConfig(max_iters=1)))
     assert res.unconverged_trials == 3
-    # the verdict still compares every reported error against epsilon
+    # the failure rate still compares every reported error against epsilon
     assert res.empirical_failure_rate == sum(e > res.epsilon_used for e in res.errors) / 3
+    # but an uncertified trial is never a pass
+    assert res.passed is False
+
+
+def test_compare_counts_unconverged_trials():
+    cfg = _cfg(trials=2, spectral=SpectralConfig(max_iters=1))
+    res = compare_distributions(cfg)
+    assert [summ.unconverged_trials for summ in res.summaries] == [2, 2, 2]
+    kinds = compare_payload(res, cfg)["result"]["kinds"]
+    assert [k["unconverged_trials"] for k in kinds] == [2, 2, 2]
+    cfg = _cfg(trials=2)
+    kinds = compare_payload(compare_distributions(cfg), cfg)["result"]["kinds"]
+    assert [k["unconverged_trials"] for k in kinds] == [0, 0, 0]
 
 
 def test_experiment_writes_json(tmp_path):

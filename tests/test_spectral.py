@@ -37,9 +37,12 @@ def test_diagonal():
 
 
 def test_zero_matrix():
-    est = spectral_norm(DenseMatrix(np.zeros((3, 2))))
-    assert est.value == 0.0
-    assert est.converged
+    for shape in ((3, 2), (2, 3), (1, 5), (5, 1)):
+        zero = DenseMatrix(np.zeros(shape))
+        for est in (spectral_norm(zero), sketch_error(zero, SparseCOO(*shape, [], [], []))):
+            assert est.value == 0.0
+            assert est.converged
+            assert est.residual == 0.0
 
 
 def test_determinism(toy):
@@ -89,7 +92,7 @@ def test_oracle_fixture_subset():
                           alpha=c["alpha"], rank=c["rank"], noise=c["noise"])
         )
         est = spectral_norm(x)
-        assert est.value == pytest.approx(c["sigma_max"], rel=1e-4, abs=1e-12)
+        assert est.value == pytest.approx(c["sigma_max"], rel=1e-9, abs=1e-12)
 
 
 def test_sketch_error_exact_single_cell(single_cell):
@@ -133,3 +136,67 @@ def _densify(coo):
     out = np.zeros((coo.m, coo.n))
     np.add.at(out, (coo.rows, coo.cols), coo.vals)
     return out
+
+
+def _dense_norm(a) -> float:
+    return float(np.linalg.norm(a, 2))
+
+
+_ENSEMBLE = {
+    "tall": GeneratorSpec("gaussian", 40, 13, 1),
+    "wide": GeneratorSpec("gaussian", 13, 40, 2),
+    "row": GeneratorSpec("gaussian", 1, 17, 3),
+    "column": GeneratorSpec("gaussian", 17, 1, 4),
+    "low-rank-plus-noise": GeneratorSpec("low-rank-plus-noise", 30, 45, 5, rank=3, noise=0.1),
+    "rank-deficient": GeneratorSpec("low-rank-plus-noise", 45, 30, 6, rank=3, noise=0.0),
+    "binary": GeneratorSpec("binary", 25, 35, 7),
+    "power-law": GeneratorSpec("power-law", 35, 25, 8),
+}
+
+
+@pytest.mark.parametrize("spec", _ENSEMBLE.values(), ids=_ENSEMBLE.keys())
+def test_solves_agree_with_dense_norm(spec):
+    x = generate_matrix(spec)
+    est = spectral_norm(x)
+    assert est.converged
+    assert est.residual <= 1e-9 * est.value
+    assert est.value == pytest.approx(_dense_norm(x.data), rel=1e-9)
+    for seed in (0, 1):
+        sk = sparsify(x, s=2 * x.m * x.n, seed=seed)
+        est = sketch_error(x, sk)
+        assert est.converged
+        assert est.value == pytest.approx(_dense_norm(_densify(sk.matrix) - x.data), rel=1e-9)
+
+
+def test_second_singular_value_trap():
+    # Power iteration stopped on sigma_2 = 13.19256... of this difference and
+    # reported it as converged; the residual certificate finds sigma_1.
+    x = generate_matrix(GeneratorSpec("gaussian", 100, 100, 44))
+    est = sketch_error(x, sparsify(x, 15202, 29))
+    assert est.converged
+    assert est.value == pytest.approx(13.362398968827721, abs=1e-9)
+
+
+def test_step_cap_below_min_dimension_is_unconverged_lower_bound():
+    x = generate_matrix(GeneratorSpec("gaussian", 60, 40, 9))
+    sk = sparsify(x, s=2400, seed=3)
+    cfg = SpectralConfig(max_iters=5)
+    for est, dense in (
+        (spectral_norm(x, cfg), _dense_norm(x.data)),
+        (sketch_error(x, sk, cfg), _dense_norm(_densify(sk.matrix) - x.data)),
+    ):
+        assert not est.converged
+        assert est.iterations == 5
+        assert est.residual > cfg.tol * est.value
+        assert 0 < est.value <= dense * (1 + 1e-12)
+
+
+def test_solve_is_exact_by_min_dimension():
+    # with a tolerance no residual test can meet early, the solve still ends
+    # certified once the Krylov space fills the smaller dimension
+    cfg = SpectralConfig(tol=1e-300)
+    for shape in ((9, 6), (6, 9)):
+        x = DenseMatrix(np.random.default_rng(34).standard_normal(shape))
+        est = spectral_norm(x, cfg)
+        assert est.converged and est.iterations == 6
+        assert est.value == pytest.approx(_dense_norm(x.data), rel=1e-12)
