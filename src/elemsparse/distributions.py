@@ -59,7 +59,7 @@ class SamplingDistribution:
             )
         if np.any(p < 0) or not np.all(np.isfinite(p)):
             raise ValueError("probabilities must be finite and nonnegative")
-        total = math.fsum(p)
+        total = math.fsum(p.tolist())
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"probabilities must sum to 1 within {_SUM_TOL}, got {total!r}")
         if not 0.0 <= self.beta <= 1.0:
@@ -87,12 +87,12 @@ def _require_nonzero(x: DenseMatrix) -> np.ndarray:
 
 def _l2_probs(flat: np.ndarray) -> np.ndarray:
     sq = flat * flat
-    return sq / math.fsum(sq)
+    return sq / math.fsum(sq.tolist())
 
 
 def _l1_probs(flat: np.ndarray) -> np.ndarray:
     ab = np.abs(flat)
-    return ab / math.fsum(ab)
+    return ab / math.fsum(ab.tolist())
 
 
 def l2_distribution(x: DenseMatrix) -> SamplingDistribution:

@@ -141,8 +141,10 @@ def write_matrix_market(path, matrix) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("%%MatrixMarket matrix coordinate real general\n")
         fh.write(f"{coo.m} {coo.n} {coo.nnz}\n")
-        for i, j, v in zip(coo.rows, coo.cols, coo.vals):
-            fh.write(f"{i + 1} {j + 1} {float(v)!r}\n")
+        fh.write("".join(
+            f"{i + 1} {j + 1} {v!r}\n"
+            for i, j, v in zip(coo.rows.tolist(), coo.cols.tolist(), coo.vals.tolist())
+        ))
 
 
 def write_csv(path, matrix: DenseMatrix) -> None:

@@ -110,12 +110,13 @@ class SparseCOO:
 
 def frobenius_norm(x: DenseMatrix) -> float:
     """sqrt of the exactly-accumulated sum of squared entries."""
-    return math.sqrt(math.fsum(v * v for v in x.flat()))
+    flat = x.flat()
+    return math.sqrt(math.fsum((flat * flat).tolist()))
 
 
 def entry_abs_sum(x: DenseMatrix) -> float:
     """Exactly-accumulated sum of absolute entries."""
-    return math.fsum(abs(v) for v in x.flat())
+    return math.fsum(np.abs(x.flat()).tolist())
 
 
 def stable_rank(x: DenseMatrix, spectral_tol: float = 1e-9) -> float:

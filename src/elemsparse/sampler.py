@@ -1,9 +1,11 @@
 """With-replacement cell sampling and construction of the sparse sketch.
 
 The sketch of X from a sample multiset Omega of s cells is
-``(1/s) * sum_t X[i_t, j_t] / p[i_t, j_t]`` placed at cell (i_t, j_t), with
-repeated cells accumulating into a single COO triple. Draws use an alias
-table (O(1) per draw after O(mn) setup) fed by a seeded PCG64 stream; per
+``(1/s) * sum_t X[i_t, j_t] / p[i_t, j_t]`` placed at cell (i_t, j_t), so it
+depends only on how many times each cell was drawn: a ``SampleSet`` holds
+those per-cell counts, not the draws. Draws use an alias table (O(1) per
+draw after O(mn) setup) fed by a seeded PCG64 stream that is consumed in
+blocks and counted per block, so no array of length s is ever held; per
 draw, two uniforms are consumed in fixed order (slot, then coin), so a
 (distribution, s, seed) triple always regenerates the identical sample.
 """
@@ -32,6 +34,9 @@ __all__ = [
 
 _SEED_MASK = (1 << 64) - 1
 
+# Least draws per block: 2 * 2**16 uniforms (1 MiB) stay in cache.
+_DRAW_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class AliasTable:
@@ -49,18 +54,39 @@ class AliasTable:
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """s sampled (i, j) cell indices plus the seed that produced them."""
+    """The multiset of s cells drawn from an m-by-n grid, plus its seed.
 
+    ``cells`` are the distinct row-major flat indices that were drawn, in
+    strictly increasing order; ``counts[k]`` is how many of the s draws hit
+    ``cells[k]``, so every count is positive and they sum to s.
+    """
+
+    m: int
+    n: int
     s: int
-    pairs: np.ndarray
+    cells: np.ndarray
+    counts: np.ndarray
     seed: int
 
     def __post_init__(self):
-        pairs = np.array(self.pairs, dtype=np.int64)
-        if pairs.shape != (self.s, 2):
-            raise ShapeMismatchError(f"expected pairs of shape ({self.s}, 2), got {pairs.shape}")
-        pairs.setflags(write=False)
-        object.__setattr__(self, "pairs", pairs)
+        if self.s < 1:
+            raise ValueError(f"sample count must be >= 1, got {self.s}")
+        cells = np.array(self.cells, dtype=np.int64)
+        counts = np.array(self.counts, dtype=np.int64)
+        if cells.ndim != 1 or counts.shape != cells.shape:
+            raise ShapeMismatchError(
+                f"cells and counts must be 1-d of equal length, got {cells.shape} and {counts.shape}"
+            )
+        if np.any(cells[1:] <= cells[:-1]):
+            raise ValueError("sample cells must be strictly increasing")
+        if cells.size and (cells[0] < 0 or cells[-1] >= self.m * self.n):
+            raise ShapeMismatchError(f"sample cells out of range for a {self.m}x{self.n} matrix")
+        if np.any(counts < 1) or int(counts.sum()) != self.s:
+            raise ValueError(f"sample counts must be positive and sum to s={self.s}")
+        cells.setflags(write=False)
+        counts.setflags(write=False)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "counts", counts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,36 +157,42 @@ def reconstructed_probs(table: AliasTable) -> np.ndarray:
 
 
 def draw_samples(table: AliasTable, s: int, seed: int) -> SampleSet:
-    """s i.i.d. with-replacement draws; a pure function of (table, s, seed)."""
-    if s < 1:
-        raise ValueError(f"sample count must be >= 1, got {s}")
+    """s i.i.d. with-replacement draws, counted per cell; a pure function of
+    (table, s, seed).
+
+    The stream is consumed in blocks; consecutive ``random`` calls continue
+    one stream, so the counts equal those of a single ``(s, 2)`` call. Each
+    block's ``bincount`` costs O(mn), so a block holds at least mn draws and
+    the whole draw stays O(s + mn).
+    """
     rng = np.random.Generator(np.random.PCG64(seed))
-    u = rng.random((s, 2))
-    flat = _alias_draw(table.prob, table.alias, u[:, 0], u[:, 1])
-    pairs = np.stack((flat // table.n, flat % table.n), axis=1)
-    return SampleSet(s, pairs, seed)
+    size = table.size
+    block = max(_DRAW_BLOCK, size)
+    total = np.zeros(size, dtype=np.int64)
+    for start in range(0, s, block):
+        u = rng.random((min(block, s - start), 2))
+        total += np.bincount(_alias_draw(table.prob, table.alias, u[:, 0], u[:, 1]), minlength=size)
+    cells = np.flatnonzero(total)
+    return SampleSet(table.m, table.n, s, cells, total[cells], seed)
 
 
 def sampling_operator(
     x: DenseMatrix, d: SamplingDistribution, omega: SampleSet
 ) -> SparseSketch:
     """Assemble the sketch: cell value = (times drawn) * x_ij / (s * p_ij)."""
-    if (x.m, x.n) != (d.m, d.n):
+    if (x.m, x.n) != (d.m, d.n) or (omega.m, omega.n) != (d.m, d.n):
         raise ShapeMismatchError(
-            f"distribution shape ({d.m}, {d.n}) does not match matrix shape {x.shape}"
+            f"matrix shape {x.shape}, distribution shape ({d.m}, {d.n}) and "
+            f"sample shape ({omega.m}, {omega.n}) must agree"
         )
-    rows, cols = omega.pairs[:, 0], omega.pairs[:, 1]
-    if rows.min() < 0 or rows.max() >= x.m or cols.min() < 0 or cols.max() >= x.n:
-        raise ShapeMismatchError("sample indices out of range for this matrix")
-    flat = rows * x.n + cols
-    cells, counts = np.unique(flat, return_counts=True)
+    cells = omega.cells
     p = d.probs[cells]
     if np.any(p <= 0.0):
         raise ZeroProbabilityError(
             "sample contains a cell with zero probability; "
             "the sample set does not belong to this distribution"
         )
-    vals = counts * x.flat()[cells] / (omega.s * p)
+    vals = omega.counts * x.flat()[cells] / (omega.s * p)
     coo = SparseCOO(x.m, x.n, cells // x.n, cells % x.n, vals)
     return SparseSketch(coo, omega.s, omega.seed, d.kind)
 

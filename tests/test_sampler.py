@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elemsparse import (
     DenseMatrix,
@@ -10,6 +12,7 @@ from elemsparse import (
     build_alias_table,
     coo_to_dense,
     custom_distribution,
+    distribution_for_kind,
     draw_samples,
     exact_expectation,
     hybrid_distribution,
@@ -19,6 +22,7 @@ from elemsparse import (
     sketch_error,
     sparsify,
 )
+from elemsparse.sampler import _DRAW_BLOCK, _alias_draw
 
 # chi-square inverse CDF at 0.999 with df=3, frozen from scipy.stats.chi2.ppf
 CHI2_DF3_999 = 16.26623619623813
@@ -30,9 +34,25 @@ VAL_01 = 700 / 212
 VAL_01_DUP = 700 / 106
 
 
-def _omega(pairs, seed=0):
-    arr = np.array(pairs, dtype=np.int64)
-    return SampleSet(len(pairs), arr, seed)
+def _omega(pairs, shape=(2, 2), seed=0):
+    m, n = shape
+    cells, counts = np.unique([i * n + j for i, j in pairs], return_counts=True)
+    return SampleSet(m, n, len(pairs), cells, counts, seed)
+
+
+def _cell_counts(omega):
+    """Times drawn for every one of the mn cells, drawn or not."""
+    out = np.zeros(omega.m * omega.n, dtype=np.int64)
+    out[omega.cells] = omega.counts
+    return out
+
+
+def _same_sample(a, b):
+    return (
+        (a.m, a.n, a.s, a.seed) == (b.m, b.n, b.s, b.seed)
+        and np.array_equal(a.cells, b.cells)
+        and np.array_equal(a.counts, b.counts)
+    )
 
 
 def test_alias_table_reconstructs_probs(toy):
@@ -55,7 +75,8 @@ def test_point_mass_always_drawn():
     d = hybrid_distribution(x)  # all mass on cell (0,1)
     table = build_alias_table(d)
     omega = draw_samples(table, 50, seed=123)
-    assert np.all(omega.pairs == np.array([0, 1]))
+    assert omega.cells.tolist() == [1]  # row-major cell (0, 1)
+    assert omega.counts.tolist() == [50]
 
 
 def test_uniform_four_cells_chi_square():
@@ -63,9 +84,7 @@ def test_uniform_four_cells_chi_square():
         DenseMatrix(np.ones((2, 2))), np.full(4, 0.25)
     )
     table = build_alias_table(d)
-    omega = draw_samples(table, 10**6, seed=99)
-    flat = omega.pairs[:, 0] * 2 + omega.pairs[:, 1]
-    counts = np.bincount(flat, minlength=4)
+    counts = _cell_counts(draw_samples(table, 10**6, seed=99))
     expected = 250_000.0
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 <= CHI2_DF3_999
@@ -75,9 +94,7 @@ def test_toy_hybrid_draw_frequencies(toy):
     d = hybrid_distribution(toy)
     table = build_alias_table(d)
     n_draws = 10**6
-    omega = draw_samples(table, n_draws, seed=7)
-    flat = omega.pairs[:, 0] * 2 + omega.pairs[:, 1]
-    counts = np.bincount(flat, minlength=4)
+    counts = _cell_counts(draw_samples(table, n_draws, seed=7))
     assert counts[2] == 0 and counts[3] == 0  # zero-probability cells never drawn
     for k in (0, 1):
         p = d.probs[k]
@@ -89,10 +106,10 @@ def test_draw_determinism(toy):
     table = build_alias_table(hybrid_distribution(toy))
     a = draw_samples(table, 1000, seed=42)
     b = draw_samples(table, 1000, seed=42)
-    assert np.array_equal(a.pairs, b.pairs)
+    assert _same_sample(a, b)
     assert a.seed == b.seed == 42
     c = draw_samples(table, 1000, seed=43)
-    assert not np.array_equal(a.pairs, c.pairs)
+    assert not np.array_equal(a.counts, c.counts)
 
 
 def test_draw_validation(toy):
@@ -100,15 +117,52 @@ def test_draw_validation(toy):
     with pytest.raises(ValueError):
         draw_samples(table, 0, seed=1)
     omega = draw_samples(table, 17, seed=1)
-    assert omega.pairs.shape == (17, 2)
-    assert omega.pairs.min() >= 0
+    assert (omega.m, omega.n, omega.s) == (2, 2, 17)
+    assert omega.cells.shape == omega.counts.shape
+    assert omega.cells.min() >= 0 and omega.cells.max() < 4
+    assert omega.counts.sum() == 17
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (300, 300)], ids=["block-constant", "block-mn"])
+def test_draw_matches_one_unblocked_call_across_blocks(shape):
+    # A block holds max(_DRAW_BLOCK, mn) draws; 2 blocks + 3 draws crosses
+    # two boundaries and ends on a partial block.
+    rng = np.random.default_rng(21)
+    x = DenseMatrix(rng.standard_normal(shape))
+    table = build_alias_table(hybrid_distribution(x))
+    s = 2 * max(_DRAW_BLOCK, table.size) + 3
+    u = np.random.Generator(np.random.PCG64(5)).random((s, 2))
+    expected = np.bincount(
+        _alias_draw(table.prob, table.alias, u[:, 0], u[:, 1]), minlength=table.size
+    )
+    omega = draw_samples(table, s, seed=5)
+    np.testing.assert_array_equal(_cell_counts(omega), expected)
+    np.testing.assert_array_equal(omega.cells, np.flatnonzero(expected))
+
+
+@pytest.mark.parametrize(
+    "cells, counts, s, error",
+    [
+        ([0, 1], [1, 1], 3, ValueError),  # counts sum to 2, not s
+        ([0, 1], [2, 0], 2, ValueError),  # a zero count
+        ([1, 0], [1, 1], 2, ValueError),  # decreasing cells
+        ([1, 1], [1, 1], 2, ValueError),  # repeated cell
+        ([0, 4], [1, 1], 2, ShapeMismatchError),  # cell past the 2x2 grid
+        ([-1, 0], [1, 1], 2, ShapeMismatchError),  # negative cell
+        ([0, 1], [2], 2, ShapeMismatchError),  # lengths differ
+        ([], [], 0, ValueError),  # no draws
+    ],
+    ids=["sum", "zero-count", "decreasing", "repeated", "past-end", "negative", "lengths", "empty"],
+)
+def test_sample_set_rejects_malformed_multiset(cells, counts, s, error):
+    with pytest.raises(error):
+        SampleSet(2, 2, s, cells, counts, 0)
 
 
 def test_uniform_two_cell_binomial():
     d = custom_distribution(DenseMatrix(np.ones((1, 2))), np.array([0.5, 0.5]))
     table = build_alias_table(d)
-    omega = draw_samples(table, 10**5, seed=11)
-    count0 = int((omega.pairs[:, 1] == 0).sum())
+    count0 = int(_cell_counts(draw_samples(table, 10**5, seed=11))[0])
     sigma = np.sqrt(10**5 * 0.25)
     assert abs(count0 - 50_000) <= 3 * sigma
 
@@ -127,7 +181,7 @@ def test_sampling_operator_examples(toy):
 
 def test_sampling_operator_single_cell(single_cell):
     d = hybrid_distribution(single_cell)
-    sk = sampling_operator(single_cell, d, _omega([(0, 0)] * 5))
+    sk = sampling_operator(single_cell, d, _omega([(0, 0)] * 5, shape=(1, 1)))
     np.testing.assert_array_equal(coo_to_dense(sk.matrix).data, single_cell.data)
     assert sketch_error(single_cell, sk).value <= 1e-10
 
@@ -143,7 +197,9 @@ def test_sampling_operator_shape_checks(toy):
     with pytest.raises(ShapeMismatchError):
         sampling_operator(DenseMatrix(np.ones((3, 3))), d, _omega([(0, 0)]))
     with pytest.raises(ShapeMismatchError):
-        sampling_operator(toy, d, _omega([(0, 2)]))  # col out of range
+        sampling_operator(toy, d, _omega([(0, 0)], shape=(3, 3)))  # sample from a 3x3 grid
+    with pytest.raises(ShapeMismatchError):
+        SampleSet(2, 2, 1, [4], [1], 0)  # cell past the end of the 2x2 grid
 
 
 def test_sparsify_exact_single_cell(single_cell):
@@ -210,3 +266,41 @@ def test_error_decay_one_over_sqrt_s():
         medians.append(float(np.median(errs)))
     ratio = medians[1] / medians[0]
     assert 0.35 <= ratio <= 0.65
+
+
+@st.composite
+def _sampling_problems(draw):
+    """A small nonzero matrix (entries on a quarter grid, zeros common), one
+    of the built-in distributions over it, and its alias table."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entries = draw(st.lists(st.integers(-8, 8), min_size=m * n, max_size=m * n))
+    a = np.array(entries, dtype=np.float64).reshape(m, n) / 4
+    if not a.any():
+        a[draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))] = 1.0
+    x = DenseMatrix(a)
+    kind = draw(st.sampled_from([DistributionKind.HYBRID, DistributionKind.PURE_L1, DistributionKind.PURE_L2]))
+    d = distribution_for_kind(x, kind)
+    return x, d, build_alias_table(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=_sampling_problems(), s=st.integers(1, 400), seed=st.integers(0, 2**64 - 1))
+def test_drawn_multiset_properties(problem, s, seed):
+    x, d, table = problem
+    omega = draw_samples(table, s, seed)
+    assert (omega.m, omega.n, omega.s, omega.seed) == (x.m, x.n, s, seed)
+    assert int(omega.counts.sum()) == s and np.all(omega.counts >= 1)
+    assert np.all(np.diff(omega.cells) > 0)
+    assert np.all(d.probs[omega.cells] > 0.0)  # only cells in the support of d
+    assert _same_sample(omega, draw_samples(table, s, seed))
+
+    sk = sampling_operator(x, d, omega)
+    np.testing.assert_array_equal(sk.matrix.rows * x.n + sk.matrix.cols, omega.cells)
+    expected = [
+        c * v / (s * p)
+        for c, v, p in zip(
+            omega.counts.tolist(), x.flat()[omega.cells].tolist(), d.probs[omega.cells].tolist()
+        )
+    ]
+    np.testing.assert_array_equal(sk.matrix.vals, expected)
+    assert (sk.s, sk.source_seed, sk.distribution_kind) == (s, seed, d.kind)
