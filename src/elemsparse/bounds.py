@@ -19,6 +19,7 @@ import numpy as np
 from .distributions import SamplingDistribution
 from .errors import (
     HypothesisViolatedError,
+    InvalidSpecError,
     ShapeMismatchError,
     ZeroMatrixError,
     ZeroProbabilityError,
@@ -61,17 +62,17 @@ class BoundRequest:
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
-            raise ValueError("matrix dimensions must be >= 1")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+            raise InvalidSpecError("matrix dimensions must be >= 1")
+        if not 0 < self.epsilon < math.inf:
+            raise InvalidSpecError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         if not 0 < self.delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
+            raise InvalidSpecError(f"delta must lie in (0, 1), got {self.delta!r}")
         if not 0 < self.beta <= 1:
-            raise ValueError("beta must lie in (0, 1]")
-        if not self.frobenius > 0:
-            raise ValueError("frobenius must be positive")
-        if self.stable_rank is not None and not self.stable_rank > 0:
-            raise ValueError("stable_rank must be positive when given")
+            raise InvalidSpecError(f"beta must lie in (0, 1], got {self.beta!r}")
+        if not 0 < self.frobenius < math.inf:
+            raise InvalidSpecError(f"frobenius must be positive and finite, got {self.frobenius!r}")
+        if self.stable_rank is not None and not 0 < self.stable_rank < math.inf:
+            raise InvalidSpecError(f"stable_rank must be positive and finite when given, got {self.stable_rank!r}")
 
     @property
     def log_term(self) -> float:
@@ -205,14 +206,18 @@ def exact_second_moment(x: DenseMatrix, d: SamplingDistribution) -> DenseMatrix:
 
 def bound_report(req: BoundRequest, epsilon_rel: float | None = None) -> BoundReport:
     """Evaluate every bound for one request; the tail is reported at the
-    un-simplified sample size, where it must not exceed delta."""
-    s1, case = sample_size_theorem1(req)
-    s_un = sample_size_unsimplified(req)
-    s_cor = None
-    if req.stable_rank is not None and epsilon_rel is not None:
-        s_cor = sample_size_corollary(req, epsilon_rel)
-    gamma, rho2 = _gamma_rho_values(req.m, req.n, req.frobenius, req.beta)
-    tail = bernstein_tail(req.m, req.n, s_un, req.epsilon, rho2, gamma)
+    un-simplified sample size, where it must not exceed delta. Inputs whose
+    bounds leave float range raise InvalidSpecError."""
+    try:
+        s1, case = sample_size_theorem1(req)
+        s_un = sample_size_unsimplified(req)
+        s_cor = None
+        if req.stable_rank is not None and epsilon_rel is not None:
+            s_cor = sample_size_corollary(req, epsilon_rel)
+        gamma, rho2 = _gamma_rho_values(req.m, req.n, req.frobenius, req.beta)
+        tail = bernstein_tail(req.m, req.n, s_un, req.epsilon, rho2, gamma)
+    except (OverflowError, ZeroDivisionError):
+        raise InvalidSpecError("the bounds leave float range for these inputs") from None
     return BoundReport(
         s_theorem1=s1,
         case_used=case,

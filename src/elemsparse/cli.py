@@ -3,6 +3,11 @@
 Subcommands: sparsify (one-shot sketch), bounds (sample-size calculator),
 experiment (Monte-Carlo guarantee check), compare (hybrid vs l1 vs l2).
 
+Every matrix-driven command sizes s through ``experiment.make_plan``; bounds
+given only numbers (--m/--n/--frobenius) runs the same sizing step without a
+matrix. bounds, experiment and compare hand their JSON payload or CSV text to
+one writer, which sends it to --out or, without --out, to stdout.
+
 Exit codes: 0 success, 1 config or I/O error, 2 guarantee not shown
 (experiment only: empirical failure rate above delta, or a trial whose error
 solve stopped uncertified).
@@ -12,28 +17,28 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
 from . import __version__
-from .bounds import BoundRequest, bound_report
-from .distributions import DistributionKind, distribution_for_kind
+from .distributions import DistributionKind
 from .errors import ElemsparseError, InvalidSpecError
 from .experiment import (
     BoundForm,
     ExperimentConfig,
     FileSource,
     SCHEMA_VERSION,
-    bound_inputs,
+    _sizing,
     compare_distributions,
     compare_payload,
     experiment_payload,
+    make_plan,
     payload_text,
-    resolve_beta,
     resolve_matrix,
     run_experiment,
 )
 from .generate import GENERATOR_KINDS, GeneratorSpec
-from .io import FORMATS, load_matrix, write_csv, write_matrix_market
-from .matrix import coo_to_dense, frobenius_norm, stable_rank
+from .io import FORMATS, write_csv, write_matrix_market
+from .matrix import coo_to_dense
 from .sampler import build_alias_table, draw_samples, sampling_operator
 
 __all__ = ["main", "build_parser"]
@@ -72,7 +77,9 @@ def _add_source_flags(p) -> None:
     )
 
 
-def _add_bound_flags(p) -> None:
+def _add_bound_flags(p, sized: bool) -> None:
+    """Error-target flags; sized adds --s and --bound-form, which choose the
+    s a sampling command uses (bounds reports every form instead)."""
     p.add_argument("--epsilon", type=float, help="absolute spectral error target")
     p.add_argument(
         "--epsilon-rel",
@@ -81,8 +88,9 @@ def _add_bound_flags(p) -> None:
     )
     p.add_argument("--delta", type=float, default=0.1, help="failure probability (default 0.1)")
     p.add_argument("--beta", type=float, help="distribution quality override (default: computed certificate)")
-    p.add_argument("--s", type=int, help="sample-count override, skips the bound")
-    p.add_argument("--bound-form", choices=_FORM_CHOICES, default="unsimplified")
+    if sized:
+        p.add_argument("--s", type=int, help="sample-count override, skips the bound")
+        p.add_argument("--bound-form", choices=_FORM_CHOICES, default="unsimplified")
 
 
 def build_parser() -> _Parser:
@@ -92,26 +100,27 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sparsify", help="sample one sparse sketch and write it out")
     _add_source_flags(p)
-    _add_bound_flags(p)
+    _add_bound_flags(p, sized=True)
     p.add_argument("--dist", choices=_DIST_CHOICES, default="hybrid")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--out-format", choices=("matrix-market", "csv"), default="matrix-market")
     p.set_defaults(func=_cmd_sparsify)
 
-    p = sub.add_parser("bounds", help="print the sample-size report for given parameters")
+    # bounds takes no --s; with abbreviations argparse would read it as --stable-rank
+    p = sub.add_parser("bounds", help="print the sample-size report for given parameters", allow_abbrev=False)
     _add_source_flags(p)
-    _add_bound_flags(p)
+    _add_bound_flags(p, sized=False)
     p.add_argument("--m", type=int, help="rows, when no --input is given")
     p.add_argument("--n", type=int, help="columns, when no --input is given")
     p.add_argument("--frobenius", type=float, help="||X||_F, when no --input is given")
-    p.add_argument("--stable-rank", type=float, help="sr(X), enables the corollary row")
+    p.add_argument("--stable-rank", type=float, help="sr(X) with --m/--n/--frobenius; enables the corollary row")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("experiment", help="Monte-Carlo check of the sparsification guarantee")
     _add_source_flags(p)
-    _add_bound_flags(p)
+    _add_bound_flags(p, sized=True)
     p.add_argument("--dist", choices=_DIST_CHOICES, default="hybrid")
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, default=0, help="base seed; trial t uses seed+t")
@@ -122,7 +131,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("compare", help="hybrid vs l1 vs l2 at one shared sample size")
     _add_source_flags(p)
-    _add_bound_flags(p)
+    _add_bound_flags(p, sized=True)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
@@ -154,105 +163,93 @@ def _experiment_config(args, dist: str | None) -> ExperimentConfig:
         trials=args.trials,
         base_seed=args.seed,
         jobs=args.jobs,
-        out_path=args.out,
-        out_format=args.out_format,
     )
+
+
+def _write(text: str, out: str | None) -> None:
+    """The one output path of bounds, experiment and compare."""
+    if out is None:
+        sys.stdout.write(text)
+        return
+    with open(out, "w", encoding="ascii") as fh:
+        fh.write(text)
+
+
+def _experiment_csv(result) -> str:
+    lines = ["trial,seed,error,wall_time"]
+    for t, (seed, err, wall) in enumerate(zip(result.seeds, result.errors, result.wall_times)):
+        lines.append(f"{t},{seed},{err!r},{wall!r}")
+    return "\n".join(lines) + "\n"
+
+
+def _compare_csv(result) -> str:
+    # per-kind summary columns repeat on each row so the table stays flat:
+    # exactly 3 * trials data rows below one header.
+    lines = ["kind,trial,seed,error,beta_certificate,median_error,p90_error"]
+    for summ in result.summaries:
+        for t, (seed, err) in enumerate(zip(result.seeds, summ.errors)):
+            lines.append(
+                f"{summ.kind.value},{t},{seed},{err!r},"
+                f"{summ.beta_certificate!r},{summ.median_error!r},{summ.p90_error!r}"
+            )
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_sparsify(args) -> int:
     if args.seed < 0:
         raise InvalidSpecError("--seed must be a nonnegative integer")
-    source = _source(args)
-    x = resolve_matrix(source)
-    dist = distribution_for_kind(x, DistributionKind(args.dist))
-    if args.s is not None:
-        s_used = args.s
-        if s_used < 1:
-            raise InvalidSpecError("--s must be a positive integer")
-    elif args.epsilon is None and args.epsilon_rel is None:
-        raise InvalidSpecError("sparsify needs --s or one of --epsilon/--epsilon-rel")
-    else:
-        cfg = ExperimentConfig(
-            source=source,
-            dist_kind=dist.kind,
-            epsilon=args.epsilon,
-            epsilon_rel=args.epsilon_rel,
-            delta=args.delta,
-            beta=args.beta,
-            bound_form=BoundForm(args.bound_form),
-            base_seed=args.seed,
-        )
-        _, _, s_used = bound_inputs(cfg, x, resolve_beta(args.beta, dist))
-    table = build_alias_table(dist)
-    omega = draw_samples(table, s_used, args.seed)
-    sketch = sampling_operator(x, dist, omega)
+    plan = make_plan(
+        resolve_matrix(_source(args)), (args.dist,), bound_form=BoundForm(args.bound_form), epsilon=args.epsilon,
+        epsilon_rel=args.epsilon_rel, delta=args.delta, beta=args.beta, s_override=args.s,
+    )
+    x, dist = plan.x, plan.dists[0]
+    sketch = sampling_operator(x, dist, draw_samples(build_alias_table(dist), plan.s, args.seed))
     if args.out_format == "matrix-market":
         write_matrix_market(args.out, sketch.matrix)
     else:
         write_csv(args.out, coo_to_dense(sketch.matrix))
-    print(f"wrote {args.out}: {x.m}x{x.n}, s={s_used}, nnz={sketch.matrix.nnz}")
+    print(f"wrote {args.out}: {x.m}x{x.n}, s={plan.s}, nnz={sketch.matrix.nnz}")
     return 0
 
 
 def _cmd_bounds(args) -> int:
-    if args.input is not None:
-        x = load_matrix(args.input, args.format)
-        m, n = x.m, x.n
-        fro = frobenius_norm(x)
-        sr = stable_rank(x)
+    if args.input is not None or args.generate is not None:
+        plan = make_plan(
+            resolve_matrix(_source(args)), bound_form=None, epsilon=args.epsilon,
+            epsilon_rel=args.epsilon_rel, delta=args.delta, beta=args.beta,
+        )
+        req, report = plan.request, plan.report
+    elif args.m is None or args.n is None or args.frobenius is None:
+        raise InvalidSpecError("bounds needs --input, --generate or all of --m/--n/--frobenius")
     else:
-        if args.m is None or args.n is None or args.frobenius is None:
-            raise InvalidSpecError("bounds needs --input or all of --m/--n/--frobenius")
-        m, n, fro, sr = args.m, args.n, args.frobenius, args.stable_rank
-    if (args.epsilon is None) == (args.epsilon_rel is None):
-        raise InvalidSpecError("exactly one of --epsilon and --epsilon-rel is required")
-    epsilon = args.epsilon if args.epsilon is not None else args.epsilon_rel * fro
-    beta = args.beta if args.beta is not None else 1.0
-    req = BoundRequest(m, n, epsilon, args.delta, beta, fro, stable_rank=sr)
-    report = bound_report(req, epsilon_rel=args.epsilon_rel)
+        req, report = _sizing(
+            args.m, args.n, args.frobenius, args.stable_rank, None,
+            args.epsilon, args.epsilon_rel, args.delta, args.beta,
+        )
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "bounds",
-        "request": {
-            "m": m,
-            "n": n,
-            "epsilon": epsilon,
-            "epsilon_rel": args.epsilon_rel,
-            "delta": args.delta,
-            "beta": beta,
-            "frobenius": fro,
-            "stable_rank": sr,
-        },
-        "report": {
-            "s_theorem1": report.s_theorem1,
-            "case_used": report.case_used.value,
-            "s_unsimplified": report.s_unsimplified,
-            "s_corollary": report.s_corollary,
-            "gamma": report.gamma,
-            "rho2": report.rho2,
-            "tail_at_s": report.tail_at_s,
-        },
+        "request": {**asdict(req), "epsilon_rel": args.epsilon_rel},
+        "report": asdict(report),
     }
-    text = payload_text(payload)
-    if args.out is not None:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(payload_text(payload), args.out)
     return 0
 
 
 def _cmd_experiment(args) -> int:
     cfg = _experiment_config(args, args.dist)
     result = run_experiment(cfg)
-    if cfg.out_path is None:
-        sys.stdout.write(payload_text(experiment_payload(result, cfg)))
+    if args.out_format == "json":
+        text = payload_text(experiment_payload(result, cfg))
     else:
+        text = _experiment_csv(result)
+    _write(text, args.out)
+    if args.out is not None:
         print(
             f"s={result.s_used} epsilon={result.epsilon_used:.6g} "
             f"failure_rate={result.empirical_failure_rate:.4f} delta={cfg.delta:g} "
             f"unconverged={result.unconverged_trials} "
-            f"-> {'pass' if result.passed else 'FAIL'} ({cfg.out_path})"
+            f"-> {'pass' if result.passed else 'FAIL'} ({args.out})"
         )
     return 0 if result.passed else 2
 
@@ -260,15 +257,18 @@ def _cmd_experiment(args) -> int:
 def _cmd_compare(args) -> int:
     cfg = _experiment_config(args, None)
     result = compare_distributions(cfg)
-    if cfg.out_path is None:
-        sys.stdout.write(payload_text(compare_payload(result, cfg)))
+    if args.out_format == "json":
+        text = payload_text(compare_payload(result, cfg))
     else:
+        text = _compare_csv(result)
+    _write(text, args.out)
+    if args.out is not None:
         for summ in result.summaries:
             print(
                 f"{summ.kind.value}: beta={summ.beta_certificate:.6g} "
                 f"median={summ.median_error:.6g} p90={summ.p90_error:.6g}"
             )
-        print(f"wrote {cfg.out_path} (s={result.s_used})")
+        print(f"wrote {args.out} (s={result.s_used})")
     return 0
 
 

@@ -16,8 +16,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ShapeMismatchError, ZeroMatrixError
-from .matrix import DenseMatrix, entry_abs_sum, frobenius_norm
+from .errors import NonFiniteError, ShapeMismatchError, ZeroMatrixError
+from .matrix import DenseMatrix, _exact_sum
 
 __all__ = [
     "DistributionKind",
@@ -78,44 +78,60 @@ class SamplingDistribution:
         )
 
 
-def _require_nonzero(x: DenseMatrix) -> np.ndarray:
+def _shares(x: DenseMatrix) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Exact sums of x^2 and |x|, and the per-cell shares x^2 / sum x^2 (L2)
+    and |x| / sum |x| (L1) that every distribution and certificate is built
+    from. Refuses the zero matrix, and a nonzero one whose squares underflow
+    to 0 or overflow to inf, where no share is defined."""
     flat = x.flat()
-    if not np.any(flat):
-        raise ZeroMatrixError("sampling distribution is undefined for the zero matrix")
-    return flat
-
-
-def _l2_probs(flat: np.ndarray) -> np.ndarray:
-    sq = flat * flat
-    return sq / math.fsum(sq.tolist())
-
-
-def _l1_probs(flat: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):  # an inf square is refused below
+        sq = flat * flat
     ab = np.abs(flat)
-    return ab / math.fsum(ab.tolist())
+    sum_sq, abs_sum = _exact_sum(sq), _exact_sum(ab)
+    if abs_sum == 0.0:
+        raise ZeroMatrixError("sampling distributions and bounds are undefined for the zero matrix")
+    if not 0.0 < sum_sq < math.inf:
+        raise NonFiniteError(
+            f"the squared entries sum to {sum_sq!r} (largest |x| is {float(ab.max())!r}), "
+            "outside float range; rescale the matrix"
+        )
+    return sum_sq, abs_sum, sq / sum_sq, ab / abs_sum
+
+
+def _certificate(flat: np.ndarray, p: np.ndarray, hybrid: np.ndarray) -> float:
+    mask = flat != 0.0
+    return float(min(1.0, (p[mask] / hybrid[mask]).min()))
+
+
+def _distributions(x: DenseMatrix, kinds, l2: np.ndarray, l1: np.ndarray) -> tuple:
+    """One distribution per kind, in order, from the shares of ``_shares``.
+    The hybrid is their average, and the L1/L2 certificates divide by it."""
+    hybrid = 0.5 * (l2 + l1)
+    out = []
+    for kind in map(DistributionKind, kinds):
+        if kind is DistributionKind.HYBRID:
+            out.append(SamplingDistribution(x.m, x.n, hybrid, kind, 1.0))
+        elif kind is DistributionKind.CUSTOM:
+            raise ValueError("custom distributions must be built via custom_distribution")
+        else:
+            probs = l2 if kind is DistributionKind.PURE_L2 else l1
+            out.append(SamplingDistribution(x.m, x.n, probs, kind, _certificate(x.flat(), probs, hybrid)))
+    return tuple(out)
 
 
 def l2_distribution(x: DenseMatrix) -> SamplingDistribution:
     """p_ij proportional to x_ij^2 (squared-entry baseline)."""
-    flat = _require_nonzero(x)
-    probs = _l2_probs(flat)
-    beta = beta_certificate(x, probs)
-    return SamplingDistribution(x.m, x.n, probs, DistributionKind.PURE_L2, beta)
+    return distribution_for_kind(x, DistributionKind.PURE_L2)
 
 
 def l1_distribution(x: DenseMatrix) -> SamplingDistribution:
     """p_ij proportional to |x_ij| (absolute-entry baseline)."""
-    flat = _require_nonzero(x)
-    probs = _l1_probs(flat)
-    beta = beta_certificate(x, probs)
-    return SamplingDistribution(x.m, x.n, probs, DistributionKind.PURE_L1, beta)
+    return distribution_for_kind(x, DistributionKind.PURE_L1)
 
 
 def hybrid_distribution(x: DenseMatrix) -> SamplingDistribution:
     """Entry-wise average of the L2 and L1 distributions; certificate is 1."""
-    flat = _require_nonzero(x)
-    probs = 0.5 * (_l2_probs(flat) + _l1_probs(flat))
-    return SamplingDistribution(x.m, x.n, probs, DistributionKind.HYBRID, 1.0)
+    return distribution_for_kind(x, DistributionKind.HYBRID)
 
 
 def custom_distribution(x: DenseMatrix, probs: np.ndarray) -> SamplingDistribution:
@@ -125,14 +141,8 @@ def custom_distribution(x: DenseMatrix, probs: np.ndarray) -> SamplingDistributi
 
 
 def distribution_for_kind(x: DenseMatrix, kind) -> SamplingDistribution:
-    kind = DistributionKind(kind)
-    if kind is DistributionKind.HYBRID:
-        return hybrid_distribution(x)
-    if kind is DistributionKind.PURE_L2:
-        return l2_distribution(x)
-    if kind is DistributionKind.PURE_L1:
-        return l1_distribution(x)
-    raise ValueError("custom distributions must be built via custom_distribution")
+    _, _, l2, l1 = _shares(x)
+    return _distributions(x, (kind,), l2, l1)[0]
 
 
 def beta_certificate(x: DenseMatrix, probs: np.ndarray) -> float:
@@ -142,14 +152,11 @@ def beta_certificate(x: DenseMatrix, probs: np.ndarray) -> float:
     for every beta > 0). Cells where x_ij = 0 impose no constraint and are
     excluded from the minimum.
     """
-    flat = _require_nonzero(x)
+    _, _, l2, l1 = _shares(x)
     p = np.asarray(probs, dtype=np.float64).reshape(-1)
-    if p.shape[0] != flat.shape[0]:
-        raise ShapeMismatchError(f"expected {flat.shape[0]} probabilities, got {p.shape[0]}")
-    lower = 0.5 * (_l2_probs(flat) + _l1_probs(flat))
-    mask = flat != 0.0
-    ratios = p[mask] / lower[mask]
-    return float(min(1.0, ratios.min()))
+    if p.shape[0] != x.m * x.n:
+        raise ShapeMismatchError(f"expected {x.m * x.n} probabilities, got {p.shape[0]}")
+    return _certificate(x.flat(), p, 0.5 * (l2 + l1))
 
 
 def support_mask(d: SamplingDistribution) -> np.ndarray:

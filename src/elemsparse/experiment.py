@@ -1,5 +1,9 @@
-"""Experiment orchestration: Monte-Carlo validation of the sparsification
-guarantee plus a three-way distribution comparison.
+"""Run planning and the experiment harness: Monte-Carlo validation of the
+sparsification guarantee plus a three-way distribution comparison.
+
+``make_plan`` is the one path from a matrix to its distributions and sample
+size that every command shares. ``run_experiment`` and
+``compare_distributions`` return results and write nothing; the CLI does.
 
 Reproducibility contract: trial t draws with seed (base_seed + t) mod 2^64,
 so results are independent of --jobs scheduling; aggregation sorts by trial
@@ -13,17 +17,17 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .bounds import BoundReport, BoundRequest, bound_report
-from .distributions import DistributionKind, distribution_for_kind
+from .distributions import DistributionKind, _distributions, _shares
 from .errors import InvalidSpecError
 from .generate import GeneratorSpec, generate_matrix
 from .io import load_matrix
-from .matrix import DenseMatrix, frobenius_norm, stable_rank
+from .matrix import DenseMatrix, _stable_rank
 from .sampler import _SEED_MASK, build_alias_table, draw_samples, sampling_operator
 from .spectral import DEFAULT_CONFIG, SpectralConfig, sketch_error
 
@@ -35,16 +39,14 @@ __all__ = [
     "ExperimentResult",
     "CompareResult",
     "KindSummary",
+    "Plan",
     "resolve_matrix",
-    "resolve_beta",
-    "bound_inputs",
+    "make_plan",
     "run_experiment",
     "compare_distributions",
     "experiment_payload",
     "compare_payload",
     "payload_text",
-    "write_experiment_output",
-    "write_compare_output",
 ]
 
 SCHEMA_VERSION = 1
@@ -84,8 +86,6 @@ class ExperimentConfig:
     base_seed: int = 0
     jobs: int = 1
     spectral: SpectralConfig = field(default=DEFAULT_CONFIG)
-    out_path: str | None = None
-    out_format: str = "json"
 
     def __post_init__(self):
         if isinstance(self.dist_kind, str) and not isinstance(self.dist_kind, DistributionKind):
@@ -96,10 +96,10 @@ class ExperimentConfig:
             raise InvalidSpecError("dist_kind must be one of hybrid, l1, l2")
         if (self.epsilon is None) == (self.epsilon_rel is None):
             raise InvalidSpecError("exactly one of epsilon and epsilon_rel must be set")
-        if self.epsilon is not None and not self.epsilon > 0:
-            raise InvalidSpecError("epsilon must be positive")
-        if self.epsilon_rel is not None and not self.epsilon_rel > 0:
-            raise InvalidSpecError("epsilon_rel must be positive")
+        if self.epsilon is not None and not 0 < self.epsilon < math.inf:
+            raise InvalidSpecError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        if self.epsilon_rel is not None and not 0 < self.epsilon_rel < math.inf:
+            raise InvalidSpecError(f"epsilon_rel must be positive and finite, got {self.epsilon_rel!r}")
         if not 0.0 < self.delta < 1.0:
             raise InvalidSpecError("delta must lie in (0, 1)")
         if self.beta is not None and not 0.0 < self.beta <= 1.0:
@@ -114,8 +114,6 @@ class ExperimentConfig:
             raise InvalidSpecError("base_seed must be a nonnegative integer")
         if self.jobs < 1:
             raise InvalidSpecError("jobs must be >= 1")
-        if self.out_format not in ("json", "csv"):
-            raise InvalidSpecError(f"unknown output format {self.out_format!r}")
 
 
 @dataclass(frozen=True)
@@ -159,6 +157,24 @@ class CompareResult:
     wall_times: dict  # kind value -> tuple of per-trial durations
 
 
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """What a run derives from its matrix before any draw.
+
+    request (epsilon, beta, ||X||_F and the stable rank, with m, n and delta)
+    and report are None when s was given without an error target; s is None
+    for the bounds command, which lists every form.
+    """
+
+    x: DenseMatrix
+    sum_sq: float  # sum of x^2, exactly rounded
+    abs_sum: float  # sum of |x|, exactly rounded
+    dists: tuple  # one SamplingDistribution per requested kind, in order
+    request: BoundRequest | None
+    report: BoundReport | None
+    s: int | None
+
+
 def resolve_matrix(source) -> DenseMatrix:
     if isinstance(source, FileSource):
         return load_matrix(source.path, source.fmt)
@@ -167,42 +183,67 @@ def resolve_matrix(source) -> DenseMatrix:
     raise InvalidSpecError(f"unsupported matrix source {type(source).__name__}")
 
 
-def resolve_beta(beta: float | None, dist) -> float:
-    """The beta that sizes s: dist's certificate, or a requested value no
-    larger than it. A larger beta would shrink s below what the distribution
-    supports, so it is refused rather than trusted."""
-    if beta is None:
-        return dist.beta
-    if beta > dist.beta:
-        raise InvalidSpecError(
-            f"beta {beta!r} exceeds the {dist.kind.value} distribution's certificate {dist.beta!r}"
-        )
-    return beta
+def _sizing(m, n, frobenius, stable_rank, bound_form, epsilon, epsilon_rel, delta, beta):
+    """The bound request and report for one error target. epsilon_rel scales
+    ||X||_2 = ||X||_F / sqrt(sr) under the corollary form and ||X||_F
+    otherwise (bound_form None, the bounds command, included), matching which
+    norm each statement is phrased against. beta None means 1."""
+    if (epsilon is None) == (epsilon_rel is None):
+        raise InvalidSpecError("exactly one of epsilon and epsilon_rel is required, unless s is given")
+    if bound_form is BoundForm.COROLLARY and epsilon_rel is None:
+        raise InvalidSpecError("bound_form=corollary needs epsilon_rel, not an absolute epsilon")
+    if epsilon is None and bound_form is BoundForm.COROLLARY:
+        epsilon = epsilon_rel * frobenius / math.sqrt(stable_rank)
+    elif epsilon is None:
+        epsilon = epsilon_rel * frobenius
+    beta = 1.0 if beta is None else beta
+    req = BoundRequest(m, n, epsilon, delta, beta, frobenius, stable_rank=stable_rank)
+    return req, bound_report(req, epsilon_rel=epsilon_rel)
 
 
-def bound_inputs(cfg: ExperimentConfig, x: DenseMatrix, beta: float):
-    """Absolute epsilon, the bound report, and the sample size the configured
-    form prescribes. epsilon_rel scales ||X||_2 under the corollary form and
-    ||X||_F otherwise, matching which norm each statement is phrased against."""
-    fro = frobenius_norm(x)
-    if cfg.bound_form is BoundForm.COROLLARY:
-        sr = stable_rank(x, cfg.spectral.tol)
-        epsilon = cfg.epsilon_rel * fro / math.sqrt(sr)
-        req = BoundRequest(x.m, x.n, epsilon, cfg.delta, beta, fro, stable_rank=sr)
-        report = bound_report(req, epsilon_rel=cfg.epsilon_rel)
-    else:
-        epsilon = cfg.epsilon if cfg.epsilon is not None else cfg.epsilon_rel * fro
-        req = BoundRequest(x.m, x.n, epsilon, cfg.delta, beta, fro)
-        report = bound_report(req)
-    if cfg.s_override is not None:
-        s_used = cfg.s_override
-    elif cfg.bound_form is BoundForm.THEOREM1:
-        s_used = report.s_theorem1
-    elif cfg.bound_form is BoundForm.UNSIMPLIFIED:
-        s_used = report.s_unsimplified
-    else:
-        s_used = report.s_corollary
-    return epsilon, report, s_used
+def make_plan(
+    x: DenseMatrix, kinds=(), *, bound_form: BoundForm | None = BoundForm.UNSIMPLIFIED,
+    epsilon: float | None = None, epsilon_rel: float | None = None, delta: float = 0.1,
+    beta: float | None = None, s_override: int | None = None, spectral_tol: float = DEFAULT_CONFIG.tol,
+) -> Plan:
+    """Plan a run on x: one exact sum of x^2 and one of |x|, the distribution
+    of each kind built from them, and the bound that sizes s.
+
+    With one kind, beta is that distribution's certificate or a requested
+    value no larger: a larger one would shrink s below what the distribution
+    supports. With none or several it is the requested value or 1, so one s
+    serves every kind. sigma_1 is solved once, and only for the corollary form
+    or for bound_form None: the bounds command, which reports the stable rank
+    beside every form and picks no s.
+    """
+    if s_override is not None and s_override < 1:
+        raise InvalidSpecError("s must be a positive integer")
+    sum_sq, abs_sum, l2, l1 = _shares(x)
+    dists = _distributions(x, kinds, l2, l1)
+    request = report = None
+    if s_override is None or epsilon is not None or epsilon_rel is not None:
+        fro = math.sqrt(sum_sq)
+        sr = None
+        if bound_form in (None, BoundForm.COROLLARY):
+            sr = _stable_rank(x, fro, spectral_tol)
+        if len(dists) == 1 and beta is None:
+            beta = dists[0].beta
+        elif len(dists) == 1 and beta > dists[0].beta:
+            d = dists[0]
+            raise InvalidSpecError(f"beta {beta!r} exceeds the {d.kind.value} distribution's certificate {d.beta!r}")
+        request, report = _sizing(x.m, x.n, fro, sr, bound_form, epsilon, epsilon_rel, delta, beta)
+    s = s_override
+    if s is None and bound_form is not None:
+        s = getattr(report, f"s_{bound_form.value}")  # s_theorem1, s_unsimplified or s_corollary
+    return Plan(x, sum_sq, abs_sum, dists, request, report, s)
+
+
+def _config_plan(cfg: ExperimentConfig, kinds) -> Plan:
+    return make_plan(
+        resolve_matrix(cfg.source), kinds, bound_form=cfg.bound_form, epsilon=cfg.epsilon,
+        epsilon_rel=cfg.epsilon_rel, delta=cfg.delta, beta=cfg.beta, s_override=cfg.s_override,
+        spectral_tol=cfg.spectral.tol,
+    )
 
 
 def _trial_seeds(base_seed: int, trials: int) -> tuple:
@@ -226,33 +267,29 @@ def _run_trials(cfg, x, dist, table, s_used, seeds):
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    x = resolve_matrix(cfg.source)
-    dist = distribution_for_kind(x, cfg.dist_kind)
-    beta = resolve_beta(cfg.beta, dist)
-    epsilon, report, s_used = bound_inputs(cfg, x, beta)
+    plan = _config_plan(cfg, (cfg.dist_kind,))
+    dist = plan.dists[0]
     table = build_alias_table(dist)
     seeds = _trial_seeds(cfg.base_seed, cfg.trials)
-    triples = _run_trials(cfg, x, dist, table, s_used, seeds)
+    triples = _run_trials(cfg, plan.x, dist, table, plan.s, seeds)
     errors = tuple(t[0].value for t in triples)
+    epsilon = plan.request.epsilon
     failures = sum(1 for e in errors if e > epsilon)
-    cells = x.m * x.n
-    result = ExperimentResult(
+    cells = plan.x.m * plan.x.n
+    return ExperimentResult(
         errors=errors,
         seeds=seeds,
-        s_used=s_used,
+        s_used=plan.s,
         epsilon_used=epsilon,
         delta=cfg.delta,
-        beta=beta,
+        beta=plan.request.beta,
         dist_kind=cfg.dist_kind,
         empirical_failure_rate=failures / cfg.trials,
         unconverged_trials=sum(1 for t in triples if not t[0].converged),
         nnz_ratio=float(np.mean([t[1] / cells for t in triples])),
         wall_times=tuple(t[2] for t in triples),
-        bound_report=report,
+        bound_report=plan.report,
     )
-    if cfg.out_path is not None:
-        write_experiment_output(result, cfg)
-    return result
 
 
 def compare_distributions(cfg: ExperimentConfig) -> CompareResult:
@@ -260,20 +297,17 @@ def compare_distributions(cfg: ExperimentConfig) -> CompareResult:
     per-trial seeds. s comes from the configured bound form at beta = 1 (or
     cfg.beta / s_override when given); per-kind certificates are reported but
     deliberately do not change s, so the error columns stay comparable."""
-    x = resolve_matrix(cfg.source)
-    beta = cfg.beta if cfg.beta is not None else 1.0
-    epsilon, _, s_used = bound_inputs(cfg, x, beta)
+    plan = _config_plan(cfg, _HARNESS_KINDS)
     seeds = _trial_seeds(cfg.base_seed, cfg.trials)
     summaries = []
     walls = {}
-    for kind in _HARNESS_KINDS:
-        dist = distribution_for_kind(x, kind)
+    for dist in plan.dists:
         table = build_alias_table(dist)
-        triples = _run_trials(cfg, x, dist, table, s_used, seeds)
+        triples = _run_trials(cfg, plan.x, dist, table, plan.s, seeds)
         errors = tuple(t[0].value for t in triples)
         summaries.append(
             KindSummary(
-                kind=kind,
+                kind=dist.kind,
                 beta_certificate=dist.beta,
                 median_error=float(np.median(errors)),
                 p90_error=float(np.percentile(errors, 90.0)),
@@ -281,38 +315,25 @@ def compare_distributions(cfg: ExperimentConfig) -> CompareResult:
                 unconverged_trials=sum(1 for t in triples if not t[0].converged),
             )
         )
-        walls[kind.value] = tuple(t[2] for t in triples)
-    result = CompareResult(
-        s_used=s_used,
-        epsilon_used=epsilon,
+        walls[dist.kind.value] = tuple(t[2] for t in triples)
+    return CompareResult(
+        s_used=plan.s,
+        epsilon_used=plan.request.epsilon,
         seeds=seeds,
         summaries=tuple(summaries),
         wall_times=walls,
     )
-    if cfg.out_path is not None:
-        write_compare_output(result, cfg)
-    return result
 
 
 def _source_payload(source) -> dict:
     if isinstance(source, FileSource):
         return {"kind": "file", "path": str(source.path), "format": source.fmt}
-    return {
-        "kind": "generator",
-        "generator": source.kind,
-        "m": source.m,
-        "n": source.n,
-        "seed": source.seed,
-        "alpha": source.alpha,
-        "rank": source.rank,
-        "noise": source.noise,
-    }
+    return {**asdict(source), "kind": "generator", "generator": source.kind}
 
 
 def _config_payload(cfg: ExperimentConfig, include_dist: bool) -> dict:
-    # out_path/out_format/jobs describe where the artifact lands and how it
-    # was scheduled, not the experiment itself; leaving them out keeps two
-    # runs of one experiment byte-identical.
+    # jobs says how the trials were scheduled, not what the experiment is;
+    # leaving it out keeps two runs of one experiment byte-identical.
     doc = {
         "source": _source_payload(cfg.source),
         "epsilon": cfg.epsilon,
@@ -323,27 +344,11 @@ def _config_payload(cfg: ExperimentConfig, include_dist: bool) -> dict:
         "bound_form": cfg.bound_form.value,
         "trials": cfg.trials,
         "base_seed": cfg.base_seed,
-        "spectral": {
-            "tol": cfg.spectral.tol,
-            "max_iters": cfg.spectral.max_iters,
-            "seed": cfg.spectral.seed,
-        },
+        "spectral": asdict(cfg.spectral),
     }
     if include_dist:
         doc["dist"] = cfg.dist_kind.value
     return doc
-
-
-def _report_payload(rep: BoundReport) -> dict:
-    return {
-        "s_theorem1": rep.s_theorem1,
-        "case_used": rep.case_used.value,
-        "s_unsimplified": rep.s_unsimplified,
-        "s_corollary": rep.s_corollary,
-        "gamma": rep.gamma,
-        "rho2": rep.rho2,
-        "tail_at_s": rep.tail_at_s,
-    }
 
 
 def experiment_payload(result: ExperimentResult, cfg: ExperimentConfig) -> dict:
@@ -362,7 +367,7 @@ def experiment_payload(result: ExperimentResult, cfg: ExperimentConfig) -> dict:
             "unconverged_trials": result.unconverged_trials,
             "nnz_ratio": result.nnz_ratio,
             "passed": result.passed,
-            "bound_report": _report_payload(result.bound_report),
+            "bound_report": asdict(result.bound_report),
         },
         "wall_times": list(result.wall_times),
     }
@@ -395,41 +400,3 @@ def compare_payload(result: CompareResult, cfg: ExperimentConfig) -> dict:
 
 def payload_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _experiment_csv(result: ExperimentResult) -> str:
-    lines = ["trial,seed,error,wall_time"]
-    for t, (seed, err, wall) in enumerate(zip(result.seeds, result.errors, result.wall_times)):
-        lines.append(f"{t},{seed},{err!r},{wall!r}")
-    return "\n".join(lines) + "\n"
-
-
-def _compare_csv(result: CompareResult) -> str:
-    # per-kind summary columns repeat on each row so the table stays flat:
-    # exactly 3 * trials data rows below one header.
-    lines = ["kind,trial,seed,error,beta_certificate,median_error,p90_error"]
-    for summ in result.summaries:
-        for t, (seed, err) in enumerate(zip(result.seeds, summ.errors)):
-            lines.append(
-                f"{summ.kind.value},{t},{seed},{err!r},"
-                f"{summ.beta_certificate!r},{summ.median_error!r},{summ.p90_error!r}"
-            )
-    return "\n".join(lines) + "\n"
-
-
-def write_experiment_output(result: ExperimentResult, cfg: ExperimentConfig) -> None:
-    if cfg.out_format == "json":
-        text = payload_text(experiment_payload(result, cfg))
-    else:
-        text = _experiment_csv(result)
-    with open(cfg.out_path, "w", encoding="ascii") as fh:
-        fh.write(text)
-
-
-def write_compare_output(result: CompareResult, cfg: ExperimentConfig) -> None:
-    if cfg.out_format == "json":
-        text = payload_text(compare_payload(result, cfg))
-    else:
-        text = _compare_csv(result)
-    with open(cfg.out_path, "w", encoding="ascii") as fh:
-        fh.write(text)

@@ -108,27 +108,40 @@ class SparseCOO:
         return SparseCOO(self.m, self.n, uniq // self.n, uniq % self.n, vals)
 
 
+def _exact_sum(a: np.ndarray) -> float:
+    """Exactly rounded sum of a's entries; inf when it overflows."""
+    try:
+        return math.fsum(a.tolist())
+    except OverflowError:
+        return math.inf
+
+
 def frobenius_norm(x: DenseMatrix) -> float:
     """sqrt of the exactly-accumulated sum of squared entries."""
     flat = x.flat()
-    return math.sqrt(math.fsum((flat * flat).tolist()))
+    return math.sqrt(_exact_sum(flat * flat))
 
 
 def entry_abs_sum(x: DenseMatrix) -> float:
     """Exactly-accumulated sum of absolute entries."""
-    return math.fsum(np.abs(x.flat()).tolist())
+    return _exact_sum(np.abs(x.flat()))
 
 
 def stable_rank(x: DenseMatrix, spectral_tol: float = 1e-9) -> float:
     """Squared Frobenius norm over squared top singular value; in [1, min(m, n)]
     up to the spectral estimator's tolerance."""
-    from .spectral import SpectralConfig, spectral_norm
-
     f = frobenius_norm(x)
     if f == 0.0:
         raise ZeroMatrixError("stable rank is undefined for the zero matrix")
+    return _stable_rank(x, f, spectral_tol)
+
+
+def _stable_rank(x: DenseMatrix, frobenius: float, spectral_tol: float) -> float:
+    """Stable rank of x from its known Frobenius norm: one sigma_1 solve."""
+    from .spectral import SpectralConfig, spectral_norm
+
     top = spectral_norm(x, SpectralConfig(tol=spectral_tol)).value
-    return (f * f) / (top * top)
+    return (frobenius * frobenius) / (top * top)
 
 
 def coo_to_dense(s: SparseCOO) -> DenseMatrix:

@@ -1,11 +1,24 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from elemsparse import BoundRequest, load_matrix, sample_size_theorem1, sample_size_unsimplified
+from elemsparse import (
+    BoundRequest,
+    GeneratorSpec,
+    frobenius_norm,
+    generate_matrix,
+    load_matrix,
+    sample_size_theorem1,
+    sample_size_unsimplified,
+    stable_rank,
+)
 from elemsparse.cli import main
 
 
@@ -96,6 +109,25 @@ def test_bounds_from_file(tmp_path, capsys):
     assert doc["report"]["gamma"] == pytest.approx(30.0, rel=1e-12)
 
 
+def test_bounds_from_generator(capsys):
+    assert main(["bounds", "--generate", "low-rank-plus-noise,20,30,2", "--epsilon-rel", "0.5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    x = generate_matrix(GeneratorSpec("low-rank-plus-noise", 20, 30, 2))
+    assert (doc["request"]["m"], doc["request"]["n"]) == (20, 30)
+    assert doc["request"]["frobenius"] == frobenius_norm(x)
+    assert doc["request"]["stable_rank"] == stable_rank(x)
+    assert doc["request"]["epsilon"] == 0.5 * frobenius_norm(x)
+    assert doc["report"]["s_corollary"] >= 1
+
+
+def test_bounds_has_no_sample_flags(capsys):
+    # bounds lists every form, so the flags that pick one s are not taken
+    for flag in (["--s", "5"], ["--bound-form", "corollary"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--generate", "gaussian,4,4,1", "--epsilon-rel", "0.5", *flag])
+        assert exc.value.code == 1
+
+
 def test_bounds_requires_epsilon(capsys):
     assert main(["bounds", "--m", "5", "--n", "5", "--frobenius", "2"]) == 1
 
@@ -130,13 +162,47 @@ def test_experiment_jobs_byte_identical(tmp_path, capsys):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def test_experiment_writes_json(tmp_path, capsys):
+    out = tmp_path / "res.json"
+    assert main(["experiment", "--generate", "gaussian,8,10,21", "--epsilon", "4", "--delta", "0.5",
+                 "--s", "60", "--trials", "2", "--seed", "5", "--out", str(out)]) in (0, 2)
+    doc = json.loads(out.read_text())
+    assert doc["schema_version"] == 1
+    assert len(doc["wall_times"]) == 2
+
+
+def test_experiment_writes_csv(tmp_path, capsys):
+    out = tmp_path / "res.csv"
+    args = ["experiment", "--generate", "gaussian,8,10,21", "--epsilon", "4", "--delta", "0.5",
+            "--s", "60", "--trials", "3", "--seed", "5", "--out-format", "csv"]
+    assert main(args + ["--out", str(out)]) in (0, 2)
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == "trial,seed,error,wall_time"
+    assert len(lines) == 4
+    capsys.readouterr()
+    # without --out the same table goes to stdout
+    assert main(args) in (0, 2)
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "trial,seed,error,wall_time"
+    assert len(lines) == 4
+
+
 def test_compare_csv_rows(tmp_path, capsys):
     out = tmp_path / "cmp.csv"
     assert main(["compare", "--generate", "power-law,6,5,3", "--epsilon", "4",
                  "--s", "40", "--trials", "4", "--out", str(out),
                  "--out-format", "csv"]) == 0
     lines = out.read_text().strip().splitlines()
+    assert lines[0].startswith("kind,trial,seed,error")
     assert len(lines) == 1 + 3 * 4
+
+
+def test_bad_out_format_exits_one(capsys):
+    for command in ("experiment", "compare"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--generate", "gaussian,4,4,1", "--epsilon", "1", "--s", "5",
+                  "--out-format", "yaml"])
+        assert exc.value.code == 1
 
 
 def test_compare_stdout_json(capsys):
@@ -169,22 +235,59 @@ def test_module_entry_point(tmp_path):
 _MTX_HEADER = "%%MatrixMarket matrix coordinate real general\n"
 
 
+_BOUNDS_NUMBERS = ["bounds", "--m", "9", "--n", "9", "--frobenius", "3"]
+_TINY = "1e-200,2e-200\n3e-200,0\n"
+_HUGE = "1e200,2e200\n3e200,0\n"
+
+
 @pytest.mark.parametrize(
-    "name, text, args",
+    "name, text, args, expect",
     [
-        pytest.param("x.csv", "1,2\nnan,3\n", ["sparsify", "--s", "5"], id="nan-csv"),
-        pytest.param("x.mtx", _MTX_HEADER + "2 2 2\n1 1 1.5\n2 2 inf\n", ["sparsify", "--s", "5"], id="inf-mtx"),
+        pytest.param("x.csv", "1,2\nnan,3\n", ["sparsify", "--s", "5"], "finite", id="nan-csv"),
+        pytest.param("x.mtx", _MTX_HEADER + "2 2 2\n1 1 1.5\n2 2 inf\n", ["sparsify", "--s", "5"], "finite",
+                     id="inf-mtx"),
         pytest.param(None, None, ["sparsify", "--generate", "gaussian,20,20,1", "--s", "10", "--seed", "-1"],
-                     id="negative-seed"),
+                     "--seed", id="negative-seed"),
         # the l2 certificate of this matrix is about 3.4e-4
         pytest.param(None, None, ["sparsify", "--generate", "gaussian,20,20,1", "--dist", "l2", "--beta", "1.0",
-                                  "--epsilon-rel", "0.5"], id="sparsify-beta-above-certificate"),
+                                  "--epsilon-rel", "0.5"], "certificate", id="sparsify-beta-above-certificate"),
         pytest.param(None, None, ["experiment", "--generate", "gaussian,20,20,1", "--dist", "l2",
-                                  "--beta", "1.0", "--epsilon-rel", "0.5", "--trials", "2"],
+                                  "--beta", "1.0", "--epsilon-rel", "0.5", "--trials", "2"], "certificate",
                      id="experiment-beta-above-certificate"),
+        # squares that underflow to 0 or overflow to inf leave no distribution
+        *[
+            pytest.param("x.csv", text, args, "float range", id=f"{args[0]}-{size}")
+            for size, text in (("tiny", _TINY), ("huge", _HUGE))
+            for args in (
+                ["sparsify", "--epsilon-rel", "0.5"],
+                ["experiment", "--epsilon-rel", "0.5", "--trials", "2"],
+                ["compare", "--epsilon-rel", "0.5", "--bound-form", "corollary", "--trials", "2"],
+                ["bounds", "--epsilon-rel", "0.5"],
+            )
+        ],
+        *[
+            pytest.param(None, None, args, expect, id=case)
+            for case, args, expect in (
+                ("bounds-beta-2", _BOUNDS_NUMBERS + ["--epsilon", "1", "--beta", "2"], "beta"),
+                ("bounds-frobenius-0", ["bounds", "--m", "9", "--n", "9", "--frobenius", "0", "--epsilon", "1"],
+                 "frobenius"),
+                ("bounds-delta-2", _BOUNDS_NUMBERS + ["--epsilon", "1", "--delta", "2"], "delta"),
+                ("bounds-m-0", ["bounds", "--m", "0", "--n", "9", "--frobenius", "3", "--epsilon", "1"],
+                 "dimensions"),
+                ("bounds-epsilon-nan", _BOUNDS_NUMBERS + ["--epsilon", "nan"], "epsilon"),
+                ("bounds-frobenius-inf", ["bounds", "--m", "9", "--n", "9", "--frobenius", "inf", "--epsilon", "1"],
+                 "frobenius"),
+                ("bounds-stable-rank-inf", _BOUNDS_NUMBERS + ["--stable-rank", "inf", "--epsilon-rel", "0.5"],
+                 "stable_rank"),
+                ("experiment-epsilon-inf", ["experiment", "--generate", "gaussian,5,5,1", "--epsilon", "inf"],
+                 "epsilon"),
+                ("sparsify-epsilon-inf", ["sparsify", "--generate", "gaussian,5,5,1", "--epsilon", "inf"],
+                 "epsilon"),
+            )
+        ],
     ],
 )
-def test_bad_input_exits_one_with_one_error_line(tmp_path, name, text, args):
+def test_bad_input_exits_one_with_one_error_line(tmp_path, name, text, args, expect):
     argv = [sys.executable, "-m", "elemsparse", *args, "--out", str(tmp_path / "o.mtx")]
     if name is not None:
         (tmp_path / name).write_text(text)
@@ -194,3 +297,44 @@ def test_bad_input_exits_one_with_one_error_line(tmp_path, name, text, args):
     assert "Traceback" not in res.stdout + res.stderr
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("elemsparse: error:"), res.stderr
+    assert expect in lines[0]
+
+
+# normal, zero, negative, nan, +-inf, tiny and huge. m and n take the integer
+# members of that set: a non-integer --m is a usage error, which argparse
+# reports by raising SystemExit(1) (see test_usage_errors_exit_one).
+_FLOAT_VALUES = ("2.5", "0", "-1.5", "nan", "inf", "-inf", "1e-300", "1e300")
+_INT_VALUES = ("7", "0", "-3", str(10**300))
+
+
+def _maybe(values):
+    return st.one_of(st.none(), st.sampled_from(values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.sampled_from(_INT_VALUES),
+    n=st.sampled_from(_INT_VALUES),
+    target=st.sampled_from(("--epsilon", "--epsilon-rel")),
+    epsilon=st.sampled_from(_FLOAT_VALUES),
+    delta=_maybe(_FLOAT_VALUES + ("0.1",)),
+    beta=_maybe(_FLOAT_VALUES + ("0.5",)),
+    frobenius=st.sampled_from(_FLOAT_VALUES),
+    sr=_maybe(_FLOAT_VALUES),
+)
+def test_bounds_never_raises_on_numeric_flags(m, n, target, epsilon, delta, beta, frobenius, sr):
+    # flag=value, so that argparse takes "-inf" as a value and not as a flag
+    argv = ["bounds", f"--m={m}", f"--n={n}", f"--frobenius={frobenius}", f"{target}={epsilon}"]
+    for flag, value in (("--delta", delta), ("--beta", beta), ("--stable-rank", sr)):
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    if rc == 0:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue())
+    else:
+        assert rc == 1
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("elemsparse: error:"), err.getvalue()
