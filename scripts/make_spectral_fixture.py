@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from elemsparse import GENERATOR_KINDS, GeneratorSpec, generate_matrix
+from elemsparse.generate import GENERATOR_KINDS, GeneratorSpec, generate_matrix
 
 OUT = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "spectral_oracle.json"
 COUNT = 200

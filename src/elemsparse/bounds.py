@@ -92,30 +92,21 @@ class BoundReport:
     tail_at_s: float
 
 
-def _theorem1_value(req: BoundRequest) -> tuple[float, Theorem1Case]:
-    """Real-valued simplified bound and which case fired (tie -> case i)."""
+def sample_size_theorem1(req: BoundRequest) -> tuple[int, Theorem1Case]:
+    """Simplified bound and which case fired (tie -> case i)."""
     lead = 6.0 * max(req.m, req.n) * req.log_term / req.beta
     if req.epsilon <= req.frobenius:
-        return lead * req.frobenius**2 / req.epsilon**2, Theorem1Case.CASE_I
-    return lead * req.frobenius / req.epsilon, Theorem1Case.CASE_II
-
-
-def sample_size_theorem1(req: BoundRequest) -> tuple[int, Theorem1Case]:
-    value, case = _theorem1_value(req)
-    return math.ceil(value), case
-
-
-def _unsimplified_value(req: BoundRequest) -> float:
-    numer = 4.0 * req.n * req.frobenius**2 + 2.0 * req.epsilon * math.sqrt(
-        req.m * req.n
-    ) * req.frobenius
-    return numer * req.log_term / (req.beta * req.epsilon**2)
+        return math.ceil(lead * req.frobenius**2 / req.epsilon**2), Theorem1Case.CASE_I
+    return math.ceil(lead * req.frobenius / req.epsilon), Theorem1Case.CASE_II
 
 
 def sample_size_unsimplified(req: BoundRequest) -> int:
     """The sharper bound the simplified cases are rounded up from; always
     <= sample_size_theorem1 for the same request."""
-    return math.ceil(_unsimplified_value(req))
+    numer = 4.0 * req.n * req.frobenius**2 + 2.0 * req.epsilon * math.sqrt(
+        req.m * req.n
+    ) * req.frobenius
+    return math.ceil(numer * req.log_term / (req.beta * req.epsilon**2))
 
 
 def sample_size_corollary(req: BoundRequest, epsilon_rel: float) -> int:

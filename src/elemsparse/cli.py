@@ -214,6 +214,10 @@ def _cmd_sparsify(args) -> int:
 
 def _cmd_bounds(args) -> int:
     if args.input is not None or args.generate is not None:
+        given = [f for f in ("m", "n", "frobenius", "stable_rank") if getattr(args, f) is not None]
+        if given:
+            flags = "/".join("--" + f.replace("_", "-") for f in given)
+            raise InvalidSpecError(f"{flags} apply only without --input/--generate, which give the matrix itself")
         plan = make_plan(
             resolve_matrix(_source(args)), bound_form=None, epsilon=args.epsilon,
             epsilon_rel=args.epsilon_rel, delta=args.delta, beta=args.beta,
@@ -279,6 +283,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ElemsparseError, OSError) as exc:
         print(f"elemsparse: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a matrix too large to hold, e.g. from a .mtx header or --generate
+        print(f"elemsparse: error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -157,8 +157,3 @@ def beta_certificate(x: DenseMatrix, probs: np.ndarray) -> float:
     if p.shape[0] != x.m * x.n:
         raise ShapeMismatchError(f"expected {x.m * x.n} probabilities, got {p.shape[0]}")
     return _certificate(x.flat(), p, 0.5 * (l2 + l1))
-
-
-def support_mask(d: SamplingDistribution) -> np.ndarray:
-    """Boolean (m, n) grid of cells with positive probability."""
-    return d.grid() > 0.0

@@ -43,7 +43,7 @@ class ParseError(ElemsparseError, ValueError):
         super().__init__(f"{where}: {message}" if where else message)
 
 
-class DimensionError(ElemsparseError, ValueError):
+class DimensionError(ParseError):
     """Raised when rows of a file disagree on their length."""
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .bounds import BoundReport, BoundRequest, bound_report
 from .distributions import DistributionKind, _distributions, _shares
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, ZeroProbabilityError
 from .generate import GeneratorSpec, generate_matrix
 from .io import load_matrix
 from .matrix import DenseMatrix, _stable_rank
@@ -204,14 +204,16 @@ def _sizing(m, n, frobenius, stable_rank, bound_form, epsilon, epsilon_rel, delt
 def make_plan(
     x: DenseMatrix, kinds=(), *, bound_form: BoundForm | None = BoundForm.UNSIMPLIFIED,
     epsilon: float | None = None, epsilon_rel: float | None = None, delta: float = 0.1,
-    beta: float | None = None, s_override: int | None = None, spectral_tol: float = DEFAULT_CONFIG.tol,
+    beta: float | None = None, s_override: int | None = None,
 ) -> Plan:
     """Plan a run on x: one exact sum of x^2 and one of |x|, the distribution
     of each kind built from them, and the bound that sizes s.
 
     With one kind, beta is that distribution's certificate or a requested
     value no larger: a larger one would shrink s below what the distribution
-    supports. With none or several it is the requested value or 1, so one s
+    supports; a certificate of 0 (a nonzero cell whose share underflows to
+    probability 0) raises ZeroProbabilityError, since no beta certifies it.
+    With none or several kinds beta is the requested value or 1, so one s
     serves every kind. sigma_1 is solved once, and only for the corollary form
     or for bound_form None: the bounds command, which reports the stable rank
     beside every form and picks no s.
@@ -225,12 +227,9 @@ def make_plan(
         fro = math.sqrt(sum_sq)
         sr = None
         if bound_form in (None, BoundForm.COROLLARY):
-            sr = _stable_rank(x, fro, spectral_tol)
-        if len(dists) == 1 and beta is None:
-            beta = dists[0].beta
-        elif len(dists) == 1 and beta > dists[0].beta:
-            d = dists[0]
-            raise InvalidSpecError(f"beta {beta!r} exceeds the {d.kind.value} distribution's certificate {d.beta!r}")
+            sr = _stable_rank(x, fro)
+        if len(dists) == 1:
+            beta = _single_beta(x, dists[0], beta)
         request, report = _sizing(x.m, x.n, fro, sr, bound_form, epsilon, epsilon_rel, delta, beta)
     s = s_override
     if s is None and bound_form is not None:
@@ -238,44 +237,54 @@ def make_plan(
     return Plan(x, sum_sq, abs_sum, dists, request, report, s)
 
 
+def _single_beta(x: DenseMatrix, d, beta: float | None) -> float:
+    """The beta that sizes s for a run on the one distribution d."""
+    if d.beta == 0.0:
+        cell = int(np.flatnonzero((x.flat() != 0.0) & (d.probs == 0.0))[0])
+        i, j = divmod(cell, x.n)
+        other = " or l1" if d.kind is DistributionKind.PURE_L2 else ""
+        raise ZeroProbabilityError(
+            f"the {d.kind.value} distribution gives the nonzero entry x[{i}, {j}] = {float(x.flat()[cell])!r} "
+            f"probability 0 (its share underflows), so no beta certifies it; use the hybrid{other} distribution"
+        )
+    if beta is None:
+        return d.beta
+    if beta > d.beta:
+        raise InvalidSpecError(f"beta {beta!r} exceeds the {d.kind.value} distribution's certificate {d.beta!r}")
+    return beta
+
+
 def _config_plan(cfg: ExperimentConfig, kinds) -> Plan:
     return make_plan(
         resolve_matrix(cfg.source), kinds, bound_form=cfg.bound_form, epsilon=cfg.epsilon,
         epsilon_rel=cfg.epsilon_rel, delta=cfg.delta, beta=cfg.beta, s_override=cfg.s_override,
-        spectral_tol=cfg.spectral.tol,
     )
 
 
-def _trial_seeds(base_seed: int, trials: int) -> tuple:
-    return tuple((base_seed + t) & _SEED_MASK for t in range(trials))
-
-
-def _run_trials(cfg, x, dist, table, s_used, seeds):
-    """One (SpectralEstimate, nnz, wall_time) triple per trial, in trial order."""
+def _run_trials(cfg: ExperimentConfig, x: DenseMatrix, dist, s_used: int) -> tuple:
+    """One distribution's trials, aggregated in trial order: the seeds, the
+    errors, the count of solves that stopped uncertified, the mean sketch nnz
+    over mn, and the wall times."""
+    seeds = tuple((cfg.base_seed + t) & _SEED_MASK for t in range(cfg.trials))
+    table = build_alias_table(dist)
 
     def one(seed: int):
         t0 = time.perf_counter()
-        omega = draw_samples(table, s_used, seed)
-        sketch = sampling_operator(x, dist, omega)
+        sketch = sampling_operator(x, dist, draw_samples(table, s_used, seed))
         est = sketch_error(x, sketch, cfg.spectral)
-        return est, sketch.matrix.nnz, time.perf_counter() - t0
+        return est, sketch.matrix.nnz / (x.m * x.n), time.perf_counter() - t0
 
-    if cfg.jobs == 1:
-        return [one(seed) for seed in seeds]
     with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        return list(pool.map(one, seeds))
+        ests, ratios, walls = zip(*pool.map(one, seeds))
+    errors = tuple(est.value for est in ests)
+    return seeds, errors, sum(not est.converged for est in ests), float(np.mean(ratios)), walls
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     plan = _config_plan(cfg, (cfg.dist_kind,))
-    dist = plan.dists[0]
-    table = build_alias_table(dist)
-    seeds = _trial_seeds(cfg.base_seed, cfg.trials)
-    triples = _run_trials(cfg, plan.x, dist, table, plan.s, seeds)
-    errors = tuple(t[0].value for t in triples)
+    seeds, errors, unconverged, nnz_ratio, walls = _run_trials(cfg, plan.x, plan.dists[0], plan.s)
     epsilon = plan.request.epsilon
     failures = sum(1 for e in errors if e > epsilon)
-    cells = plan.x.m * plan.x.n
     return ExperimentResult(
         errors=errors,
         seeds=seeds,
@@ -285,9 +294,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         beta=plan.request.beta,
         dist_kind=cfg.dist_kind,
         empirical_failure_rate=failures / cfg.trials,
-        unconverged_trials=sum(1 for t in triples if not t[0].converged),
-        nnz_ratio=float(np.mean([t[1] / cells for t in triples])),
-        wall_times=tuple(t[2] for t in triples),
+        unconverged_trials=unconverged,
+        nnz_ratio=nnz_ratio,
+        wall_times=walls,
         bound_report=plan.report,
     )
 
@@ -298,13 +307,10 @@ def compare_distributions(cfg: ExperimentConfig) -> CompareResult:
     cfg.beta / s_override when given); per-kind certificates are reported but
     deliberately do not change s, so the error columns stay comparable."""
     plan = _config_plan(cfg, _HARNESS_KINDS)
-    seeds = _trial_seeds(cfg.base_seed, cfg.trials)
     summaries = []
     walls = {}
     for dist in plan.dists:
-        table = build_alias_table(dist)
-        triples = _run_trials(cfg, plan.x, dist, table, plan.s, seeds)
-        errors = tuple(t[0].value for t in triples)
+        seeds, errors, unconverged, _, walls[dist.kind.value] = _run_trials(cfg, plan.x, dist, plan.s)
         summaries.append(
             KindSummary(
                 kind=dist.kind,
@@ -312,14 +318,13 @@ def compare_distributions(cfg: ExperimentConfig) -> CompareResult:
                 median_error=float(np.median(errors)),
                 p90_error=float(np.percentile(errors, 90.0)),
                 errors=errors,
-                unconverged_trials=sum(1 for t in triples if not t[0].converged),
+                unconverged_trials=unconverged,
             )
         )
-        walls[dist.kind.value] = tuple(t[2] for t in triples)
     return CompareResult(
         s_used=plan.s,
         epsilon_used=plan.request.epsilon,
-        seeds=seeds,
+        seeds=seeds,  # every kind ran the same seeds
         summaries=tuple(summaries),
         wall_times=walls,
     )

@@ -19,7 +19,6 @@ __all__ = [
     "load_matrix",
     "write_matrix_market",
     "write_csv",
-    "write_dense",
 ]
 
 FORMATS = ("matrix-market", "csv")
@@ -121,9 +120,7 @@ def _load_csv(path) -> DenseMatrix:
             if width is None:
                 width = len(row)
             elif len(row) != width:
-                raise DimensionError(
-                    f"{path}:{lineno}: row has {len(row)} columns, expected {width}"
-                )
+                raise DimensionError(f"row has {len(row)} columns, expected {width}", path=path, line=lineno)
             rows.append(row)
     if not rows:
         raise ParseError("file holds no matrix rows", path=path, line=1)
@@ -151,12 +148,3 @@ def write_csv(path, matrix: DenseMatrix) -> None:
     with open(path, "w", encoding="ascii") as fh:
         for row in matrix.data:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def write_dense(path, matrix: DenseMatrix, fmt: str) -> None:
-    if fmt == "matrix-market":
-        write_matrix_market(path, matrix)
-    elif fmt == "csv":
-        write_csv(path, matrix)
-    else:
-        raise ParseError(f"unknown format {fmt!r}; expected one of {FORMATS}", path=path)

@@ -60,9 +60,6 @@ class DenseMatrix:
     def transpose(self) -> "DenseMatrix":
         return DenseMatrix(self.data.T)
 
-    def is_zero(self) -> bool:
-        return not np.any(self.data)
-
 
 @dataclass(frozen=True, eq=False)
 class SparseCOO:
@@ -127,25 +124,29 @@ def entry_abs_sum(x: DenseMatrix) -> float:
     return _exact_sum(np.abs(x.flat()))
 
 
-def stable_rank(x: DenseMatrix, spectral_tol: float = 1e-9) -> float:
+def stable_rank(x: DenseMatrix) -> float:
     """Squared Frobenius norm over squared top singular value; in [1, min(m, n)]
     up to the spectral estimator's tolerance."""
     f = frobenius_norm(x)
     if f == 0.0:
         raise ZeroMatrixError("stable rank is undefined for the zero matrix")
-    return _stable_rank(x, f, spectral_tol)
+    return _stable_rank(x, f)
 
 
-def _stable_rank(x: DenseMatrix, frobenius: float, spectral_tol: float) -> float:
+def _stable_rank(x: DenseMatrix, frobenius: float) -> float:
     """Stable rank of x from its known Frobenius norm: one sigma_1 solve."""
-    from .spectral import SpectralConfig, spectral_norm
+    from .spectral import spectral_norm
 
-    top = spectral_norm(x, SpectralConfig(tol=spectral_tol)).value
+    top = spectral_norm(x).value
     return (frobenius * frobenius) / (top * top)
+
+
+def _scatter(s: SparseCOO) -> np.ndarray:
+    """The m x n float array of s, duplicate triples summed in triple order."""
+    flat = np.bincount(s.rows * s.n + s.cols, weights=s.vals, minlength=s.m * s.n)
+    return flat.astype(np.float64, copy=False).reshape(s.m, s.n)  # no triples bincount to int64
 
 
 def coo_to_dense(s: SparseCOO) -> DenseMatrix:
     """Densify, accumulating duplicate triples."""
-    out = np.zeros((s.m, s.n))
-    np.add.at(out, (s.rows, s.cols), s.vals)
-    return DenseMatrix(out)
+    return DenseMatrix(_scatter(s))

@@ -151,9 +151,8 @@ def build_alias_table(d: SamplingDistribution) -> AliasTable:
 
 def reconstructed_probs(table: AliasTable) -> np.ndarray:
     """Invert the table back to per-cell probabilities (diagnostic)."""
-    recon = table.prob.copy()
-    np.add.at(recon, table.alias, 1.0 - table.prob)
-    return recon / table.size
+    moved = np.bincount(table.alias, weights=1.0 - table.prob, minlength=table.size)
+    return (table.prob + moved) / table.size
 
 
 def draw_samples(table: AliasTable, s: int, seed: int) -> SampleSet:

@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ShapeMismatchError
+from .matrix import _scatter
 
 __all__ = ["SpectralConfig", "SpectralEstimate", "spectral_norm", "sketch_error"]
 
@@ -165,8 +166,6 @@ def sketch_error(x, sketch, cfg: SpectralConfig = DEFAULT_CONFIG) -> SpectralEst
         raise ShapeMismatchError(
             f"sketch shape ({coo.m}, {coo.n}) does not match matrix shape {arr.shape}"
         )
-    m, n = arr.shape
-    d = np.bincount(coo.rows * n + coo.cols, weights=coo.vals, minlength=m * n)
-    d = d.astype(np.float64, copy=False).reshape(m, n)  # an empty sketch bincounts to int64
+    d = _scatter(coo)
     d -= arr
     return _lanczos_norm(d, cfg)

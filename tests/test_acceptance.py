@@ -22,28 +22,30 @@ from elemsparse import (
     ExperimentConfig,
     GeneratorSpec,
     SpectralConfig,
-    Theorem1Case,
-    bernstein_tail,
     beta_certificate,
     bound_report,
     build_alias_table,
-    coo_to_dense,
     distribution_for_kind,
     draw_samples,
-    exact_expectation,
-    exact_second_moment,
     frobenius_norm,
-    gamma_rho_bounds,
     generate_matrix,
     hybrid_distribution,
-    mt_spectral_norm,
     run_experiment,
-    sample_size_corollary,
-    sample_size_theorem1,
-    sample_size_unsimplified,
     sampling_operator,
     spectral_norm,
 )
+from elemsparse.bounds import (
+    Theorem1Case,
+    bernstein_tail,
+    exact_second_moment,
+    gamma_rho_bounds,
+    mt_spectral_norm,
+    sample_size_corollary,
+    sample_size_theorem1,
+    sample_size_unsimplified,
+)
+from elemsparse.matrix import coo_to_dense
+from elemsparse.sampler import exact_expectation
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -80,7 +82,7 @@ def test_criterion_01_formula_exactness():
 
 
 def test_criterion_02_exact_unbiasedness():
-    from elemsparse import GENERATOR_KINDS
+    from elemsparse.generate import GENERATOR_KINDS
 
     rg = np.random.default_rng(20260814)
     ok = True
@@ -163,7 +165,7 @@ def _lemma_fixtures():
         DenseMatrix([[1.0, -1.0, 2.0], [0.0, 4.0, 0.0]]),
     ]
     sizes = [(2, 2), (3, 5), (5, 3), (8, 8), (1, 8), (8, 1), (4, 4), (7, 2)]
-    from elemsparse import GENERATOR_KINDS
+    from elemsparse.generate import GENERATOR_KINDS
 
     for t, (m, n) in enumerate(sizes):
         mats.append(generate_matrix(GeneratorSpec(GENERATOR_KINDS[t % 4], m, n, seed=500 + t)))

@@ -8,17 +8,19 @@ from elemsparse import (
     DenseMatrix,
     HypothesisViolatedError,
     ShapeMismatchError,
-    Theorem1Case,
     ZeroMatrixError,
     ZeroProbabilityError,
-    bernstein_tail,
     bound_report,
     custom_distribution,
-    exact_second_moment,
-    gamma_rho_bounds,
     hybrid_distribution,
     l1_distribution,
     l2_distribution,
+)
+from elemsparse.bounds import (
+    Theorem1Case,
+    bernstein_tail,
+    exact_second_moment,
+    gamma_rho_bounds,
     mt_spectral_norm,
     sample_size_corollary,
     sample_size_theorem1,

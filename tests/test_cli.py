@@ -15,10 +15,9 @@ from elemsparse import (
     frobenius_norm,
     generate_matrix,
     load_matrix,
-    sample_size_theorem1,
-    sample_size_unsimplified,
     stable_rank,
 )
+from elemsparse.bounds import sample_size_theorem1, sample_size_unsimplified
 from elemsparse.cli import main
 
 
@@ -238,6 +237,11 @@ _MTX_HEADER = "%%MatrixMarket matrix coordinate real general\n"
 _BOUNDS_NUMBERS = ["bounds", "--m", "9", "--n", "9", "--frobenius", "3"]
 _TINY = "1e-200,2e-200\n3e-200,0\n"
 _HUGE = "1e200,2e200\n3e200,0\n"
+# the l2 share of the 1e-200 cell underflows to 0, so its l2 certificate is 0
+_TINY_CELL = "1e-200,2\n3,0\n"
+# 10^18 cells ask for 6.94 EiB, beyond any 64-bit address space: the
+# allocation fails at once and touches no memory
+_GIANT = "1000000000"
 
 
 @pytest.mark.parametrize(
@@ -254,6 +258,21 @@ _HUGE = "1e200,2e200\n3e200,0\n"
         pytest.param(None, None, ["experiment", "--generate", "gaussian,20,20,1", "--dist", "l2",
                                   "--beta", "1.0", "--epsilon-rel", "0.5", "--trials", "2"], "certificate",
                      id="experiment-beta-above-certificate"),
+        *[
+            pytest.param("x.csv", _TINY_CELL, [cmd, "--dist", "l2", "--epsilon-rel", "0.5"],
+                         "l2 distribution gives the nonzero entry x[0, 0] = 1e-200 probability 0",
+                         id=f"{cmd}-l2-underflow")
+            for cmd in ("sparsify", "experiment")
+        ],
+        pytest.param("x.mtx", _MTX_HEADER + f"{_GIANT} {_GIANT} 1\n1 1 2.5\n", ["sparsify", "--s", "5"],
+                     "out of memory", id="giant-mtx-header"),
+        pytest.param(None, None, ["sparsify", "--generate", f"gaussian,{_GIANT},{_GIANT},1", "--s", "5"],
+                     "out of memory", id="giant-generate"),
+        # --m/--n/--frobenius/--stable-rank describe a matrix that --input/--generate already give
+        pytest.param(None, None, ["bounds", "--generate", "gaussian,20,30,2", "--epsilon-rel", "0.5",
+                                  "--stable-rank", "3", "--m", "7"], "--m/--stable-rank", id="bounds-generate-m"),
+        pytest.param("x.csv", "1,2\n3,4\n", ["bounds", "--epsilon-rel", "0.5", "--stable-rank", "3"],
+                     "--stable-rank", id="bounds-input-stable-rank"),
         # squares that underflow to 0 or overflow to inf leave no distribution
         *[
             pytest.param("x.csv", text, args, "float range", id=f"{args[0]}-{size}")

@@ -15,7 +15,6 @@ from elemsparse import (
     hybrid_distribution,
     l1_distribution,
     l2_distribution,
-    support_mask,
 )
 
 # exact rationals for X = [[3,4],[0,0]]
@@ -189,7 +188,6 @@ def test_grid_support_transpose(toy):
     d = hybrid_distribution(toy)
     assert d.grid().shape == (2, 2)
     np.testing.assert_array_equal(d.grid().ravel(), d.probs)
-    np.testing.assert_array_equal(support_mask(d), d.grid() > 0)
     dt = d.transpose()
     assert (dt.m, dt.n) == (d.n, d.m)
     np.testing.assert_array_equal(dt.grid(), d.grid().T)

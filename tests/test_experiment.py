@@ -14,14 +14,15 @@ from elemsparse import (
     InvalidSpecError,
     SpectralConfig,
     ZeroMatrixError,
+    ZeroProbabilityError,
     compare_distributions,
     distribution_for_kind,
     frobenius_norm,
     generate_matrix,
     run_experiment,
-    sample_size_corollary,
     stable_rank,
 )
+from elemsparse.bounds import sample_size_corollary
 from elemsparse.experiment import (
     compare_payload,
     experiment_payload,
@@ -279,6 +280,16 @@ def test_compare_reports_toy_certificates(tmp_path):
     assert certs["hybrid"] == 1.0
     assert certs["l1"] == pytest.approx(50 / 53, rel=1e-12)
     assert certs["l2"] == pytest.approx(21 / 23, rel=1e-12)
+
+
+def test_zero_certificate_refused_alone_reported_in_compare(tmp_path):
+    path = tmp_path / "tiny_cell.csv"
+    path.write_text("1e-200,2\n3,0\n")  # the l2 share of the 1e-200 cell underflows
+    cfg = ExperimentConfig(source=FileSource(str(path)), epsilon_rel=0.5, dist_kind="l2", trials=2)
+    with pytest.raises(ZeroProbabilityError, match=r"x\[0, 0\] = 1e-200 .* hybrid or l1"):
+        run_experiment(cfg)
+    certs = [summ.beta_certificate for summ in compare_distributions(cfg).summaries]
+    assert certs[0] == 1.0 and certs[1] > 0.0 and certs[2] == 0.0
 
 
 def test_compare_csv_row_count(tmp_path):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from elemsparse import (
-    GENERATOR_KINDS,
     GeneratorSpec,
     InvalidSpecError,
     frobenius_norm,
     generate_matrix,
 )
+from elemsparse.generate import GENERATOR_KINDS
 
 
 def test_kinds_listed():

@@ -8,7 +8,6 @@ from elemsparse import (
     SparseCOO,
     load_matrix,
     write_csv,
-    write_dense,
     write_matrix_market,
 )
 from elemsparse.io import detect_format
@@ -61,8 +60,11 @@ def test_matrix_market_errors(tmp_path):
 def test_csv_spec_examples(tmp_path):
     x = load_matrix(_write(tmp_path, "a.csv", "3,4\n0,0\n"))
     np.testing.assert_array_equal(x.data, [[3.0, 4.0], [0.0, 0.0]])
-    with pytest.raises(DimensionError):
-        load_matrix(_write(tmp_path, "ragged.csv", "1,2\n3\n"))
+    ragged = _write(tmp_path, "ragged.csv", "1,2\n3\n")
+    with pytest.raises(DimensionError) as exc:
+        load_matrix(ragged)
+    assert isinstance(exc.value, ParseError) and (exc.value.path, exc.value.line) == (ragged, 2)
+    assert str(exc.value) == f"{ragged}:2: row has 1 columns, expected 2"
 
 
 def test_csv_errors(tmp_path):
@@ -118,15 +120,3 @@ def test_csv_round_trip(tmp_path):
     write_csv(path, x)
     back = load_matrix(path)
     np.testing.assert_array_equal(back.data, x.data)
-
-
-def test_write_dense_dispatch(tmp_path):
-    x = DenseMatrix(np.array([[1.0, 0.0], [0.0, 2.0]]))
-    mm = tmp_path / "d.mtx"
-    cs = tmp_path / "d.csv"
-    write_dense(mm, x, "matrix-market")
-    write_dense(cs, x, "csv")
-    np.testing.assert_array_equal(load_matrix(mm).data, x.data)
-    np.testing.assert_array_equal(load_matrix(cs).data, x.data)
-    with pytest.raises(ParseError):
-        write_dense(tmp_path / "d.x", x, "parquet")

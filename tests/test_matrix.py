@@ -7,13 +7,12 @@ from elemsparse import (
     DenseMatrix,
     SparseCOO,
     ZeroMatrixError,
-    coo_to_dense,
-    entry_abs_sum,
     frobenius_norm,
     spectral_norm,
     stable_rank,
 )
 from elemsparse.generate import GeneratorSpec, generate_matrix
+from elemsparse.matrix import coo_to_dense, entry_abs_sum
 
 # full-SVD oracle for the fixed 20x20 gaussian below, computed once with
 # numpy.linalg.svd and frozen

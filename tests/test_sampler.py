@@ -10,19 +10,17 @@ from elemsparse import (
     ShapeMismatchError,
     ZeroProbabilityError,
     build_alias_table,
-    coo_to_dense,
     custom_distribution,
     distribution_for_kind,
     draw_samples,
-    exact_expectation,
     hybrid_distribution,
     l1_distribution,
-    reconstructed_probs,
     sampling_operator,
     sketch_error,
     sparsify,
 )
-from elemsparse.sampler import _DRAW_BLOCK, _alias_draw
+from elemsparse.matrix import coo_to_dense
+from elemsparse.sampler import _DRAW_BLOCK, _alias_draw, exact_expectation, reconstructed_probs
 
 # chi-square inverse CDF at 0.999 with df=3, frozen from scipy.stats.chi2.ppf
 CHI2_DF3_999 = 16.26623619623813
