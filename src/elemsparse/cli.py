@@ -56,14 +56,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _generator_spec(text: str) -> GeneratorSpec:
+    """argparse type of --generate: a bad spec is a usage error that names
+    what is wrong with it."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
-        raise InvalidSpecError(f"--generate wants KIND,M,N,SEED, got {text!r}")
+        raise argparse.ArgumentTypeError(f"wants KIND,M,N,SEED, got {text!r}")
     kind, m, n, seed = parts[0], parts[1], parts[2], parts[3]
     try:
         return GeneratorSpec(kind=kind, m=int(m), n=int(n), seed=int(seed))
     except ValueError as exc:
-        raise InvalidSpecError(f"--generate {text!r}: {exc}") from None
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
 
 
 def _add_source_flags(p) -> None:

@@ -7,11 +7,12 @@ Market entries not listed are zero; duplicate coordinates accumulate.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
 from .errors import DimensionError, ParseError
-from .matrix import DenseMatrix, SparseCOO, coo_to_dense
+from .matrix import MAX_CELLS, DenseMatrix, SparseCOO, coo_to_dense
 
 __all__ = [
     "FORMATS",
@@ -24,6 +25,10 @@ __all__ = [
 FORMATS = ("matrix-market", "csv")
 
 _MM_HEADER = "%%MatrixMarket"
+_MM_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+
+# Entries formatted and written per write call: the body is never held whole.
+_WRITE_CHUNK = 1 << 16
 
 
 def detect_format(path) -> str:
@@ -37,71 +42,124 @@ def detect_format(path) -> str:
 
 def load_matrix(path, fmt: str | None = None) -> DenseMatrix:
     fmt = detect_format(path) if fmt is None else fmt
-    if fmt == "matrix-market":
-        return _load_matrix_market(path)
-    if fmt == "csv":
-        return _load_csv(path)
-    raise ParseError(f"unknown format {fmt!r}; expected one of {FORMATS}", path=path)
+    if fmt not in FORMATS:
+        raise ParseError(f"unknown format {fmt!r}; expected one of {FORMATS}", path=path)
+    try:
+        return _load_matrix_market(path) if fmt == "matrix-market" else _load_csv(path)
+    except UnicodeDecodeError:
+        raise ParseError("file is not ASCII text", path=path) from None
 
 
 def _load_matrix_market(path) -> DenseMatrix:
+    """Read a coordinate real general Matrix Market file (grammar in the README).
+
+    The header and the size line are read line by line. The body is parsed by
+    one ``np.loadtxt`` call into ``(int64 i, int64 j, float64 v)`` records read
+    from the open file, and the index range and the entry count are checked on
+    whole arrays. When the parse or a check refuses the file,
+    ``_refuse_matrix_market_body`` reads it again line by line to name the
+    offending line.
+    """
     with open(path, "r", encoding="ascii") as fh:
-        lines = fh.readlines()
-    if not lines or not lines[0].startswith(_MM_HEADER):
-        raise ParseError("missing MatrixMarket header line", path=path, line=1)
-    header = lines[0].split()
-    if [w.lower() for w in header[1:]] != ["matrix", "coordinate", "real", "general"]:
-        raise ParseError(
-            f"unsupported MatrixMarket type {' '.join(header[1:])!r}; "
-            "only 'matrix coordinate real general' is supported",
-            path=path,
-            line=1,
-        )
-    size_line = None
-    body_start = 1
-    for lineno, raw in enumerate(lines[1:], start=2):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        size_line = (lineno, stripped)
-        body_start = lineno
-        break
-    if size_line is None:
-        raise ParseError("missing size line", path=path, line=len(lines))
+        header = fh.readline()
+        if not header.startswith(_MM_HEADER):
+            raise ParseError("missing MatrixMarket header line", path=path, line=1)
+        words = header.split()
+        if [w.lower() for w in words[1:]] != ["matrix", "coordinate", "real", "general"]:
+            raise ParseError(
+                f"unsupported MatrixMarket type {' '.join(words[1:])!r}; "
+                "only 'matrix coordinate real general' is supported",
+                path=path,
+                line=1,
+            )
+        lineno, size_line, has_entries = 1, None, False
+        while True:
+            start = fh.tell()
+            raw = fh.readline()
+            if not raw:
+                break
+            lineno += 1
+            if not _mm_content(raw):
+                continue
+            if size_line is not None:
+                fh.seek(start)  # loadtxt starts at the first entry line
+                has_entries = True
+                break
+            size_line = (lineno, raw)
+        if size_line is None:
+            raise ParseError("missing size line", path=path, line=lineno)
+        size_lineno, size_raw = size_line
+        m, n, nnz = _parse_size_line(path, size_lineno, size_raw)
+        entries = np.empty(0, dtype=_MM_ENTRY)
+        if has_entries:  # loadtxt warns on a body with no entries
+            try:
+                entries = np.loadtxt(fh, dtype=_MM_ENTRY, comments="%", ndmin=1)
+            except ValueError as exc:
+                _refuse_matrix_market_body(path, size_lineno, m, n, nnz, str(exc))
+    i, j = entries["i"], entries["j"]
+    if entries.shape[0] != nnz or (
+        nnz > 0 and (i.min() < 1 or i.max() > m or j.min() < 1 or j.max() > n)
+    ):
+        _refuse_matrix_market_body(path, size_lineno, m, n, nnz)
+    return coo_to_dense(SparseCOO(m, n, i - 1, j - 1, entries["v"]))
+
+
+def _mm_content(raw: str) -> str:
+    """A Matrix Market line without its comment (from the first '%') and
+    without surrounding whitespace; empty for blank and comment lines."""
+    return raw.split("%", 1)[0].strip()
+
+
+def _parse_size_line(path, lineno: int, raw: str) -> tuple[int, int, int]:
+    text = _mm_content(raw)
     try:
-        m, n, nnz = (int(w) for w in size_line[1].split())
+        if "_" in text:
+            raise ValueError
+        m, n, nnz = (int(w) for w in text.split())
     except ValueError:
         raise ParseError(
-            f"size line must be 'rows cols nnz', got {size_line[1]!r}",
-            path=path,
-            line=size_line[0],
+            f"size line must be 'rows cols nnz', got {raw.strip()!r}", path=path, line=lineno
         ) from None
-    rows, cols, vals = [], [], []
-    for lineno, raw in enumerate(lines[body_start:], start=body_start + 1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("%"):
+    if m * n > MAX_CELLS:
+        raise ParseError(f"a {m}x{n} matrix has more than 2**63 - 1 cells", path=path, line=lineno)
+    return m, n, nnz
+
+
+def _refuse_matrix_market_body(path, size_lineno: int, m: int, n: int, nnz: int, reason: str = "") -> NoReturn:
+    """Raise the ParseError naming the first body line that breaks the grammar
+    or the index range, or the entry count's mismatch at the last line.
+
+    This is the line-by-line form of what ``_load_matrix_market`` checks on
+    whole arrays; it runs only on a file already refused. ``reason`` is
+    loadtxt's message, reported if no line breaks the documented grammar.
+    """
+    with open(path, "r", encoding="ascii") as fh:
+        lines = fh.readlines()
+    count = 0
+    for lineno, raw in enumerate(lines[size_lineno:], start=size_lineno + 1):
+        text = _mm_content(raw)
+        if not text:
             continue
-        words = stripped.split()
+        words = text.split()
         if len(words) != 3:
-            raise ParseError(f"expected 'i j value', got {stripped!r}", path=path, line=lineno)
+            raise ParseError(f"expected 'i j value', got {raw.strip()!r}", path=path, line=lineno)
         try:
-            i, j, v = int(words[0]), int(words[1]), float(words[2])
+            if "_" in text:
+                raise ValueError
+            i, j = int(words[0]), int(words[1])
+            float(words[2])
         except ValueError:
-            raise ParseError(f"malformed entry {stripped!r}", path=path, line=lineno) from None
+            raise ParseError(f"malformed entry {raw.strip()!r}", path=path, line=lineno) from None
         if not (1 <= i <= m and 1 <= j <= n):
             raise ParseError(
                 f"index ({i}, {j}) outside declared size ({m}, {n})", path=path, line=lineno
             )
-        rows.append(i - 1)
-        cols.append(j - 1)
-        vals.append(v)
-    if len(vals) != nnz:
+        count += 1
+    if count != nnz:
         raise ParseError(
-            f"size line declared {nnz} entries but file has {len(vals)}",
-            path=path,
-            line=len(lines),
+            f"size line declared {nnz} entries but file has {count}", path=path, line=len(lines)
         )
-    return coo_to_dense(SparseCOO(m, n, rows, cols, vals))
+    raise ParseError(f"malformed entries: {reason}", path=path)
 
 
 def _load_csv(path) -> DenseMatrix:
@@ -138,10 +196,12 @@ def write_matrix_market(path, matrix) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("%%MatrixMarket matrix coordinate real general\n")
         fh.write(f"{coo.m} {coo.n} {coo.nnz}\n")
-        fh.write("".join(
-            f"{i + 1} {j + 1} {v!r}\n"
-            for i, j, v in zip(coo.rows.tolist(), coo.cols.tolist(), coo.vals.tolist())
-        ))
+        for lo in range(0, coo.nnz, _WRITE_CHUNK):
+            hi = lo + _WRITE_CHUNK
+            fh.write("".join(
+                f"{i + 1} {j + 1} {v!r}\n"
+                for i, j, v in zip(coo.rows[lo:hi].tolist(), coo.cols[lo:hi].tolist(), coo.vals[lo:hi].tolist())
+            ))
 
 
 def write_csv(path, matrix: DenseMatrix) -> None:

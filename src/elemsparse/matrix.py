@@ -23,6 +23,9 @@ __all__ = [
     "coo_to_dense",
 ]
 
+# Flat cell indices are int64, so an m x n matrix holds at most this many cells.
+MAX_CELLS = int(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True, eq=False)
 class DenseMatrix:
@@ -75,6 +78,8 @@ class SparseCOO:
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ShapeMismatchError(f"matrix dimensions must be >= 1, got ({self.m}, {self.n})")
+        if self.m * self.n > MAX_CELLS:
+            raise ShapeMismatchError(f"a {self.m}x{self.n} matrix has more than 2**63 - 1 cells")
         rows = np.array(self.rows, dtype=np.int64).reshape(-1)
         cols = np.array(self.cols, dtype=np.int64).reshape(-1)
         vals = np.array(self.vals, dtype=np.float64).reshape(-1)

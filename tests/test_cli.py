@@ -242,6 +242,8 @@ _TINY_CELL = "1e-200,2\n3,0\n"
 # 10^18 cells ask for 6.94 EiB, beyond any 64-bit address space: the
 # allocation fails at once and touches no memory
 _GIANT = "1000000000"
+# 10^20 cells: flat cell indices are int64, so the size is refused before any allocation
+_PAST_INT64 = "10000000000"
 
 
 @pytest.mark.parametrize(
@@ -250,6 +252,8 @@ _GIANT = "1000000000"
         pytest.param("x.csv", "1,2\nnan,3\n", ["sparsify", "--s", "5"], "finite", id="nan-csv"),
         pytest.param("x.mtx", _MTX_HEADER + "2 2 2\n1 1 1.5\n2 2 inf\n", ["sparsify", "--s", "5"], "finite",
                      id="inf-mtx"),
+        pytest.param("x.mtx", _MTX_HEADER + "1 1 1\n1 1 2.5 % caf\u00e9\n", ["sparsify", "--s", "5"], "not ASCII",
+                     id="non-ascii-mtx"),
         pytest.param(None, None, ["sparsify", "--generate", "gaussian,20,20,1", "--s", "10", "--seed", "-1"],
                      "--seed", id="negative-seed"),
         # the l2 certificate of this matrix is about 3.4e-4
@@ -268,6 +272,9 @@ _GIANT = "1000000000"
                      "out of memory", id="giant-mtx-header"),
         pytest.param(None, None, ["sparsify", "--generate", f"gaussian,{_GIANT},{_GIANT},1", "--s", "5"],
                      "out of memory", id="giant-generate"),
+        pytest.param("x.mtx", _MTX_HEADER + f"{_PAST_INT64} {_PAST_INT64} 1\n1 1 2.5\n", ["sparsify", "--s", "5"],
+                     "x.mtx:2: a 10000000000x10000000000 matrix has more than 2**63 - 1 cells",
+                     id="mtx-size-past-int64"),
         # --m/--n/--frobenius/--stable-rank describe a matrix that --input/--generate already give
         pytest.param(None, None, ["bounds", "--generate", "gaussian,20,30,2", "--epsilon-rel", "0.5",
                                   "--stable-rank", "3", "--m", "7"], "--m/--stable-rank", id="bounds-generate-m"),
@@ -317,6 +324,24 @@ def test_bad_input_exits_one_with_one_error_line(tmp_path, name, text, args, exp
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("elemsparse: error:"), res.stderr
     assert expect in lines[0]
+
+
+def test_generate_spec_errors_name_the_fault(tmp_path):
+    # a --generate spec is checked by argparse: a usage line, then one error
+    # line that says what is wrong, exit 1 and no traceback
+    for spec, expect in (
+        ("gaussian,3,3", "wants KIND,M,N,SEED"),
+        ("mystery,3,3,1", "unknown generator kind 'mystery'"),
+        (f"gaussian,{_PAST_INT64},{_PAST_INT64},1", "more than 2**63 - 1 cells"),
+    ):
+        res = subprocess.run(
+            [sys.executable, "-m", "elemsparse", "sparsify", "--generate", spec, "--s", "5",
+             "--out", str(tmp_path / "o.mtx")],
+            capture_output=True, text=True,
+        )
+        assert res.returncode == 1 and "Traceback" not in res.stderr
+        last = res.stderr.splitlines()[-1]
+        assert last.startswith("elemsparse sparsify: error: argument --generate:") and expect in last, res.stderr
 
 
 # normal, zero, negative, nan, +-inf, tiny and huge. m and n take the integer

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import elemsparse.io
 from elemsparse import (
     DenseMatrix,
     DimensionError,
+    NonFiniteError,
     ParseError,
     SparseCOO,
     load_matrix,
@@ -55,6 +60,76 @@ def test_matrix_market_errors(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_matrix(_write(tmp_path, "m.mtx", f"{MM_HEADER}\n2 2 1\n1 1 abc\n"))
     assert exc.value.line == 3
+
+
+# One row per grammar edge: the body after a 2x3 size line, and either the
+# loaded matrix or the line number of the ParseError.
+_EDGES = [
+    ("1 1 1.5\n\n% note\n   \n2 3 -2\n", 2, [[1.5, 0, 0], [0, 0, -2]], "comment-and-blank-lines-mid-body"),
+    ("1 1 1.5\r\n% note\r\n2 3 -2\r\n", 2, [[1.5, 0, 0], [0, 0, -2]], "crlf"),
+    ("1 1 1.5\r% note\r2 3 -2\r", 2, [[1.5, 0, 0], [0, 0, -2]], "cr"),
+    ("1 1 1.5\r\n2 4 -2\r\n", 2, 5, "crlf-line-numbers"),
+    ("1\t1\t1.5\n 2 \t3\t-2 \n", 2, [[1.5, 0, 0], [0, 0, -2]], "tabs-and-spaces"),
+    ("", 0, [[0, 0, 0], [0, 0, 0]], "nnz-0-no-body"),
+    ("% only a comment\n\n", 0, [[0, 0, 0], [0, 0, 0]], "nnz-0-comment-body"),
+    ("1 1 1.5\n", 0, 4, "nnz-0-with-entry"),
+    ("1 1 1.5\n", 2, 4, "too-few-entries"),
+    ("1 1 1.5\n2 2 2\n2 3 3\n", 2, 6, "too-many-entries"),
+    ("1.0 1 1.5\n", 1, 4, "float-index"),
+    ("1 1 1.5\n12345678901234567890 1 2\n", 2, 5, "20-digit-index"),
+    ("1 1 1.5\n1 1\n", 2, 5, "two-fields"),
+    ("1 1 1.5 7\n", 1, 4, "four-fields"),
+    ("1 1 1.5\n0 1 2\n", 2, 5, "index-0"),
+    ("1 1 1.5\n\n% c\n2 4 2\n", 2, 7, "column-past-n-after-comments"),
+    ("1 2 1.5 % trailing comment\n", 1, [[0, 1.5, 0], [0, 0, 0]], "trailing-comment-accepted"),
+    ("1 1 % the value is missing\n", 1, 4, "comment-cuts-a-field"),
+    ("0_1 1 1.5\n", 1, 4, "underscore-in-index-refused"),
+    ("1 1 1_0\n", 1, 4, "underscore-in-value-refused"),
+    ("1 1 +1.5e0\n-0 1 2\n", 2, 5, "signed-fields"),
+    ("1 1 abc\n", 1, 4, "word-value"),
+]
+
+
+@pytest.mark.parametrize("body, nnz, expect", [pytest.param(*row[:3], id=row[3]) for row in _EDGES])
+def test_matrix_market_grammar_edges(tmp_path, body, nnz, expect):
+    path = _write(tmp_path, "e.mtx", f"{MM_HEADER}\n% header comment\n2 3 {nnz}\n{body}")
+    if isinstance(expect, int):
+        with pytest.raises(ParseError) as exc:
+            load_matrix(path)
+        assert (exc.value.path, exc.value.line) == (path, expect), str(exc.value)
+    else:
+        np.testing.assert_array_equal(load_matrix(path).data, expect)
+
+
+def test_matrix_market_size_line_edges(tmp_path):
+    # the size line follows the body's rules: trailing comment yes, '_' no
+    x = load_matrix(_write(tmp_path, "c.mtx", f"{MM_HEADER}\n2 2 1 % rows cols nnz\n2 1 3\n"))
+    np.testing.assert_array_equal(x.data, [[0.0, 0.0], [3.0, 0.0]])
+    for size in ("2 2_0 1", "2 2", "2 2 1 1", "2.0 2 1"):
+        with pytest.raises(ParseError) as exc:
+            load_matrix(_write(tmp_path, "s.mtx", f"{MM_HEADER}\n\n{size}\n1 1 3\n"))
+        assert exc.value.line == 3
+    with pytest.raises(ParseError) as exc:
+        load_matrix(_write(tmp_path, "big.mtx", f"{MM_HEADER}\n{10**10} {10**10} 1\n1 1 3\n"))
+    assert exc.value.line == 2 and "more than 2**63 - 1 cells" in str(exc.value)
+    with pytest.raises(ParseError) as exc:
+        load_matrix(_write(tmp_path, "none.mtx", f"{MM_HEADER}\n% no size line\n"))
+    assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400"])
+def test_matrix_market_non_finite_value(tmp_path, value):
+    with pytest.raises(NonFiniteError):
+        load_matrix(_write(tmp_path, "f.mtx", f"{MM_HEADER}\n2 2 2\n1 1 1.0\n2 2 {value}\n"))
+
+
+@pytest.mark.parametrize("name, head", [("u.mtx", f"{MM_HEADER}\n2 2 1\n1 1 2.5 % "), ("u.csv", "1,2\n3,")])
+def test_non_ascii_file_is_a_parse_error(tmp_path, name, head):
+    path = tmp_path / name
+    path.write_bytes(head.encode() + "\u00e9\n".encode("utf-8"))
+    with pytest.raises(ParseError, match="not ASCII") as exc:
+        load_matrix(path)
+    assert exc.value.path == path
 
 
 def test_csv_spec_examples(tmp_path):
@@ -111,6 +186,30 @@ def test_matrix_market_writes_coo_canonicalized(tmp_path):
     write_matrix_market(path, coo)
     back = load_matrix(path)
     np.testing.assert_array_equal(back.data, [[0.0, 3.5], [0.0, 0.0]])
+
+
+def test_matrix_market_writer_streams_in_chunks(tmp_path, monkeypatch):
+    coo = SparseCOO(3, 4, [2, 0, 1, 0, 2, 1, 0], [3, 0, 2, 1, 1, 0, 3], [0.1, -2.5, 1e-300, 7.0, 3.25, -1e300, 5e-324])
+    one = coo.canonicalize()
+    expected = "%%MatrixMarket matrix coordinate real general\n3 4 7\n" + "".join(
+        f"{i + 1} {j + 1} {v!r}\n" for i, j, v in zip(one.rows.tolist(), one.cols.tolist(), one.vals.tolist())
+    )
+    monkeypatch.setattr(elemsparse.io, "_WRITE_CHUNK", 3)  # three writes: 3 + 3 + 1 entries
+    path = tmp_path / "chunked.mtx"
+    write_matrix_market(path, coo)
+    assert path.read_text() == expected
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)), elements=_FINITE | st.just(0.0)))
+def test_matrix_market_round_trip_is_bit_identical(tmp_path_factory, a):
+    x = DenseMatrix(a + 0.0)  # -0.0 is a zero and is not written; +0.0 reads back
+    path = tmp_path_factory.mktemp("rt") / "x.mtx"
+    write_matrix_market(path, x)
+    assert load_matrix(path).data.tobytes() == x.data.tobytes()
 
 
 def test_csv_round_trip(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from elemsparse import (
     DenseMatrix,
     DistributionKind,
+    GeneratorSpec,
     SampleSet,
     ShapeMismatchError,
     ZeroProbabilityError,
@@ -13,6 +14,7 @@ from elemsparse import (
     custom_distribution,
     distribution_for_kind,
     draw_samples,
+    generate_matrix,
     hybrid_distribution,
     l1_distribution,
     sampling_operator,
@@ -66,6 +68,74 @@ def test_alias_table_reconstructs_probs(toy):
     for d in dists:
         table = build_alias_table(d)
         np.testing.assert_allclose(reconstructed_probs(table), d.probs, atol=1e-12)
+
+
+def _numpy_scalar_alias_build(probs):
+    """The two-stack Vose loop on numpy arrays and scalars, as first written:
+    the reference that build_alias_table must match bit for bit."""
+    size = probs.shape[0]
+    scaled = probs * size
+    prob = np.ones(size)
+    alias = np.arange(size, dtype=np.int64)
+    below = np.nonzero(scaled < 1.0)[0]
+    above = np.nonzero(scaled >= 1.0)[0]
+    small = np.empty(size, dtype=np.int64)
+    large = np.empty(size, dtype=np.int64)
+    ns = below.shape[0]
+    nl = above.shape[0]
+    small[:ns] = below
+    large[:nl] = above
+    while ns > 0 and nl > 0:
+        ns -= 1
+        nl -= 1
+        lo = small[ns]
+        hi = large[nl]
+        prob[lo] = scaled[lo]
+        alias[lo] = hi
+        scaled[hi] = (scaled[hi] + scaled[lo]) - 1.0
+        if scaled[hi] < 1.0:
+            small[ns] = hi
+            ns += 1
+        else:
+            large[nl] = hi
+            nl += 1
+    return prob, alias
+
+
+def _assert_reference_table(d):
+    table = build_alias_table(d)
+    prob, alias = _numpy_scalar_alias_build(d.probs)
+    assert table.prob.tobytes() == prob.tobytes()
+    assert table.alias.tobytes() == alias.tobytes()
+
+
+@st.composite
+def _alias_distributions(draw):
+    """A point mass, a uniform table, or the hybrid distribution of a matrix
+    of entries spread over twelve decades, with zero cells common."""
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    shape = draw(st.sampled_from(["point", "uniform", "entries"]))
+    if shape == "point":
+        a = np.zeros((m, n))
+        a[draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))] = draw(st.sampled_from([1.0, -3.5, 1e-9]))
+    elif shape == "uniform":
+        a = np.full((m, n), draw(st.sampled_from([1.0, -2.0])))
+    else:
+        value = st.floats(1e-6, 1e6) | st.floats(-1e6, -1e-6) | st.just(0.0)
+        a = np.array(draw(st.lists(value, min_size=m * n, max_size=m * n))).reshape(m, n)
+        if not np.any(a != 0.0):
+            a[0, 0] = 1.0
+    return hybrid_distribution(DenseMatrix(a))
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=_alias_distributions())
+def test_alias_build_matches_numpy_scalar_loop(d):
+    _assert_reference_table(d)
+
+
+def test_alias_build_matches_numpy_scalar_loop_on_power_law_500():
+    _assert_reference_table(hybrid_distribution(generate_matrix(GeneratorSpec("power-law", 500, 500, 3))))
 
 
 def test_point_mass_always_drawn():
@@ -302,3 +372,9 @@ def test_drawn_multiset_properties(problem, s, seed):
     ]
     np.testing.assert_array_equal(sk.matrix.vals, expected)
     assert (sk.s, sk.source_seed, sk.distribution_kind) == (s, seed, d.kind)
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=_sampling_problems())
+def test_alias_build_matches_numpy_scalar_loop_on_builtin_kinds(problem):
+    _assert_reference_table(problem[1])
