@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpecError
-from .matrix import MAX_CELLS, DenseMatrix
+from .matrix import DenseMatrix, check_cell_count
 
 __all__ = ["GENERATOR_KINDS", "GeneratorSpec", "generate_matrix"]
 
@@ -42,8 +42,7 @@ class GeneratorSpec:
             )
         if self.m < 1 or self.n < 1:
             raise InvalidSpecError("matrix dimensions must be >= 1")
-        if self.m * self.n > MAX_CELLS:
-            raise InvalidSpecError(f"a {self.m}x{self.n} matrix has more than 2**63 - 1 cells")
+        check_cell_count(self.m, self.n, InvalidSpecError)
         if not self.alpha > 0:
             raise InvalidSpecError("alpha must be positive")
         if self.rank is not None and not 1 <= self.rank <= min(self.m, self.n):

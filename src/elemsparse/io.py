@@ -6,13 +6,14 @@ Market entries not listed are zero; duplicate coordinates accumulate.
 
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 from typing import NoReturn
 
 import numpy as np
 
 from .errors import DimensionError, ParseError
-from .matrix import MAX_CELLS, DenseMatrix, SparseCOO, coo_to_dense
+from .matrix import DenseMatrix, SparseCOO, check_cell_count, coo_to_dense
 
 __all__ = [
     "FORMATS",
@@ -72,29 +73,26 @@ def _load_matrix_market(path) -> DenseMatrix:
                 path=path,
                 line=1,
             )
-        lineno, size_line, has_entries = 1, None, False
-        while True:
-            start = fh.tell()
+        lineno, size_raw = 1, None
+        while size_raw is None:
             raw = fh.readline()
             if not raw:
-                break
+                raise ParseError("missing size line", path=path, line=lineno)
             lineno += 1
-            if not _mm_content(raw):
-                continue
-            if size_line is not None:
-                fh.seek(start)  # loadtxt starts at the first entry line
-                has_entries = True
-                break
-            size_line = (lineno, raw)
-        if size_line is None:
-            raise ParseError("missing size line", path=path, line=lineno)
-        size_lineno, size_raw = size_line
+            if _mm_content(raw):
+                size_raw = raw
+        size_lineno = lineno
         m, n, nnz = _parse_size_line(path, size_lineno, size_raw)
-        entries = np.empty(0, dtype=_MM_ENTRY)
-        if has_entries:  # loadtxt warns on a body with no entries
+        with warnings.catch_warnings():
+            # numpy 1.23-1.26 read an int64 field such as "1.0" or "2.9" as a
+            # float, truncate it and only warn; as an error the field refuses
+            # the file under any caller's filters, as later numpy does.
+            warnings.simplefilter("error", DeprecationWarning)
+            # a body with no entries is valid when nnz is 0
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             try:
                 entries = np.loadtxt(fh, dtype=_MM_ENTRY, comments="%", ndmin=1)
-            except ValueError as exc:
+            except (ValueError, DeprecationWarning) as exc:
                 _refuse_matrix_market_body(path, size_lineno, m, n, nnz, str(exc))
     i, j = entries["i"], entries["j"]
     if entries.shape[0] != nnz or (
@@ -120,8 +118,7 @@ def _parse_size_line(path, lineno: int, raw: str) -> tuple[int, int, int]:
         raise ParseError(
             f"size line must be 'rows cols nnz', got {raw.strip()!r}", path=path, line=lineno
         ) from None
-    if m * n > MAX_CELLS:
-        raise ParseError(f"a {m}x{n} matrix has more than 2**63 - 1 cells", path=path, line=lineno)
+    check_cell_count(m, n, ParseError, path=path, line=lineno)
     return m, n, nnz
 
 

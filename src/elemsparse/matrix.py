@@ -27,6 +27,13 @@ __all__ = [
 MAX_CELLS = int(np.iinfo(np.int64).max)
 
 
+def check_cell_count(m: int, n: int, error: type[Exception], **where) -> None:
+    """Raise ``error`` (with ``where`` as keywords) if an m x n matrix has more
+    cells than int64 flat indices can address."""
+    if m * n > MAX_CELLS:
+        raise error(f"a {m}x{n} matrix has more than 2**63 - 1 cells", **where)
+
+
 @dataclass(frozen=True, eq=False)
 class DenseMatrix:
     """Immutable m-by-n real matrix with finite entries, row-major storage."""
@@ -78,8 +85,7 @@ class SparseCOO:
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ShapeMismatchError(f"matrix dimensions must be >= 1, got ({self.m}, {self.n})")
-        if self.m * self.n > MAX_CELLS:
-            raise ShapeMismatchError(f"a {self.m}x{self.n} matrix has more than 2**63 - 1 cells")
+        check_cell_count(self.m, self.n, ShapeMismatchError)
         rows = np.array(self.rows, dtype=np.int64).reshape(-1)
         cols = np.array(self.cols, dtype=np.int64).reshape(-1)
         vals = np.array(self.vals, dtype=np.float64).reshape(-1)

@@ -254,6 +254,10 @@ _PAST_INT64 = "10000000000"
                      id="inf-mtx"),
         pytest.param("x.mtx", _MTX_HEADER + "1 1 1\n1 1 2.5 % caf\u00e9\n", ["sparsify", "--s", "5"], "not ASCII",
                      id="non-ascii-mtx"),
+        # run with the interpreter's default warning filters, under which a
+        # float index must still be refused, not truncated
+        pytest.param("x.mtx", _MTX_HEADER + "2 2 1\n1.5 1 2\n", ["sparsify", "--s", "5"], "x.mtx:3: malformed entry",
+                     id="float-index-mtx"),
         pytest.param(None, None, ["sparsify", "--generate", "gaussian,20,20,1", "--s", "10", "--seed", "-1"],
                      "--seed", id="negative-seed"),
         # the l2 certificate of this matrix is about 3.4e-4

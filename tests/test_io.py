@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,6 +102,22 @@ def test_matrix_market_grammar_edges(tmp_path, body, nnz, expect):
     else:
         np.testing.assert_array_equal(load_matrix(path).data, expect)
 
+
+
+def test_float_index_refused_under_any_warning_filters(tmp_path, monkeypatch):
+    # numpy 1.23-1.26 read "1.0" in an int64 field as 1 and only warn; the
+    # loader must refuse it even where the caller ignores every warning
+    def truncating_loadtxt(fh, dtype, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return np.array([(1, 1, 1.5)], dtype=dtype)
+
+    monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+    path = _write(tmp_path, "f.mtx", f"{MM_HEADER}\n2 3 1\n1.0 1 1.5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ParseError) as exc:
+            load_matrix(path)
+    assert exc.value.line == 3
 
 def test_matrix_market_size_line_edges(tmp_path):
     # the size line follows the body's rules: trailing comment yes, '_' no
