@@ -56,16 +56,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _generator_spec(text: str) -> GeneratorSpec:
-    """argparse type of --generate: a bad spec is a usage error that names
-    what is wrong with it."""
+    """The GeneratorSpec of a --generate value; a bad spec is an
+    InvalidSpecError that names what is wrong with it."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
-        raise argparse.ArgumentTypeError(f"wants KIND,M,N,SEED, got {text!r}")
-    kind, m, n, seed = parts[0], parts[1], parts[2], parts[3]
+        raise InvalidSpecError(f"--generate wants KIND,M,N,SEED, got {text!r}")
+    kind, m, n, seed = parts
     try:
         return GeneratorSpec(kind=kind, m=int(m), n=int(n), seed=int(seed))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+    except ValueError as exc:  # int() or the spec's own checks (InvalidSpecError)
+        raise InvalidSpecError(f"--generate {text!r}: {exc}") from None
 
 
 def _add_source_flags(p) -> None:
@@ -73,7 +73,6 @@ def _add_source_flags(p) -> None:
     p.add_argument("--format", choices=FORMATS, help="input format (default: by suffix)")
     p.add_argument(
         "--generate",
-        type=_generator_spec,
         metavar="KIND,M,N,SEED",
         help=f"generate the input instead; kinds: {', '.join(GENERATOR_KINDS)}",
     )
@@ -149,7 +148,7 @@ def _source(args):
         raise InvalidSpecError("exactly one of --input and --generate is required")
     if args.input is not None:
         return FileSource(args.input, args.format)
-    return args.generate
+    return _generator_spec(args.generate)
 
 
 def _experiment_config(args, dist: str | None) -> ExperimentConfig:

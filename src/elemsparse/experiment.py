@@ -7,7 +7,11 @@ size that every command shares. ``run_experiment`` and
 
 Reproducibility contract: trial t draws with seed (base_seed + t) mod 2^64,
 so results are independent of --jobs scheduling; aggregation sorts by trial
-index before reporting. Serialized output is deterministic (sorted keys)
+index before reporting. Trials run in fixed batches of consecutive indices
+whose size depends only on the matrix shape; a batch's error solves run as
+one Lanczos solve over the stack of its S - X arrays, in which every trial
+takes the steps it would take alone, and --jobs is the number of workers
+that take batches. Serialized output is deterministic (sorted keys)
 apart from the wall_times block, which is environment noise by nature.
 """
 
@@ -29,7 +33,7 @@ from .generate import GeneratorSpec, generate_matrix
 from .io import load_matrix
 from .matrix import DenseMatrix, _stable_rank
 from .sampler import _SEED_MASK, build_alias_table, draw_samples, sampling_operator
-from .spectral import DEFAULT_CONFIG, SpectralConfig, sketch_error
+from .spectral import DEFAULT_CONFIG, SpectralConfig, _difference, _lanczos_norms
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -50,6 +54,11 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+
+# Bytes of S - X that one batched error solve stacks: eight trials of a
+# 100 x 100 matrix. A matrix larger than half of it runs one trial per
+# batch. Each pool worker holds one stack.
+_BATCH_BYTES = 640_000
 
 _HARNESS_KINDS = (
     DistributionKind.HYBRID,
@@ -264,18 +273,33 @@ def _config_plan(cfg: ExperimentConfig, kinds) -> Plan:
 def _run_trials(cfg: ExperimentConfig, x: DenseMatrix, dist, s_used: int) -> tuple:
     """One distribution's trials, aggregated in trial order: the seeds, the
     errors, the count of solves that stopped uncertified, the mean sketch nnz
-    over mn, and the wall times."""
+    over mn, and the wall times.
+
+    Trials run in fixed batches of consecutive trial indices, sized by
+    _BATCH_BYTES alone. A batch draws and assembles each sketch in turn,
+    scatters its S - X into the batch's stack and solves the stack at once;
+    the pool maps over batches. Each trial's wall time is its batch's over
+    the batch size.
+    """
     seeds = tuple((cfg.base_seed + t) & _SEED_MASK for t in range(cfg.trials))
     table = build_alias_table(dist)
+    size = max(1, _BATCH_BYTES // (8 * x.m * x.n))
+    batches = [seeds[lo : lo + size] for lo in range(0, len(seeds), size)]
 
-    def one(seed: int):
+    def batch(batch_seeds: tuple):
         t0 = time.perf_counter()
-        sketch = sampling_operator(x, dist, draw_samples(table, s_used, seed))
-        est = sketch_error(x, sketch, cfg.spectral)
-        return est, sketch.matrix.nnz / (x.m * x.n), time.perf_counter() - t0
+        stack = np.empty((len(batch_seeds), x.m, x.n))
+        ratios = []
+        for slot, seed in zip(stack, batch_seeds):
+            coo = sampling_operator(x, dist, draw_samples(table, s_used, seed)).matrix
+            _difference(x.data, coo, out=slot)
+            ratios.append(coo.nnz / (x.m * x.n))
+        ests = _lanczos_norms(stack, cfg.spectral)
+        wall = (time.perf_counter() - t0) / len(batch_seeds)
+        return [(est, ratio, wall) for est, ratio in zip(ests, ratios)]
 
     with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        ests, ratios, walls = zip(*pool.map(one, seeds))
+        ests, ratios, walls = zip(*(trial for done in pool.map(batch, batches) for trial in done))
     errors = tuple(est.value for est in ests)
     return seeds, errors, sum(not est.converged for est in ests), float(np.mean(ratios)), walls
 

@@ -183,8 +183,9 @@ def _load_csv(path) -> DenseMatrix:
 
 
 def write_matrix_market(path, matrix) -> None:
-    """Write a SparseCOO (canonicalized first) or DenseMatrix as coordinate
-    real general, 1-indexed, full float precision."""
+    """Write a SparseCOO (canonicalized first, which leaves a sketch's sorted
+    unique cells as they are) or DenseMatrix as coordinate real general,
+    1-indexed, full float precision."""
     if isinstance(matrix, DenseMatrix):
         nz = np.nonzero(matrix.data)
         coo = SparseCOO(matrix.m, matrix.n, nz[0], nz[1], matrix.data[nz])
@@ -202,6 +203,8 @@ def write_matrix_market(path, matrix) -> None:
 
 
 def write_csv(path, matrix: DenseMatrix) -> None:
+    """One line per row, each entry as repr of its Python float: the
+    shortest decimal that reads back to the same double."""
     with open(path, "w", encoding="ascii") as fh:
         for row in matrix.data:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            fh.write(",".join(map(repr, row.tolist())) + "\n")

@@ -1,11 +1,13 @@
 """Deterministic-seeded spectral-norm solves by Golub–Kahan–Lanczos
 bidiagonalization.
 
-Used for the error measurement ``||sketch - X||_2`` and for stable rank. Both
-run one solver on a dense array: ``sketch_error`` densifies ``S - X`` once,
-at the size of X, which the program already holds dense. The solver stops on
-a residual certificate for its top Ritz triple, so ``converged`` means the
-reported value lies within ``tol`` (relative) of a singular value.
+Used for the error measurement ``||sketch - X||_2`` and for stable rank. One
+solver runs on a stack of dense arrays of one shape, each member solved as it
+would be alone: ``spectral_norm`` and ``sketch_error`` hand it a stack of
+one, and the experiment harness a batch of trials' ``S - X``, densified at
+the size of X, which the program already holds dense. The solver stops each
+member on a residual certificate for its top Ritz triple, so ``converged``
+means the reported value lies within ``tol`` (relative) of a singular value.
 """
 
 from __future__ import annotations
@@ -66,77 +68,138 @@ def _as_array(a) -> np.ndarray:
     return arr
 
 
+def _norms(w: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column w_i in the stack w (B, d, 1), shaped
+    (B, 1, 1), by the dot product w_i . w_i."""
+    return np.sqrt(np.matmul(w.transpose(0, 2, 1), w))
+
+
 def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> None:
-    """Remove from w, in place, its components along the orthonormal rows of
-    basis; two Gram–Schmidt passes keep the rows orthonormal to roundoff."""
+    """Remove from each column w_i, in place, its components along the
+    orthonormal rows of basis_i; two Gram–Schmidt passes keep the rows
+    orthonormal to roundoff."""
+    basis_t = basis.transpose(0, 2, 1)
     for _ in range(2):
-        w -= basis.T @ (basis @ w)
+        w -= np.matmul(basis_t, np.matmul(basis, w))
 
 
-def _push(buf: np.ndarray, k: int, row: np.ndarray) -> np.ndarray:
-    """Store row as buf[k], doubling buf's rows when it is full."""
-    if k == buf.shape[0]:
-        grown = np.empty((2 * k, buf.shape[1]))
-        grown[:k] = buf
+def _push(buf: np.ndarray, k: int, columns: np.ndarray) -> np.ndarray:
+    """Store the b columns (b, d, 1) as rows buf[:b, k], doubling buf's rows
+    when they are full; a grown buffer holds only the first b members."""
+    b = columns.shape[0]
+    if k == buf.shape[1]:
+        grown = np.empty((b, 2 * k, buf.shape[2]))
+        grown[:, :k] = buf[:b]
         buf = grown
-    buf[k] = row
+    buf[:b, k] = columns[:, :, 0]
     return buf
 
 
-def _top_ritz(alphas: list, betas: list, beta: float) -> tuple[float, float]:
-    """Top singular value of the upper bidiagonal B_k (diagonal alphas,
-    superdiagonal betas) and its residual beta * |p_k|, p the matching left
-    singular vector of B_k."""
-    p, s, _ = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1))
-    return float(s[0]), beta * float(abs(p[-1, 0]))
+def _compact(keep: list, arrays) -> None:
+    """Move the members at positions keep (increasing) to the front of each
+    array, in place and one member at a time, so no array is copied whole."""
+    for dst, src in enumerate(keep):
+        if src != dst:
+            for arr in arrays:
+                arr[dst] = arr[src]
 
 
-def _lanczos_norm(a: np.ndarray, cfg: SpectralConfig) -> SpectralEstimate:
-    """Top singular value of a by Golub–Kahan–Lanczos bidiagonalization with
-    full reorthogonalization.
+def _top_ritz(alphas: np.ndarray, betas: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top singular value of each upper bidiagonal B_k (diagonal alphas[i],
+    superdiagonal betas[i]) and its residual beta[i] * |p_k|, p the matching
+    left singular vector of B_k: one SVD over the stacked k x k matrices."""
+    t, k = alphas.shape
+    bidiagonals = np.zeros((t, k, k))
+    entries = bidiagonals.reshape(t, k * k)
+    entries[:, :: k + 1] = alphas
+    entries[:, 1 :: k + 1] = betas
+    p, s, _ = np.linalg.svd(bidiagonals)
+    return s[:, 0], beta * np.abs(p[:, -1, 0])
 
-    Builds orthonormal V (right) and U (left) with A V_k = U_k B_k and
-    A^T U_k = V_k B_k^T + beta_k v_{k+1} e_k^T, then tests the top Ritz
-    triple of B_k every _CHECK_EVERY steps, at the step cap, and on
-    breakdown. Runs on the transpose when a is wide, so the start vector
-    lives in the smaller dimension n and the solve is exact by step n.
+
+def _lanczos_norms(a: np.ndarray, cfg: SpectralConfig) -> list:
+    """Top singular value of each member of the stack a (B, m, n) by
+    Golub–Kahan–Lanczos bidiagonalization with full reorthogonalization.
+
+    Each member runs the solve it would run alone. With T the member, or its
+    transpose when wide (so the start vector lives in the smaller dimension N
+    and the solve is exact by step N), it builds orthonormal V (right) and U
+    (left) with T V_k = U_k B_k and T^T U_k = V_k B_k^T + beta_k v_{k+1}
+    e_k^T, and tests the top Ritz triple of B_k every _CHECK_EVERY steps, at
+    the step cap, and on breakdown. A step makes one batched product with T
+    and one with T^T, both on a as it lies in memory, over the members still
+    running, which are always the front of a: a member that stops is
+    recorded, and the running members after it move forward in a and in the
+    Krylov buffers. a is reordered in place, never copied. Returns one
+    SpectralEstimate per member, in the order of a.
     """
-    if a.shape[0] < a.shape[1]:
-        a = a.T
-    m, n = a.shape
-    steps = min(cfg.max_iters, n)
-    v = np.random.Generator(np.random.PCG64(cfg.seed)).standard_normal(n)
-    v /= np.sqrt(v @ v)
-    rows = min(n, 16)
-    vs, us = np.empty((rows, n)), np.empty((rows, m))
-    vs[0] = v
-    alphas, betas = [], []
-    beta = 0.0
+    count, m, n = a.shape
+    big, small = max(m, n), min(m, n)
+    ops, ops_t = (a, a.transpose(0, 2, 1)) if m >= n else (a.transpose(0, 2, 1), a)
+    steps = min(cfg.max_iters, small)
+    start = np.random.Generator(np.random.PCG64(cfg.seed)).standard_normal(small)
+    start /= np.sqrt(start @ start)
+    # Lanczos vectors are columns (B, d, 1); the Krylov buffers hold them as rows.
+    v = np.tile(start[:, None], (count, 1, 1))
+    rows = min(small, 16)
+    vs, us = np.empty((count, rows, small)), np.empty((count, rows, big))
+    vs[:, 0] = start
+    alphas, betas = np.empty((count, steps)), np.empty((count, steps))
+    beta = np.zeros((count, 1, 1))
+    ids = list(range(count))
+    out = [None] * count
+    b = count
+
+    def residual_test(tested: np.ndarray, k: int, beta_k: np.ndarray, step_column: np.ndarray) -> int:
+        """Residual test of the running members where tested is set; those
+        that converged or reached the step cap are recorded and leave the
+        running set. Returns the new running count."""
+        pos = np.flatnonzero(tested)
+        sigma, residual = _top_ritz(alphas[pos, :k], betas[pos, : k - 1], beta_k[pos])
+        converged = residual <= cfg.tol * sigma
+        stopped = np.flatnonzero(converged | (k == steps)).tolist()
+        if not stopped:
+            return b
+        for j in stopped:
+            out[ids[pos[j]]] = SpectralEstimate(float(sigma[j]), k, bool(converged[j]), float(residual[j]))
+        keep = sorted(set(range(b)).difference(pos[stopped].tolist()))
+        _compact(keep, (a, vs, us, v, alphas, betas, beta, ids, step_column))
+        return len(keep)
+
+    op, op_t, vb, betab = ops[:b], ops_t[:b], v[:b], beta[:b]
     for k in range(1, steps + 1):
-        u = a @ v
+        u = np.matmul(op, vb)
         if k > 1:
-            u -= beta * us[k - 2]
-            _orthogonalize(u, us[: k - 1])
-        alpha = float(np.sqrt(u @ u))
-        alphas.append(alpha)
-        if alpha == 0.0 or k == n:
-            # alpha = 0 makes span(V_k) invariant under A^T A, and at k = n
-            # V_k spans the whole space: either way the Ritz triple is exact.
-            beta = 0.0
-        else:
-            u /= alpha
-            us = _push(us, k - 1, u)
-            r = a.T @ u - alpha * v
-            _orthogonalize(r, vs[:k])
-            beta = float(np.sqrt(r @ r))
-        if beta == 0.0 or k % _CHECK_EVERY == 0 or k == steps:
-            sigma, residual = _top_ritz(alphas, betas, beta)
-            converged = residual <= cfg.tol * sigma
-            if converged or k == steps:
-                return SpectralEstimate(sigma, k, converged, residual)
-        betas.append(beta)
-        v = r / beta
-        vs = _push(vs, k, v)
+            u -= betab * us[:b, k - 2, :, None]
+            _orthogonalize(u, us[:b, : k - 1])
+        alpha = _norms(u)
+        alphas[:b, k - 1] = alpha[:, 0, 0]
+        # alpha = 0 makes span(V_k) invariant under T^T T, and at k = N V_k
+        # spans the whole space: either way beta_k = 0 and the Ritz triple is
+        # exact.
+        if k == small or np.count_nonzero(alpha) < b:
+            b = residual_test((alphas[:b, k - 1] == 0.0) | (k == small), k, np.zeros(b), u)
+            if b == 0:
+                break
+            op, op_t, vb, betab = ops[:b], ops_t[:b], v[:b], beta[:b]
+            u, alpha = u[:b], alphas[:b, k - 1, None, None]
+        u /= alpha
+        us = _push(us, k - 1, u)
+        r = np.matmul(op_t, u)
+        r -= alpha * vb
+        _orthogonalize(r, vs[:b, :k])
+        betab[...] = _norms(r)
+        scheduled = k % _CHECK_EVERY == 0 or k == steps
+        if scheduled or np.count_nonzero(betab) < b:
+            b = residual_test((betab[:, 0, 0] == 0.0) | scheduled, k, beta[:, 0, 0], r)
+            if b == 0:
+                break
+            op, op_t, vb, betab = ops[:b], ops_t[:b], v[:b], beta[:b]
+            r = r[:b]
+        betas[:b, k - 1] = betab[:, 0, 0]
+        np.divide(r, betab, out=vb)
+        vs = _push(vs, k, vb)
+    return out
 
 
 def spectral_norm(a, cfg: SpectralConfig = DEFAULT_CONFIG) -> SpectralEstimate:
@@ -148,7 +211,7 @@ def spectral_norm(a, cfg: SpectralConfig = DEFAULT_CONFIG) -> SpectralEstimate:
     converged=False. A Lanczos estimate never exceeds the true norm.
     Non-convergence is signaled, not raised.
     """
-    return _lanczos_norm(_as_array(a), cfg)
+    return _lanczos_norms(_as_array(a)[None], cfg)[0]
 
 
 def sketch_error(x, sketch, cfg: SpectralConfig = DEFAULT_CONFIG) -> SpectralEstimate:
@@ -156,7 +219,8 @@ def sketch_error(x, sketch, cfg: SpectralConfig = DEFAULT_CONFIG) -> SpectralEst
 
     Accepts a SparseSketch (unwrapping its COO matrix) or a SparseCOO. S is
     scattered into an m x n array once (duplicate cells add up) and X is
-    subtracted in place, so the solve holds one array the size of X. Returns
+    subtracted in place, so the solve holds one array the size of X: a stack
+    of one for the solver that the experiment runs on its batches. Returns
     the same SpectralEstimate as spectral_norm; a value with converged=False
     may sit below the true norm.
     """
@@ -166,6 +230,11 @@ def sketch_error(x, sketch, cfg: SpectralConfig = DEFAULT_CONFIG) -> SpectralEst
         raise ShapeMismatchError(
             f"sketch shape ({coo.m}, {coo.n}) does not match matrix shape {arr.shape}"
         )
+    return _lanczos_norms(_difference(arr, coo)[None], cfg)[0]
+
+
+def _difference(x: np.ndarray, coo, out: np.ndarray | None = None) -> np.ndarray:
+    """S - X as an m x n array, S the scattered COO matrix (duplicate cells
+    add up); written into out when given, else into S's own array."""
     d = _scatter(coo)
-    d -= arr
-    return _lanczos_norm(d, cfg)
+    return np.subtract(d, x, out=d if out is None else out)

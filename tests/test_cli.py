@@ -17,6 +17,7 @@ from elemsparse import (
     load_matrix,
     stable_rank,
 )
+from elemsparse import experiment
 from elemsparse.bounds import sample_size_theorem1, sample_size_unsimplified
 from elemsparse.cli import main
 
@@ -147,18 +148,47 @@ def test_experiment_violation_exits_two(capsys):
     assert rc == 2
 
 
-def test_experiment_jobs_byte_identical(tmp_path, capsys):
-    args = ["experiment", "--generate", "gaussian,10,12,5", "--dist", "l1",
-            "--epsilon-rel", "0.7", "--delta", "0.4", "--s", "120",
-            "--trials", "5", "--seed", "31"]
-    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(args + ["--out", str(out1)]) in (0, 2)
-    assert main(args + ["--jobs", "3", "--out", str(out2)]) in (0, 2)
-    a = json.loads(out1.read_text())
-    b = json.loads(out2.read_text())
-    a.pop("wall_times")
-    b.pop("wall_times")
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+def _batch_sizes(walls) -> list:
+    """Lengths of the runs of equal wall times: a trial's wall time is its
+    batch's over the batch size, so each run is one batch."""
+    sizes = [1]
+    for prev, wall in zip(walls, walls[1:]):
+        if wall == prev:
+            sizes[-1] += 1
+        else:
+            sizes.append(1)
+    return sizes
+
+
+def _jobs_outputs(tmp_path, monkeypatch, args) -> list:
+    """The command's JSON at --jobs 1, 2 and 3 without wall_times, in
+    batches of 3 that make 8 trials two full batches and a partial one."""
+    monkeypatch.setattr(experiment, "_BATCH_BYTES", 3 * 8 * 10 * 12)
+    texts = []
+    for jobs in ("1", "2", "3"):
+        out = tmp_path / f"{args[0]}-{jobs}.json"
+        assert main(args + ["--trials", "8", "--jobs", jobs, "--out", str(out)]) in (0, 2)
+        doc = json.loads(out.read_text())
+        walls = doc.pop("wall_times")
+        for kind_walls in walls.values() if isinstance(walls, dict) else [walls]:
+            assert _batch_sizes(kind_walls) == [3, 3, 2]
+        texts.append(json.dumps(doc, sort_keys=True))
+    return texts
+
+
+def test_experiment_jobs_byte_identical(tmp_path, capsys, monkeypatch):
+    a, b, c = _jobs_outputs(tmp_path, monkeypatch, [
+        "experiment", "--generate", "gaussian,10,12,5", "--dist", "l1",
+        "--epsilon-rel", "0.7", "--delta", "0.4", "--s", "120", "--seed", "31",
+    ])
+    assert a == b == c
+
+
+def test_compare_jobs_byte_identical(tmp_path, capsys, monkeypatch):
+    a, b, c = _jobs_outputs(tmp_path, monkeypatch, [
+        "compare", "--generate", "gaussian,10,12,6", "--epsilon-rel", "0.7", "--s", "120", "--seed", "17",
+    ])
+    assert a == b == c
 
 
 def test_experiment_writes_json(tmp_path, capsys):
@@ -210,15 +240,6 @@ def test_compare_stdout_json(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["command"] == "compare"
     assert len(doc["result"]["kinds"]) == 3
-
-
-def test_generate_argument_validation(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["experiment", "--generate", "gaussian,3,3", "--epsilon", "1", "--s", "5"])
-    assert exc.value.code == 1
-    with pytest.raises(SystemExit) as exc:
-        main(["experiment", "--generate", "mystery,3,3,1", "--epsilon", "1", "--s", "5"])
-    assert exc.value.code == 1
 
 
 def test_module_entry_point(tmp_path):
@@ -279,6 +300,20 @@ _PAST_INT64 = "10000000000"
         pytest.param("x.mtx", _MTX_HEADER + f"{_PAST_INT64} {_PAST_INT64} 1\n1 1 2.5\n", ["sparsify", "--s", "5"],
                      "x.mtx:2: a 10000000000x10000000000 matrix has more than 2**63 - 1 cells",
                      id="mtx-size-past-int64"),
+        # a bad --generate spec ends in the same one line, whichever command reads it
+        *[
+            pytest.param(None, None, [cmd, "--generate", spec, *rest], expect, id=f"{cmd}-generate-{case}")
+            for case, cmd, rest, spec, expect in (
+                ("three-fields", "bounds", ["--epsilon", "1"], "gaussian,3,3",
+                 "--generate wants KIND,M,N,SEED, got 'gaussian,3,3'"),
+                ("unknown-kind", "experiment", ["--epsilon", "1", "--s", "5"], "mystery,3,3,1",
+                 "--generate 'mystery,3,3,1': unknown generator kind 'mystery'"),
+                ("word-size", "compare", ["--epsilon", "1", "--s", "5"], "gaussian,3,a,1",
+                 "--generate 'gaussian,3,a,1': invalid literal"),
+                ("past-int64", "sparsify", ["--s", "5"], f"gaussian,{_PAST_INT64},{_PAST_INT64},1",
+                 f"a {_PAST_INT64}x{_PAST_INT64} matrix has more than 2**63 - 1 cells"),
+            )
+        ],
         # --m/--n/--frobenius/--stable-rank describe a matrix that --input/--generate already give
         pytest.param(None, None, ["bounds", "--generate", "gaussian,20,30,2", "--epsilon-rel", "0.5",
                                   "--stable-rank", "3", "--m", "7"], "--m/--stable-rank", id="bounds-generate-m"),
@@ -328,24 +363,6 @@ def test_bad_input_exits_one_with_one_error_line(tmp_path, name, text, args, exp
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("elemsparse: error:"), res.stderr
     assert expect in lines[0]
-
-
-def test_generate_spec_errors_name_the_fault(tmp_path):
-    # a --generate spec is checked by argparse: a usage line, then one error
-    # line that says what is wrong, exit 1 and no traceback
-    for spec, expect in (
-        ("gaussian,3,3", "wants KIND,M,N,SEED"),
-        ("mystery,3,3,1", "unknown generator kind 'mystery'"),
-        (f"gaussian,{_PAST_INT64},{_PAST_INT64},1", "more than 2**63 - 1 cells"),
-    ):
-        res = subprocess.run(
-            [sys.executable, "-m", "elemsparse", "sparsify", "--generate", spec, "--s", "5",
-             "--out", str(tmp_path / "o.mtx")],
-            capture_output=True, text=True,
-        )
-        assert res.returncode == 1 and "Traceback" not in res.stderr
-        last = res.stderr.splitlines()[-1]
-        assert last.startswith("elemsparse sparsify: error: argument --generate:") and expect in last, res.stderr
 
 
 # normal, zero, negative, nan, +-inf, tiny and huge. m and n take the integer

@@ -20,8 +20,11 @@ from elemsparse import (
     frobenius_norm,
     generate_matrix,
     run_experiment,
+    sketch_error,
+    sparsify,
     stable_rank,
 )
+from elemsparse import experiment
 from elemsparse.bounds import sample_size_corollary
 from elemsparse.experiment import (
     compare_payload,
@@ -96,11 +99,22 @@ def test_seeds_derived_from_base():
     assert res.seeds == (100, 101, 102, 103)
 
 
-def test_jobs_do_not_change_results():
-    serial = run_experiment(_cfg(trials=6, jobs=1))
-    parallel = run_experiment(_cfg(trials=6, jobs=4))
-    assert serial.errors == parallel.errors
-    assert serial.nnz_ratio == parallel.nnz_ratio
+def test_jobs_do_not_change_results(monkeypatch):
+    # batches of 3 make 8 trials two full batches and a partial one; each
+    # trial's wall time is its batch's over the batch size
+    monkeypatch.setattr(experiment, "_BATCH_BYTES", 3 * 8 * GEN.m * GEN.n)
+    runs = [run_experiment(_cfg(trials=8, jobs=jobs)) for jobs in (1, 2, 3)]
+    for res in runs:
+        assert [len(set(res.wall_times[lo : lo + 3])) for lo in (0, 3, 6)] == [1, 1, 1]
+        assert len(set(res.wall_times)) == 3
+    monkeypatch.setattr(experiment, "_BATCH_BYTES", 0)  # one trial per batch
+    runs.append(run_experiment(_cfg(trials=8, jobs=2)))
+    x = generate_matrix(GEN)
+    alone = tuple(sketch_error(x, sparsify(x, 60, seed)).value for seed in runs[0].seeds)
+    for res in runs:
+        assert res.errors == alone
+        assert res.nnz_ratio == runs[0].nnz_ratio
+        assert res.unconverged_trials == 0
 
 
 def test_emitted_s_matches_bounds_module():

@@ -206,6 +206,26 @@ def test_matrix_market_writes_coo_canonicalized(tmp_path):
     np.testing.assert_array_equal(back.data, [[0.0, 3.5], [0.0, 0.0]])
 
 
+@pytest.mark.parametrize(
+    "rows, cols, vals, canonical, body",
+    [
+        # cells already sorted and unique, as a sketch's are: written as given
+        ([0, 0, 1], [0, 2, 1], [1.5, -2.0, 1e-300], True, "3\n1 1 1.5\n1 3 -2.0\n2 2 1e-300\n"),
+        # unsorted with a repeated cell: summed, then written in (row, col) order
+        ([1, 0, 0, 1], [1, 2, 0, 1], [0.25, -2.0, 1.5, 0.75], False, "3\n1 1 1.5\n1 3 -2.0\n2 2 1.0\n"),
+        # sorted, but a cell repeats: still summed
+        ([0, 0, 1, 1], [0, 2, 1, 1], [1.5, -2.0, 0.25, 0.75], False, "3\n1 1 1.5\n1 3 -2.0\n2 2 1.0\n"),
+    ],
+    ids=["sorted-unique", "duplicates", "sorted-duplicates"],
+)
+def test_matrix_market_bytes_of_canonical_and_duplicate_coo(tmp_path, rows, cols, vals, canonical, body):
+    coo = SparseCOO(2, 3, rows, cols, vals)
+    assert (coo.canonicalize() is coo) is canonical
+    path = tmp_path / "coo.mtx"
+    write_matrix_market(path, coo)
+    assert path.read_text() == f"{MM_HEADER}\n2 3 {body}"
+
+
 def test_matrix_market_writer_streams_in_chunks(tmp_path, monkeypatch):
     coo = SparseCOO(3, 4, [2, 0, 1, 0, 2, 1, 0], [3, 0, 2, 1, 1, 0, 3], [0.1, -2.5, 1e-300, 7.0, 3.25, -1e300, 5e-324])
     one = coo.canonicalize()
@@ -227,6 +247,17 @@ def test_matrix_market_round_trip_is_bit_identical(tmp_path_factory, a):
     x = DenseMatrix(a + 0.0)  # -0.0 is a zero and is not written; +0.0 reads back
     path = tmp_path_factory.mktemp("rt") / "x.mtx"
     write_matrix_market(path, x)
+    assert load_matrix(path).data.tobytes() == x.data.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)), elements=_FINITE))
+def test_csv_round_trip_is_bit_identical(tmp_path_factory, a):
+    x = DenseMatrix(a)
+    path = tmp_path_factory.mktemp("rt") / "x.csv"
+    write_csv(path, x)
+    # the text of a per-scalar repr(float(v)) writer, and every bit back, -0.0 included
+    assert path.read_text() == "".join(",".join(repr(float(v)) for v in row) + "\n" for row in x.data)
     assert load_matrix(path).data.tobytes() == x.data.tobytes()
 
 

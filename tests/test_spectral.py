@@ -15,6 +15,7 @@ from elemsparse import (
     sketch_error,
     spectral_norm,
 )
+from elemsparse.spectral import _lanczos_norms
 
 FIXTURE = Path(__file__).parent / "fixtures" / "spectral_oracle.json"
 
@@ -200,3 +201,51 @@ def test_solve_is_exact_by_min_dimension():
         est = spectral_norm(x, cfg)
         assert est.converged and est.iterations == 6
         assert est.value == pytest.approx(_dense_norm(x.data), rel=1e-12)
+
+
+def _mixed_stack(shape) -> np.ndarray:
+    """Members that stop at different steps: a zero matrix (alpha = 0 at step
+    1), a single nonzero entry (alpha = 0 at step 2), a rank-one matrix, and
+    two gaussian matrices."""
+    rng = np.random.default_rng(35)
+    single = np.zeros(shape)
+    single[3, 5] = 2.5
+    return np.array([
+        np.zeros(shape),
+        single,
+        np.outer(rng.standard_normal(shape[0]), rng.standard_normal(shape[1])),
+        rng.standard_normal(shape),
+        rng.standard_normal(shape),
+    ])
+
+
+@pytest.mark.parametrize("shape", [(30, 20), (20, 30)], ids=["tall", "wide"])
+@pytest.mark.parametrize(
+    "cfg, generic",
+    [
+        (SpectralConfig(), None),
+        (SpectralConfig(tol=1e-300), (20, True)),  # runs to min(m, n), then exact
+        (SpectralConfig(max_iters=5), (5, False)),  # step cap: an uncertified lower bound
+    ],
+    ids=["default", "tol-1e-300", "max-iters-5"],
+)
+def test_stack_members_solve_as_alone(shape, cfg, generic):
+    stack = _mixed_stack(shape)
+    members = [m.copy() for m in stack]
+    ests = _lanczos_norms(stack, cfg)
+    assert len(ests) == len(members)
+    for est, member in zip(ests, members):
+        alone = spectral_norm(member, cfg)
+        assert est.value == pytest.approx(alone.value, rel=1e-12, abs=0.0)
+        assert (est.iterations, est.converged) == (alone.iterations, alone.converged)
+        dense = _dense_norm(member)
+        if est.converged:
+            assert est.value == pytest.approx(dense, rel=1e-9, abs=0.0)
+        else:
+            assert est.value <= dense * (1 + 1e-12)
+    zero, single, rank_one = ests[:3]
+    assert (zero.value, zero.iterations, zero.converged) == (0.0, 1, True)
+    assert (single.iterations, single.converged) == (2, True)
+    assert rank_one.converged and rank_one.iterations < ests[3].iterations
+    if generic is not None:
+        assert [(e.iterations, e.converged) for e in ests[3:]] == [generic] * 2
