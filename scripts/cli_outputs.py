@@ -1,0 +1,104 @@
+"""Run a fixed list of small CLI commands and write their outputs to OUTDIR.
+
+Each command runs as ``python -m elemsparse`` with ``cwd=OUTDIR`` and
+relative paths, on the package in this checkout's ``src``. The JSON outputs
+are written with their top-level ``wall_times`` key dropped and the
+``experiment`` CSV without its ``wall_time`` column, so everything left is
+deterministic. Each command's exit code, stdout and stderr go beside its
+output in ``<name>.log``. Two checkouts are compared by running their copies
+of this script and diffing the two directories:
+
+    python3 scripts/cli_outputs.py /tmp/before   # in one checkout
+    python3 scripts/cli_outputs.py /tmp/after    # in the other
+    diff -r /tmp/before /tmp/after
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# A 6x5 matrix with zeros, both signs and a spread of magnitudes.
+INPUT_CSV = "\n".join(
+    ",".join(repr(((3 * i + 7 * j) % 11 - 5) * 0.5 ** (i % 3)) for j in range(5)) for i in range(6)
+) + "\n"
+
+# (name, argv after "elemsparse", output file or None for stdout)
+COMMANDS = [
+    ("experiment-jobs2", ["experiment", "--generate", "gaussian,12,10,4", "--epsilon-rel", "0.6",
+                          "--trials", "8", "--seed", "3", "--jobs", "2", "--out", "experiment-jobs2.json"],
+     "experiment-jobs2.json"),
+    ("experiment-l1-theorem1", ["experiment", "--generate", "power-law,9,11,2", "--dist", "l1", "--s", "300",
+                                "--epsilon-rel", "0.5", "--bound-form", "theorem1", "--trials", "5"], None),
+    ("experiment-l2-file", ["experiment", "--input", "input.csv", "--dist", "l2", "--epsilon-rel", "0.7",
+                            "--delta", "0.3", "--trials", "4", "--seed", "11"], None),
+    ("experiment-csv", ["experiment", "--generate", "binary,8,8,5", "--epsilon", "2.0", "--s", "120",
+                        "--trials", "6", "--out-format", "csv", "--out", "experiment.csv"], "experiment.csv"),
+    ("compare-corollary", ["compare", "--generate", "low-rank-plus-noise,14,12,6", "--epsilon-rel", "0.8",
+                           "--bound-form", "corollary", "--trials", "3", "--seed", "2"], None),
+    ("compare-file-beta", ["compare", "--input", "input.csv", "--s", "50", "--beta", "0.5",
+                           "--epsilon", "1.5", "--trials", "4", "--out", "compare-file-beta.json"],
+     "compare-file-beta.json"),
+    ("compare-csv", ["compare", "--generate", "gaussian,7,9,8", "--epsilon-rel", "0.5", "--s", "80",
+                     "--trials", "3", "--out-format", "csv", "--out", "compare.csv"], "compare.csv"),
+    ("bounds-numbers", ["bounds", "--m", "100", "--n", "80", "--epsilon", "1", "--frobenius", "10"], None),
+    ("bounds-numbers-sr", ["bounds", "--m", "50", "--n", "60", "--epsilon-rel", "0.5", "--frobenius", "7.5",
+                           "--stable-rank", "3.2", "--beta", "0.8", "--delta", "0.05"], None),
+    ("bounds-generate", ["bounds", "--generate", "power-law,20,15,3", "--epsilon-rel", "0.5"], None),
+    ("bounds-input", ["bounds", "--input", "input.csv", "--epsilon", "2", "--out", "bounds-input.json"],
+     "bounds-input.json"),
+    ("sparsify-mtx", ["sparsify", "--generate", "gaussian,10,12,1", "--s", "90", "--seed", "5",
+                      "--out", "sketch.mtx"], "sketch.mtx"),
+    ("sparsify-csv", ["sparsify", "--input", "input.csv", "--epsilon-rel", "0.6", "--dist", "l1",
+                      "--out", "sketch.csv", "--out-format", "csv"], "sketch.csv"),
+    ("sparsify-seed-past-2-64", ["sparsify", "--generate", "gaussian,6,5,1", "--s", "40",
+                                 "--seed", str(2**64 + 3), "--out", "sketch-seed.mtx"], "sketch-seed.mtx"),
+]
+
+
+def _without_wall_times(text: str) -> str:
+    """The JSON document without its top-level wall_times key, in the
+    package's own layout; refuses text not already in that layout, so no
+    byte difference is hidden by the rewrite."""
+    doc = json.loads(text)
+    if json.dumps(doc, sort_keys=True, indent=2) + "\n" != text:
+        raise SystemExit("JSON output is not in sorted, 2-space-indented layout")
+    doc.pop("wall_times", None)
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _without_column(text: str, column: str) -> str:
+    rows = [line.split(",") for line in text.splitlines()]
+    k = rows[0].index(column)
+    return "".join(",".join(row[:k] + row[k + 1 :]) + "\n" for row in rows)
+
+
+def main() -> None:
+    if len(sys.argv) != 2:
+        raise SystemExit(f"usage: {sys.argv[0]} OUTDIR")
+    outdir = Path(sys.argv[1])
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "input.csv").write_text(INPUT_CSV)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    for name, argv, out in COMMANDS:
+        proc = subprocess.run(
+            [sys.executable, "-m", "elemsparse", *argv], cwd=outdir, env=env, capture_output=True, text=True
+        )
+        log = f"exit {proc.returncode}\n--- stdout\n{'' if out is None else proc.stdout}--- stderr\n{proc.stderr}"
+        (outdir / f"{name}.log").write_text(log)
+        if proc.returncode not in (0, 2):  # the log holds the error
+            continue
+        path = outdir / (out or f"{name}.json")
+        text = proc.stdout if out is None else path.read_text()
+        if path.suffix == ".json":
+            text = _without_wall_times(text)
+        elif argv[0] == "experiment":
+            text = _without_column(text, "wall_time")
+        path.write_text(text)
+
+
+if __name__ == "__main__":
+    main()

@@ -115,9 +115,9 @@ def sample_size_corollary(req: BoundRequest, epsilon_rel: float) -> int:
     Requires stable_rank >= epsilon_rel^2.
     """
     if req.stable_rank is None:
-        raise ValueError("request must carry stable_rank for the stable-rank bound")
+        raise InvalidSpecError("request must carry stable_rank for the stable-rank bound")
     if not epsilon_rel > 0:
-        raise ValueError("epsilon_rel must be positive")
+        raise InvalidSpecError("epsilon_rel must be positive")
     if req.stable_rank < epsilon_rel**2:
         raise HypothesisViolatedError(
             f"stable rank {req.stable_rank} is below epsilon_rel^2 = {epsilon_rel**2}"
@@ -149,7 +149,7 @@ def gamma_rho_bounds(x: DenseMatrix, beta: float) -> tuple[float, float]:
     """Per-outcome norm bound gamma and variance proxy rho^2 for a matrix
     sampled under any beta-certified distribution."""
     if not 0 < beta <= 1:
-        raise ValueError("beta must lie in (0, 1]")
+        raise InvalidSpecError("beta must lie in (0, 1]")
     frob = frobenius_norm(x)
     if frob == 0.0:
         raise ZeroMatrixError("bounds are undefined for the zero matrix")

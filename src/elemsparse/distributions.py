@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeMismatchError, ZeroMatrixError
+from .errors import InvalidSpecError, NonFiniteError, ShapeMismatchError, ZeroMatrixError
 from .matrix import DenseMatrix, _exact_sum
 
 __all__ = [
@@ -58,12 +58,12 @@ class SamplingDistribution:
                 f"expected {self.m * self.n} probabilities, got {p.shape[0]}"
             )
         if np.any(p < 0) or not np.all(np.isfinite(p)):
-            raise ValueError("probabilities must be finite and nonnegative")
+            raise InvalidSpecError("probabilities must be finite and nonnegative")
         total = math.fsum(p.tolist())
         if abs(total - 1.0) > _SUM_TOL:
-            raise ValueError(f"probabilities must sum to 1 within {_SUM_TOL}, got {total!r}")
+            raise InvalidSpecError(f"probabilities must sum to 1 within {_SUM_TOL}, got {total!r}")
         if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta certificate must lie in [0, 1], got {self.beta!r}")
+            raise InvalidSpecError(f"beta certificate must lie in [0, 1], got {self.beta!r}")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "kind", DistributionKind(self.kind))
@@ -112,7 +112,7 @@ def _distributions(x: DenseMatrix, kinds, l2: np.ndarray, l1: np.ndarray) -> tup
         if kind is DistributionKind.HYBRID:
             out.append(SamplingDistribution(x.m, x.n, hybrid, kind, 1.0))
         elif kind is DistributionKind.CUSTOM:
-            raise ValueError("custom distributions must be built via custom_distribution")
+            raise InvalidSpecError("custom distributions must be built via custom_distribution")
         else:
             probs = l2 if kind is DistributionKind.PURE_L2 else l1
             out.append(SamplingDistribution(x.m, x.n, probs, kind, _certificate(x.flat(), probs, hybrid)))

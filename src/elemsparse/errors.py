@@ -48,4 +48,5 @@ class DimensionError(ParseError):
 
 
 class InvalidSpecError(ElemsparseError, ValueError):
-    """Raised for malformed generator or experiment specifications."""
+    """Raised for an argument outside its domain: a generator, experiment or
+    bound spec, a solver setting, or a malformed distribution or sample set."""

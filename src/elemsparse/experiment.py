@@ -4,6 +4,9 @@ sparsification guarantee plus a three-way distribution comparison.
 ``make_plan`` is the one path from a matrix to its distributions and sample
 size that every command shares. ``run_experiment`` and
 ``compare_distributions`` return results and write nothing; the CLI does.
+``experiment_payload`` and ``compare_payload`` build each JSON document with
+``dataclasses.asdict`` from the config and the result, so a field added to a
+result dataclass reaches the JSON with no other change.
 
 Reproducibility contract: trial t draws with seed (base_seed + t) mod 2^64,
 so results are independent of --jobs scheduling; aggregation sorts by trial
@@ -360,71 +363,33 @@ def _source_payload(source) -> dict:
     return {**asdict(source), "kind": "generator", "generator": source.kind}
 
 
-def _config_payload(cfg: ExperimentConfig, include_dist: bool) -> dict:
-    # jobs says how the trials were scheduled, not what the experiment is;
-    # leaving it out keeps two runs of one experiment byte-identical.
-    doc = {
-        "source": _source_payload(cfg.source),
-        "epsilon": cfg.epsilon,
-        "epsilon_rel": cfg.epsilon_rel,
-        "delta": cfg.delta,
-        "beta": cfg.beta,
-        "s_override": cfg.s_override,
-        "bound_form": cfg.bound_form.value,
-        "trials": cfg.trials,
-        "base_seed": cfg.base_seed,
-        "spectral": asdict(cfg.spectral),
-    }
-    if include_dist:
-        doc["dist"] = cfg.dist_kind.value
-    return doc
+def _payload(command: str, result, cfg: ExperimentConfig) -> dict:
+    """A run's document: config is asdict(cfg) with source in _source_payload's
+    form, dist_kind renamed dist and no jobs (how trials were scheduled is not
+    the experiment; without it two runs stay byte-identical), and result is
+    asdict(result) with wall_times lifted to the top level. Sequences stay
+    tuples; an enum member equals its string, which is what json writes."""
+    config = asdict(cfg)
+    del config["jobs"]
+    config["source"] = _source_payload(cfg.source)
+    config["dist"] = config.pop("dist_kind")
+    doc = asdict(result)
+    walls = doc.pop("wall_times")
+    return dict(schema_version=SCHEMA_VERSION, command=command, config=config, result=doc, wall_times=walls)
 
 
 def experiment_payload(result: ExperimentResult, cfg: ExperimentConfig) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "experiment",
-        "config": _config_payload(cfg, include_dist=True),
-        "result": {
-            "errors": list(result.errors),
-            "seeds": list(result.seeds),
-            "s_used": result.s_used,
-            "epsilon_used": result.epsilon_used,
-            "delta": result.delta,
-            "beta": result.beta,
-            "empirical_failure_rate": result.empirical_failure_rate,
-            "unconverged_trials": result.unconverged_trials,
-            "nnz_ratio": result.nnz_ratio,
-            "passed": result.passed,
-            "bound_report": asdict(result.bound_report),
-        },
-        "wall_times": list(result.wall_times),
-    }
+    doc = _payload("experiment", result, cfg)
+    del doc["result"]["dist_kind"]  # the config's dist
+    doc["result"]["passed"] = result.passed
+    return doc
 
 
 def compare_payload(result: CompareResult, cfg: ExperimentConfig) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "compare",
-        "config": _config_payload(cfg, include_dist=False),
-        "result": {
-            "s_used": result.s_used,
-            "epsilon_used": result.epsilon_used,
-            "seeds": list(result.seeds),
-            "kinds": [
-                {
-                    "kind": summ.kind.value,
-                    "beta_certificate": summ.beta_certificate,
-                    "median_error": summ.median_error,
-                    "p90_error": summ.p90_error,
-                    "errors": list(summ.errors),
-                    "unconverged_trials": summ.unconverged_trials,
-                }
-                for summ in result.summaries
-            ],
-        },
-        "wall_times": {k: list(v) for k, v in result.wall_times.items()},
-    }
+    doc = _payload("compare", result, cfg)
+    del doc["config"]["dist"]  # every kind runs
+    doc["result"]["kinds"] = doc["result"].pop("summaries")
+    return doc
 
 
 def payload_text(payload: dict) -> str:

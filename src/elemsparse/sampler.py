@@ -12,13 +12,14 @@ draw, two uniforms are consumed in fixed order (slot, then coin), so a
 
 from __future__ import annotations
 
+import operator
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import DistributionKind, SamplingDistribution, distribution_for_kind
-from .errors import ShapeMismatchError, ZeroProbabilityError
+from .errors import InvalidSpecError, ShapeMismatchError, ZeroProbabilityError
 from .matrix import DenseMatrix, SparseCOO
 
 __all__ = [
@@ -71,7 +72,7 @@ class SampleSet:
 
     def __post_init__(self):
         if self.s < 1:
-            raise ValueError(f"sample count must be >= 1, got {self.s}")
+            raise InvalidSpecError(f"sample count must be >= 1, got {self.s}")
         cells = np.array(self.cells, dtype=np.int64)
         counts = np.array(self.counts, dtype=np.int64)
         if cells.ndim != 1 or counts.shape != cells.shape:
@@ -79,11 +80,11 @@ class SampleSet:
                 f"cells and counts must be 1-d of equal length, got {cells.shape} and {counts.shape}"
             )
         if np.any(cells[1:] <= cells[:-1]):
-            raise ValueError("sample cells must be strictly increasing")
+            raise InvalidSpecError("sample cells must be strictly increasing")
         if cells.size and (cells[0] < 0 or cells[-1] >= self.m * self.n):
             raise ShapeMismatchError(f"sample cells out of range for a {self.m}x{self.n} matrix")
         if np.any(counts < 1) or int(counts.sum()) != self.s:
-            raise ValueError(f"sample counts must be positive and sum to s={self.s}")
+            raise InvalidSpecError(f"sample counts must be positive and sum to s={self.s}")
         cells.setflags(write=False)
         counts.setflags(write=False)
         object.__setattr__(self, "cells", cells)
@@ -165,13 +166,14 @@ def reconstructed_probs(table: AliasTable) -> np.ndarray:
 
 def draw_samples(table: AliasTable, s: int, seed: int) -> SampleSet:
     """s i.i.d. with-replacement draws, counted per cell; a pure function of
-    (table, s, seed).
+    (table, s, seed mod 2^64), the seed the SampleSet records.
 
     The stream is consumed in blocks; consecutive ``random`` calls continue
     one stream, so the counts equal those of a single ``(s, 2)`` call. Each
     block's ``bincount`` costs O(mn), so a block holds at least mn draws and
     the whole draw stays O(s + mn).
     """
+    seed = operator.index(seed) & _SEED_MASK  # index(): a numpy integer & 2^64 - 1 overflows
     rng = np.random.Generator(np.random.PCG64(seed))
     size = table.size
     block = max(_DRAW_BLOCK, size)
@@ -210,7 +212,7 @@ def sparsify(
     """End-to-end: build the kind's distribution, draw s cells, assemble."""
     d = distribution_for_kind(x, kind)
     table = build_alias_table(d)
-    omega = draw_samples(table, s, seed & _SEED_MASK)
+    omega = draw_samples(table, s, seed)
     return sampling_operator(x, d, omega)
 
 

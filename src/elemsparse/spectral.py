@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import InvalidSpecError, ShapeMismatchError
 from .matrix import _scatter
 
 __all__ = ["SpectralConfig", "SpectralEstimate", "spectral_norm", "sketch_error"]
@@ -45,9 +45,9 @@ class SpectralConfig:
 
     def __post_init__(self):
         if not self.tol > 0:
-            raise ValueError("tol must be positive")
+            raise InvalidSpecError("tol must be positive")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+            raise InvalidSpecError("max_iters must be >= 1")
 
 
 DEFAULT_CONFIG = SpectralConfig()

@@ -6,6 +6,7 @@ import pytest
 from elemsparse import (
     BoundRequest,
     DenseMatrix,
+    ElemsparseError,
     HypothesisViolatedError,
     ShapeMismatchError,
     ZeroMatrixError,
@@ -107,8 +108,10 @@ def test_corollary_hypothesis():
         sample_size_corollary(_req(sr=0.2), epsilon_rel=0.5)
     # boundary sr = eps_rel^2 is admissible
     assert sample_size_corollary(_req(sr=0.25), epsilon_rel=0.5) >= 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ElemsparseError):
         sample_size_corollary(_req(), epsilon_rel=0.5)  # stable_rank unset
+    with pytest.raises(ElemsparseError):
+        sample_size_corollary(_req(sr=10.0), epsilon_rel=0.0)
 
 
 def test_corollary_linear_in_sr():
@@ -142,7 +145,7 @@ def test_gamma_rho_examples(toy):
 def test_gamma_rho_errors():
     with pytest.raises(ZeroMatrixError):
         gamma_rho_bounds(DenseMatrix(np.zeros((2, 2))), 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ElemsparseError):
         gamma_rho_bounds(DenseMatrix(np.ones((2, 2))), 0.0)
 
 

@@ -15,11 +15,13 @@ from elemsparse import (
     frobenius_norm,
     generate_matrix,
     load_matrix,
+    sparsify,
     stable_rank,
 )
 from elemsparse import experiment
 from elemsparse.bounds import sample_size_theorem1, sample_size_unsimplified
 from elemsparse.cli import main
+from elemsparse.matrix import coo_to_dense
 
 
 def test_version_exits_zero(capsys):
@@ -64,6 +66,17 @@ def test_sparsify_writes_matrix_market(tmp_path, capsys):
     sk = load_matrix(out)
     assert sk.shape == (2, 2)
     assert np.count_nonzero(sk.data) <= 2
+
+
+def test_sparsify_seed_is_reduced_mod_2_64(tmp_path, capsys):
+    # one seed rule on every draw path: the CLI's sketch at 2^64 + 3 is
+    # sparsify's at 2^64 + 3 and the CLI's at 3
+    expected = coo_to_dense(sparsify(generate_matrix(GeneratorSpec("gaussian", 6, 5, 1)), 40, 2**64 + 3).matrix)
+    for seed in (2**64 + 3, 3):
+        out = tmp_path / f"{seed}.mtx"
+        assert main(["sparsify", "--generate", "gaussian,6,5,1", "--s", "40", "--seed", str(seed),
+                     "--out", str(out)]) == 0
+        np.testing.assert_array_equal(load_matrix(out).data, expected.data)
 
 
 def test_sparsify_csv_output_and_bound_derived_s(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from elemsparse import (
     DenseMatrix,
     DistributionKind,
+    ElemsparseError,
     SamplingDistribution,
     ShapeMismatchError,
     ZeroMatrixError,
@@ -163,9 +164,9 @@ def test_custom_distribution_allows_mass_on_zero_cells(toy):
 
 
 def test_custom_distribution_validation(toy):
-    with pytest.raises(ValueError):
+    with pytest.raises(ElemsparseError):
         custom_distribution(toy, np.array([0.5, 0.5, 0.5, -0.5]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ElemsparseError):
         custom_distribution(toy, np.array([0.3, 0.3, 0.3, 0.3]))  # sums to 1.2
     with pytest.raises(ShapeMismatchError):
         custom_distribution(toy, np.array([1.0]))
@@ -180,7 +181,7 @@ def test_distribution_for_kind(toy):
         np.testing.assert_array_equal(
             distribution_for_kind(toy, kind).probs, build(toy).probs
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(ElemsparseError):
         distribution_for_kind(toy, DistributionKind.CUSTOM)
 
 
@@ -195,9 +196,9 @@ def test_grid_support_transpose(toy):
 
 
 def test_sampling_distribution_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ElemsparseError):
         SamplingDistribution(2, 2, np.array([0.5, 0.5, 0.1, 0.1]), DistributionKind.CUSTOM, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ElemsparseError):
         SamplingDistribution(2, 2, np.array([1.1, -0.1, 0.0, 0.0]), DistributionKind.CUSTOM, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ElemsparseError):
         SamplingDistribution(1, 1, np.array([1.0]), DistributionKind.CUSTOM, 1.5)

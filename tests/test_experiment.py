@@ -228,16 +228,81 @@ def test_payload_deterministic_excluding_wall_times():
     assert payload_text(a) == payload_text(b)
 
 
+# The documents' key trees. Every key is a field of ExperimentConfig,
+# ExperimentResult, CompareResult, KindSummary or BoundReport, apart from
+# what the payload builder renames or adds: config "dist", result "passed"
+# and "kinds", and the source's keys. A field added to a result dataclass
+# reaches the JSON, and must be added here.
+_SPECTRAL_KEYS = {"max_iters": None, "seed": None, "tol": None}
+_CONFIG_KEYS = {
+    "base_seed": None, "beta": None, "bound_form": None, "delta": None, "epsilon": None, "epsilon_rel": None,
+    "s_override": None, "spectral": _SPECTRAL_KEYS, "trials": None,
+}
+_GENERATOR_SOURCE_KEYS = {
+    "alpha": None, "generator": None, "kind": None, "m": None, "n": None, "noise": None, "rank": None, "seed": None,
+}
+_FILE_SOURCE_KEYS = {"format": None, "kind": None, "path": None}
+_BOUND_REPORT_KEYS = {
+    "case_used": None, "gamma": None, "rho2": None, "s_corollary": None, "s_theorem1": None,
+    "s_unsimplified": None, "tail_at_s": None,
+}
+_KIND_KEYS = {
+    "beta_certificate": None, "errors": None, "kind": None, "median_error": None, "p90_error": None,
+    "unconverged_trials": None,
+}
+
+
+def _key_tree(doc):
+    """doc with every leaf replaced by None; a sequence of dicts keeps one
+    tree per entry, any other sequence is a leaf."""
+    if isinstance(doc, dict):
+        return {k: _key_tree(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)) and doc and isinstance(doc[0], dict):
+        return [_key_tree(v) for v in doc]
+    return None
+
+
+def _as_lists(doc):
+    if isinstance(doc, dict):
+        return {k: _as_lists(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_as_lists(v) for v in doc]
+    return doc
+
+
+def _assert_plain_round_trip(doc):
+    """The written JSON reads back to plain types equal to doc (an enum
+    value equals its string) and writes back to the same bytes."""
+    text = payload_text(doc)
+    plain = json.loads(text)
+    assert plain == _as_lists(doc)
+    assert payload_text(plain) == text
+
+
 def test_payload_shape():
     cfg = _cfg(trials=2)
-    doc = experiment_payload(run_experiment(cfg), cfg)
+    res = run_experiment(cfg)
+    doc = experiment_payload(res, cfg)
+    assert _key_tree(doc) == {
+        "command": None,
+        "config": {**_CONFIG_KEYS, "dist": None, "source": _GENERATOR_SOURCE_KEYS},
+        "result": {
+            "beta": None, "bound_report": _BOUND_REPORT_KEYS, "delta": None, "empirical_failure_rate": None,
+            "epsilon_used": None, "errors": None, "nnz_ratio": None, "passed": None, "s_used": None,
+            "seeds": None, "unconverged_trials": None,
+        },
+        "schema_version": None,
+        "wall_times": None,
+    }
     assert doc["schema_version"] == 1
     assert doc["command"] == "experiment"
-    assert "out_path" not in json.dumps(doc)
-    assert "jobs" not in doc["config"]
-    assert len(doc["result"]["errors"]) == 2
+    assert doc["config"]["dist"] == "hybrid"
+    assert doc["config"]["source"]["kind"] == "generator"
+    assert len(doc["result"]["errors"]) == len(doc["wall_times"]) == 2
     assert doc["result"]["unconverged_trials"] == 0
+    assert doc["result"]["passed"] is res.passed
     assert doc["result"]["bound_report"]["s_unsimplified"] >= 1
+    _assert_plain_round_trip(doc)
 
 
 def test_unconverged_trials_are_counted():
@@ -318,10 +383,21 @@ def test_compare_csv_row_count(tmp_path):
     assert len(lines) == 1 + 3 * 5
 
 
-def test_compare_payload_shape():
-    cfg = _cfg(trials=2)
+def test_compare_payload_shape(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_text("3,4,0\n1,-2,5\n")
+    cfg = _cfg(source=FileSource(str(path)), trials=2)
     doc = compare_payload(compare_distributions(cfg), cfg)
+    assert _key_tree(doc) == {
+        "command": None,
+        "config": {**_CONFIG_KEYS, "source": _FILE_SOURCE_KEYS},
+        "result": {"epsilon_used": None, "kinds": [_KIND_KEYS] * 3, "s_used": None, "seeds": None},
+        "schema_version": None,
+        "wall_times": {"hybrid": None, "l1": None, "l2": None},
+    }
     assert doc["schema_version"] == 1
     assert doc["command"] == "compare"
-    assert "dist" not in doc["config"]
-    assert {k["kind"] for k in doc["result"]["kinds"]} == {"hybrid", "l1", "l2"}
+    assert doc["config"]["source"] == {"format": None, "kind": "file", "path": str(path)}
+    assert [k["kind"] for k in doc["result"]["kinds"]] == ["hybrid", "l1", "l2"]
+    assert all(len(walls) == 2 for walls in doc["wall_times"].values())
+    _assert_plain_round_trip(doc)

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from elemsparse import (
     DenseMatrix,
     DistributionKind,
+    ElemsparseError,
     GeneratorSpec,
+    InvalidSpecError,
     SampleSet,
     ShapeMismatchError,
     ZeroProbabilityError,
@@ -178,11 +180,14 @@ def test_draw_determinism(toy):
     assert a.seed == b.seed == 42
     c = draw_samples(table, 1000, seed=43)
     assert not np.array_equal(a.counts, c.counts)
+    # a seed is reduced mod 2^64, and the sample records the reduced seed
+    assert _same_sample(draw_samples(table, 1000, seed=42 + 2**64), a)
+    assert _same_sample(draw_samples(table, 1000, seed=np.int64(42)), a)
 
 
 def test_draw_validation(toy):
     table = build_alias_table(hybrid_distribution(toy))
-    with pytest.raises(ValueError):
+    with pytest.raises(ElemsparseError):
         draw_samples(table, 0, seed=1)
     omega = draw_samples(table, 17, seed=1)
     assert (omega.m, omega.n, omega.s) == (2, 2, 17)
@@ -211,14 +216,14 @@ def test_draw_matches_one_unblocked_call_across_blocks(shape):
 @pytest.mark.parametrize(
     "cells, counts, s, error",
     [
-        ([0, 1], [1, 1], 3, ValueError),  # counts sum to 2, not s
-        ([0, 1], [2, 0], 2, ValueError),  # a zero count
-        ([1, 0], [1, 1], 2, ValueError),  # decreasing cells
-        ([1, 1], [1, 1], 2, ValueError),  # repeated cell
+        ([0, 1], [1, 1], 3, InvalidSpecError),  # counts sum to 2, not s
+        ([0, 1], [2, 0], 2, InvalidSpecError),  # a zero count
+        ([1, 0], [1, 1], 2, InvalidSpecError),  # decreasing cells
+        ([1, 1], [1, 1], 2, InvalidSpecError),  # repeated cell
         ([0, 4], [1, 1], 2, ShapeMismatchError),  # cell past the 2x2 grid
         ([-1, 0], [1, 1], 2, ShapeMismatchError),  # negative cell
         ([0, 1], [2], 2, ShapeMismatchError),  # lengths differ
-        ([], [], 0, ValueError),  # no draws
+        ([], [], 0, InvalidSpecError),  # no draws
     ],
     ids=["sum", "zero-count", "decreasing", "repeated", "past-end", "negative", "lengths", "empty"],
 )

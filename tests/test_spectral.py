@@ -6,6 +6,7 @@ import pytest
 
 from elemsparse import (
     DenseMatrix,
+    ElemsparseError,
     GeneratorSpec,
     ShapeMismatchError,
     SparseCOO,
@@ -79,9 +80,9 @@ def test_max_iters_signals_nonconvergence(toy):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ElemsparseError):
         SpectralConfig(tol=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ElemsparseError):
         SpectralConfig(max_iters=0)
 
 
