@@ -5,7 +5,8 @@ relative paths, on the package in this checkout's ``src``. The JSON outputs
 are written with their top-level ``wall_times`` key dropped and the
 ``experiment`` CSV without its ``wall_time`` column, so everything left is
 deterministic. Each command's exit code, stdout and stderr go beside its
-output in ``<name>.log``. Two checkouts are compared by running their copies
+output in ``<name>.log``; the last commands are refused, so only their logs
+are written. Two checkouts are compared by running their copies
 of this script and diffing the two directories:
 
     python3 scripts/cli_outputs.py /tmp/before   # in one checkout
@@ -25,6 +26,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 INPUT_CSV = "\n".join(
     ",".join(repr(((3 * i + 7 * j) % 11 - 5) * 0.5 ** (i % 3)) for j in range(5)) for i in range(6)
 ) + "\n"
+
+# The l2 share of the 1e-200 cell underflows to 0, so the l2 certificate is 0.
+PART_CSV = "1e-200,2\n3,0\n"
 
 # (name, argv after "elemsparse", output file or None for stdout)
 COMMANDS = [
@@ -56,6 +60,12 @@ COMMANDS = [
                       "--out", "sketch.csv", "--out-format", "csv"], "sketch.csv"),
     ("sparsify-seed-past-2-64", ["sparsify", "--generate", "gaussian,6,5,1", "--s", "40",
                                  "--seed", str(2**64 + 3), "--out", "sketch-seed.mtx"], "sketch-seed.mtx"),
+    ("sparsify-s-past-int64", ["sparsify", "--generate", "gaussian,4,5,1", "--epsilon", "1e-12",
+                               "--out", "sketch-huge.mtx"], "sketch-huge.mtx"),
+    ("sparsify-l2-underflow-s", ["sparsify", "--input", "part.csv", "--dist", "l2", "--s", "10",
+                                 "--out", "sketch-part.mtx"], "sketch-part.mtx"),
+    ("bounds-both-targets", ["bounds", "--m", "5", "--n", "5", "--frobenius", "1", "--epsilon", "1",
+                             "--epsilon-rel", "1"], None),
 ]
 
 
@@ -68,6 +78,9 @@ def _without_wall_times(text: str) -> str:
         raise SystemExit("JSON output is not in sorted, 2-space-indented layout")
     doc.pop("wall_times", None)
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+# The l2 share of the 1e-200 cell underflows to 0, so the l2 certificate is 0.
+PART_CSV = "1e-200,2\n3,0\n"
 
 
 def _without_column(text: str, column: str) -> str:
@@ -82,6 +95,7 @@ def main() -> None:
     outdir = Path(sys.argv[1])
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "input.csv").write_text(INPUT_CSV)
+    (outdir / "part.csv").write_text(PART_CSV)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     for name, argv, out in COMMANDS:
         proc = subprocess.run(

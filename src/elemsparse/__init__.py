@@ -53,7 +53,7 @@ from .sampler import (
     sampling_operator,
     sparsify,
 )
-from .spectral import SpectralConfig, SpectralEstimate, sketch_error, spectral_norm
+from .spectral import SpectralEstimate, sketch_error, spectral_norm
 
 __version__ = "0.1.0"
 
@@ -85,7 +85,6 @@ __all__ = [
     "BoundReport",
     "bound_report",
     # spectral
-    "SpectralConfig",
     "SpectralEstimate",
     "spectral_norm",
     "sketch_error",

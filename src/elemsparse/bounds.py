@@ -25,7 +25,7 @@ from .errors import (
     ZeroProbabilityError,
 )
 from .matrix import DenseMatrix, frobenius_norm
-from .spectral import DEFAULT_CONFIG, SpectralConfig, spectral_norm
+from .spectral import spectral_norm
 
 __all__ = [
     "Theorem1Case",
@@ -156,12 +156,7 @@ def gamma_rho_bounds(x: DenseMatrix, beta: float) -> tuple[float, float]:
     return _gamma_rho_values(x.m, x.n, frob, beta)
 
 
-def mt_spectral_norm(
-    x: DenseMatrix,
-    d: SamplingDistribution,
-    cell: tuple[int, int],
-    cfg: SpectralConfig = DEFAULT_CONFIG,
-) -> float:
+def mt_spectral_norm(x: DenseMatrix, d: SamplingDistribution, cell: tuple[int, int]) -> float:
     """Spectral norm of the centered single-outcome matrix
     ``(x_ij / p_ij) e_i e_j^T - X`` for the given cell."""
     i, j = cell
@@ -170,7 +165,7 @@ def mt_spectral_norm(
         raise ZeroProbabilityError(f"cell ({i}, {j}) has zero probability")
     outcome = -x.data
     outcome[i, j] += x.data[i, j] / p
-    return spectral_norm(outcome, cfg).value
+    return spectral_norm(outcome).value
 
 
 def exact_second_moment(x: DenseMatrix, d: SamplingDistribution) -> DenseMatrix:

@@ -24,7 +24,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -36,7 +36,7 @@ from .generate import GeneratorSpec, generate_matrix
 from .io import load_matrix
 from .matrix import DenseMatrix, _stable_rank
 from .sampler import _SEED_MASK, build_alias_table, draw_samples, sampling_operator
-from .spectral import DEFAULT_CONFIG, SpectralConfig, _difference, _lanczos_norms
+from .spectral import _difference, _lanczos_norms
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -56,7 +56,7 @@ __all__ = [
     "payload_text",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Bytes of S - X that one batched error solve stacks: eight trials of a
 # 100 x 100 matrix. A matrix larger than half of it runs one trial per
@@ -97,7 +97,6 @@ class ExperimentConfig:
     trials: int = 1
     base_seed: int = 0
     jobs: int = 1
-    spectral: SpectralConfig = field(default=DEFAULT_CONFIG)
 
     def __post_init__(self):
         if isinstance(self.dist_kind, str) and not isinstance(self.dist_kind, DistributionKind):
@@ -138,7 +137,7 @@ class ExperimentResult:
     beta: float
     dist_kind: DistributionKind
     empirical_failure_rate: float
-    unconverged_trials: int  # trials whose error solve stopped uncertified at max_iters
+    unconverged_trials: int  # trials whose error solve stopped uncertified at the step cap
     nnz_ratio: float
     wall_times: tuple
     bound_report: BoundReport
@@ -200,8 +199,11 @@ def _sizing(m, n, frobenius, stable_rank, bound_form, epsilon, epsilon_rel, delt
     ||X||_2 = ||X||_F / sqrt(sr) under the corollary form and ||X||_F
     otherwise (bound_form None, the bounds command, included), matching which
     norm each statement is phrased against. beta None means 1."""
-    if (epsilon is None) == (epsilon_rel is None):
-        raise InvalidSpecError("exactly one of epsilon and epsilon_rel is required, unless s is given")
+    if epsilon is not None and epsilon_rel is not None:
+        raise InvalidSpecError("give one of epsilon and epsilon_rel, not both")
+    if epsilon is None and epsilon_rel is None:
+        unless = "" if bound_form is None else ", unless s is given"  # bounds takes no s
+        raise InvalidSpecError(f"one of epsilon and epsilon_rel is required{unless}")
     if bound_form is BoundForm.COROLLARY and epsilon_rel is None:
         raise InvalidSpecError("bound_form=corollary needs epsilon_rel, not an absolute epsilon")
     if epsilon is None and bound_form is BoundForm.COROLLARY:
@@ -221,10 +223,10 @@ def make_plan(
     """Plan a run on x: one exact sum of x^2 and one of |x|, the distribution
     of each kind built from them, and the bound that sizes s.
 
-    With one kind, beta is that distribution's certificate or a requested
-    value no larger: a larger one would shrink s below what the distribution
-    supports; a certificate of 0 (a nonzero cell whose share underflows to
-    probability 0) raises ZeroProbabilityError, since no beta certifies it.
+    With one kind, a certificate of 0 (a nonzero cell whose share underflows
+    to probability 0, so it is never drawn) raises ZeroProbabilityError even
+    when s is given. beta is that certificate or a requested value no larger:
+    a larger one would shrink s below what the distribution supports.
     With none or several kinds beta is the requested value or 1, so one s
     serves every kind. sigma_1 is solved once, and only for the corollary form
     or for bound_form None: the bounds command, which reports the stable rank
@@ -234,14 +236,15 @@ def make_plan(
         raise InvalidSpecError("s must be a positive integer")
     sum_sq, abs_sum, l2, l1 = _shares(x)
     dists = _distributions(x, kinds, l2, l1)
+    sized = s_override is None or epsilon is not None or epsilon_rel is not None
+    if len(dists) == 1:  # beta is checked against the certificate only when it sizes s
+        beta = _single_beta(x, dists[0], beta if sized else None)
     request = report = None
-    if s_override is None or epsilon is not None or epsilon_rel is not None:
+    if sized:
         fro = math.sqrt(sum_sq)
         sr = None
         if bound_form in (None, BoundForm.COROLLARY):
             sr = _stable_rank(x, fro)
-        if len(dists) == 1:
-            beta = _single_beta(x, dists[0], beta)
         request, report = _sizing(x.m, x.n, fro, sr, bound_form, epsilon, epsilon_rel, delta, beta)
     s = s_override
     if s is None and bound_form is not None:
@@ -297,7 +300,7 @@ def _run_trials(cfg: ExperimentConfig, x: DenseMatrix, dist, s_used: int) -> tup
             coo = sampling_operator(x, dist, draw_samples(table, s_used, seed)).matrix
             _difference(x.data, coo, out=slot)
             ratios.append(coo.nnz / (x.m * x.n))
-        ests = _lanczos_norms(stack, cfg.spectral)
+        ests = _lanczos_norms(stack)
         wall = (time.perf_counter() - t0) / len(batch_seeds)
         return [(est, ratio, wall) for est, ratio in zip(ests, ratios)]
 

@@ -166,13 +166,15 @@ def reconstructed_probs(table: AliasTable) -> np.ndarray:
 
 def draw_samples(table: AliasTable, s: int, seed: int) -> SampleSet:
     """s i.i.d. with-replacement draws, counted per cell; a pure function of
-    (table, s, seed mod 2^64), the seed the SampleSet records.
+    (table, s, seed mod 2^64), the seed the SampleSet records; s > 2^63 - 1 is refused.
 
     The stream is consumed in blocks; consecutive ``random`` calls continue
     one stream, so the counts equal those of a single ``(s, 2)`` call. Each
     block's ``bincount`` costs O(mn), so a block holds at least mn draws and
     the whole draw stays O(s + mn).
     """
+    if s > (1 << 63) - 1:
+        raise InvalidSpecError(f"sample count {s} is more than 2**63 - 1, the most int64 counts hold")
     seed = operator.index(seed) & _SEED_MASK  # index(): a numpy integer & 2^64 - 1 overflows
     rng = np.random.Generator(np.random.PCG64(seed))
     size = table.size

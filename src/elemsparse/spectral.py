@@ -7,50 +7,29 @@ would be alone: ``spectral_norm`` and ``sketch_error`` hand it a stack of
 one, and the experiment harness a batch of trials' ``S - X``, densified at
 the size of X, which the program already holds dense. The solver stops each
 member on a residual certificate for its top Ritz triple, so ``converged``
-means the reported value lies within ``tol`` (relative) of a singular value.
+means the reported value lies within ``_TOL`` (relative) of a singular value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidSpecError, ShapeMismatchError
+from .errors import ShapeMismatchError
 from .matrix import _scatter
 
-__all__ = ["SpectralConfig", "SpectralEstimate", "spectral_norm", "sketch_error"]
+__all__ = ["SpectralEstimate", "spectral_norm", "sketch_error"]
 
+# A solve stops once its top Ritz triple (sigma, u, v) has ||A^T u - sigma v||
+# <= _TOL * sigma, or after _MAX_STEPS Lanczos steps; _START_SEED seeds its
+# start vector. _lanczos_norms reads all three at call time.
+_TOL = 1e-9
+_MAX_STEPS = 5000
+_START_SEED = 0
 # Steps between residual tests; a test costs one SVD of the k x k bidiagonal,
 # which outweighs a Lanczos step on small operators.
 _CHECK_EVERY = 4
-
-
-@dataclass(frozen=True)
-class SpectralConfig:
-    """Lanczos controls.
-
-    tol is the relative Ritz residual at which a solve stops: the top Ritz
-    triple (sigma, u, v) must satisfy ``||A^T u - sigma v|| <= tol * sigma``
-    (``A v = sigma u`` holds exactly). max_iters caps the Lanczos steps, each
-    one product with A and one with A^T; a solve never needs more than
-    min(m, n). seed fixes the random start vector, making every estimate
-    deterministic.
-    """
-
-    tol: float = 1e-9
-    max_iters: int = 5000
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise InvalidSpecError("tol must be positive")
-        if self.max_iters < 1:
-            raise InvalidSpecError("max_iters must be >= 1")
-
-
-DEFAULT_CONFIG = SpectralConfig()
 
 
 class SpectralEstimate(NamedTuple):
@@ -117,7 +96,7 @@ def _top_ritz(alphas: np.ndarray, betas: np.ndarray, beta: np.ndarray) -> tuple[
     return s[:, 0], beta * np.abs(p[:, -1, 0])
 
 
-def _lanczos_norms(a: np.ndarray, cfg: SpectralConfig) -> list:
+def _lanczos_norms(a: np.ndarray) -> list:
     """Top singular value of each member of the stack a (B, m, n) by
     Golub–Kahan–Lanczos bidiagonalization with full reorthogonalization.
 
@@ -136,8 +115,8 @@ def _lanczos_norms(a: np.ndarray, cfg: SpectralConfig) -> list:
     count, m, n = a.shape
     big, small = max(m, n), min(m, n)
     ops, ops_t = (a, a.transpose(0, 2, 1)) if m >= n else (a.transpose(0, 2, 1), a)
-    steps = min(cfg.max_iters, small)
-    start = np.random.Generator(np.random.PCG64(cfg.seed)).standard_normal(small)
+    steps = min(_MAX_STEPS, small)
+    start = np.random.Generator(np.random.PCG64(_START_SEED)).standard_normal(small)
     start /= np.sqrt(start @ start)
     # Lanczos vectors are columns (B, d, 1); the Krylov buffers hold them as rows.
     v = np.tile(start[:, None], (count, 1, 1))
@@ -156,7 +135,7 @@ def _lanczos_norms(a: np.ndarray, cfg: SpectralConfig) -> list:
         running set. Returns the new running count."""
         pos = np.flatnonzero(tested)
         sigma, residual = _top_ritz(alphas[pos, :k], betas[pos, : k - 1], beta_k[pos])
-        converged = residual <= cfg.tol * sigma
+        converged = residual <= _TOL * sigma
         stopped = np.flatnonzero(converged | (k == steps)).tolist()
         if not stopped:
             return b
@@ -202,19 +181,19 @@ def _lanczos_norms(a: np.ndarray, cfg: SpectralConfig) -> list:
     return out
 
 
-def spectral_norm(a, cfg: SpectralConfig = DEFAULT_CONFIG) -> SpectralEstimate:
+def spectral_norm(a) -> SpectralEstimate:
     """Top singular value of a dense matrix, with its Lanczos step count,
     convergence flag and Ritz residual.
 
-    converged is True exactly when the residual test held; after cfg.max_iters
-    steps (when that is below min(m, n)) the last estimate comes back with
-    converged=False. A Lanczos estimate never exceeds the true norm.
+    converged is True exactly when the residual test held; after _MAX_STEPS
+    (5000) steps, when that is below min(m, n), the last estimate comes back
+    with converged=False. A Lanczos estimate never exceeds the true norm.
     Non-convergence is signaled, not raised.
     """
-    return _lanczos_norms(_as_array(a)[None], cfg)[0]
+    return _lanczos_norms(_as_array(a)[None])[0]
 
 
-def sketch_error(x, sketch, cfg: SpectralConfig = DEFAULT_CONFIG) -> SpectralEstimate:
+def sketch_error(x, sketch) -> SpectralEstimate:
     """``||S - X||_2``, solved on the densified difference.
 
     Accepts a SparseSketch (unwrapping its COO matrix) or a SparseCOO. S is
@@ -230,7 +209,7 @@ def sketch_error(x, sketch, cfg: SpectralConfig = DEFAULT_CONFIG) -> SpectralEst
         raise ShapeMismatchError(
             f"sketch shape ({coo.m}, {coo.n}) does not match matrix shape {arr.shape}"
         )
-    return _lanczos_norms(_difference(arr, coo)[None], cfg)[0]
+    return _lanczos_norms(_difference(arr, coo)[None])[0]
 
 
 def _difference(x: np.ndarray, coo, out: np.ndarray | None = None) -> np.ndarray:

@@ -21,7 +21,6 @@ from elemsparse import (
     DistributionKind,
     ExperimentConfig,
     GeneratorSpec,
-    SpectralConfig,
     beta_certificate,
     bound_report,
     build_alias_table,
@@ -34,6 +33,7 @@ from elemsparse import (
     sampling_operator,
     spectral_norm,
 )
+from elemsparse import spectral
 from elemsparse.bounds import (
     Theorem1Case,
     bernstein_tail,
@@ -175,9 +175,9 @@ def _lemma_fixtures():
 _LEMMA_KINDS = (DistributionKind.HYBRID, DistributionKind.PURE_L1, DistributionKind.PURE_L2)
 
 
-def test_criterion_06_single_outcome_norm_bound():
+def test_criterion_06_single_outcome_norm_bound(monkeypatch):
     violations = 0
-    cfg = SpectralConfig(tol=1e-12)
+    monkeypatch.setattr(spectral, "_TOL", 1e-12)
     for x in _lemma_fixtures():
         for kind in _LEMMA_KINDS:
             d = distribution_for_kind(x, kind)
@@ -187,7 +187,7 @@ def test_criterion_06_single_outcome_norm_bound():
                 for j in range(x.n):
                     if x.data[i, j] == 0.0:
                         continue
-                    if mt_spectral_norm(x, d, (i, j), cfg) > gamma * (1.0 + 1e-9):
+                    if mt_spectral_norm(x, d, (i, j)) > gamma * (1.0 + 1e-9):
                         violations += 1
     _report(6, "every single-outcome deviation norm within its gamma bound", violations == 0)
 

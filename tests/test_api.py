@@ -16,7 +16,7 @@ DOCUMENTED = (
     "custom_distribution", "distribution_for_kind", "beta_certificate",
     "SampleSet", "SparseSketch", "build_alias_table", "draw_samples", "sampling_operator", "sparsify",
     "BoundRequest", "BoundReport", "bound_report",
-    "SpectralConfig", "SpectralEstimate", "spectral_norm", "sketch_error",
+    "SpectralEstimate", "spectral_norm", "sketch_error",
     "BoundForm", "FileSource", "ExperimentConfig", "ExperimentResult", "CompareResult", "run_experiment",
     "compare_distributions",
     "GeneratorSpec", "generate_matrix", "load_matrix", "write_matrix_market", "write_csv",
@@ -41,7 +41,7 @@ def test_readme_python_blocks_run(capsys):
 
 
 def test_top_level_exports_the_documented_api():
-    assert len(elemsparse.__all__) == len(set(elemsparse.__all__)) == 47
+    assert len(elemsparse.__all__) == len(set(elemsparse.__all__)) == 46
     assert sorted(elemsparse.__all__) == sorted(DOCUMENTED)
     for name in elemsparse.__all__:
         assert hasattr(elemsparse, name), name

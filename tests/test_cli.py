@@ -1,8 +1,10 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -22,6 +24,23 @@ from elemsparse import experiment
 from elemsparse.bounds import sample_size_theorem1, sample_size_unsimplified
 from elemsparse.cli import main
 from elemsparse.matrix import coo_to_dense
+
+
+def _run(argv) -> tuple:
+    """main(argv) in this process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _assert_ok_or_one_error_line(rc, out, err) -> None:
+    if rc == 0:
+        assert err == ""
+    else:
+        assert rc == 1
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("elemsparse: error:"), err
 
 
 def test_version_exits_zero(capsys):
@@ -102,7 +121,7 @@ def test_bounds_matches_library(capsys):
     assert doc["report"]["s_theorem1"] == sample_size_theorem1(req)[0] == 456055
     assert doc["report"]["s_unsimplified"] == sample_size_unsimplified(req) == 319238
     assert doc["report"]["s_corollary"] is None
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
 
 
 def test_bounds_with_stable_rank_and_epsilon_rel(capsys):
@@ -209,7 +228,7 @@ def test_experiment_writes_json(tmp_path, capsys):
     assert main(["experiment", "--generate", "gaussian,8,10,21", "--epsilon", "4", "--delta", "0.5",
                  "--s", "60", "--trials", "2", "--seed", "5", "--out", str(out)]) in (0, 2)
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert len(doc["wall_times"]) == 2
 
 
@@ -300,11 +319,24 @@ _PAST_INT64 = "10000000000"
         pytest.param(None, None, ["experiment", "--generate", "gaussian,20,20,1", "--dist", "l2",
                                   "--beta", "1.0", "--epsilon-rel", "0.5", "--trials", "2"], "certificate",
                      id="experiment-beta-above-certificate"),
+        # a certificate of 0 is refused whether s is sized or given
         *[
-            pytest.param("x.csv", _TINY_CELL, [cmd, "--dist", "l2", "--epsilon-rel", "0.5"],
-                         "l2 distribution gives the nonzero entry x[0, 0] = 1e-200 probability 0",
-                         id=f"{cmd}-l2-underflow")
-            for cmd in ("sparsify", "experiment")
+            pytest.param("x.csv", _TINY_CELL, [cmd, "--dist", "l2", *target],
+                         "l2 distribution gives the nonzero entry x[0, 0] = 1e-200 probability 0", id=case)
+            for case, cmd, target in (
+                ("sparsify-l2-underflow", "sparsify", ["--epsilon-rel", "0.5"]),
+                ("experiment-l2-underflow", "experiment", ["--epsilon-rel", "0.5"]),
+                ("sparsify-l2-underflow-s", "sparsify", ["--s", "10"]),
+            )
+        ],
+        # sample counts are int64, whether s is given or sized (here s is about 6.0e26)
+        *[
+            pytest.param(None, None, ["sparsify", "--generate", "gaussian,4,5,1", *size],
+                         "is more than 2**63 - 1", id=case)
+            for case, size in (
+                ("sparsify-s-past-int64", ["--s", str(2**63)]),
+                ("sparsify-sized-s-past-int64", ["--epsilon", "1e-12"]),
+            )
         ],
         pytest.param("x.mtx", _MTX_HEADER + f"{_GIANT} {_GIANT} 1\n1 1 2.5\n", ["sparsify", "--s", "5"],
                      "out of memory", id="giant-mtx-header"),
@@ -365,17 +397,38 @@ _PAST_INT64 = "10000000000"
         ],
     ],
 )
-def test_bad_input_exits_one_with_one_error_line(tmp_path, name, text, args, expect):
-    argv = [sys.executable, "-m", "elemsparse", *args, "--out", str(tmp_path / "o.mtx")]
+def test_bad_input_exits_one_with_one_error_line(tmp_path, request, name, text, args, expect):
+    argv = [*args, "--out", str(tmp_path / "o.mtx")]
     if name is not None:
         (tmp_path / name).write_text(text)
         argv += ["--input", str(tmp_path / name)]
-    res = subprocess.run(argv, capture_output=True, text=True)
-    assert res.returncode == 1
-    assert "Traceback" not in res.stdout + res.stderr
-    lines = res.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("elemsparse: error:"), res.stderr
-    assert expect in lines[0]
+    if request.node.callspec.id == "float-index-mtx":  # needs the default warning filters
+        res = subprocess.run([sys.executable, "-m", "elemsparse", *argv], capture_output=True, text=True)
+        rc, out, err = res.returncode, res.stdout, res.stderr
+    else:
+        rc, out, err = _run(argv)
+    assert rc == 1
+    assert "Traceback" not in out + err
+    _assert_ok_or_one_error_line(rc, out, err)
+    assert expect in err
+
+
+@pytest.mark.parametrize(
+    "args, names_s",
+    [
+        (["bounds", "--m", "5", "--n", "5", "--frobenius", "1", "--epsilon", "1", "--epsilon-rel", "1"], False),
+        (["bounds", "--m", "5", "--n", "5", "--frobenius", "1"], False),
+        (["sparsify", "--generate", "gaussian,4,5,1", "--epsilon", "1", "--epsilon-rel", "1", "--s", "5"], False),
+        (["sparsify", "--generate", "gaussian,4,5,1"], True),
+    ],
+    ids=["bounds-both", "bounds-neither", "sparsify-both-with-s", "sparsify-neither"],
+)
+def test_error_target_message_names_s_only_where_it_applies(tmp_path, args, names_s):
+    rc, out, err = _run([*args, "--out", str(tmp_path / "o.mtx")])
+    assert rc == 1
+    _assert_ok_or_one_error_line(rc, out, err)
+    assert "epsilon and epsilon_rel" in err
+    assert bool(re.search(r"\bs\b", err)) == names_s, err
 
 
 # normal, zero, negative, nan, +-inf, tiny and huge. m and n take the integer
@@ -406,13 +459,28 @@ def test_bounds_never_raises_on_numeric_flags(m, n, target, epsilon, delta, beta
     for flag, value in (("--delta", delta), ("--beta", beta), ("--stable-rank", sr)):
         if value is not None:
             argv.append(f"{flag}={value}")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(argv)
+    rc, out, err = _run(argv)
+    _assert_ok_or_one_error_line(rc, out, err)
     if rc == 0:
-        assert err.getvalue() == ""
-        json.loads(out.getvalue())
-    else:
-        assert rc == 1
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("elemsparse: error:"), err.getvalue()
+        json.loads(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    target=_maybe(("--epsilon", "--epsilon-rel")),
+    epsilon=st.sampled_from(_FLOAT_VALUES),
+    delta=_maybe(_FLOAT_VALUES + ("0.1",)),
+    beta=_maybe(_FLOAT_VALUES + ("0.5",)),
+    s=_maybe(_INT_VALUES),
+    dist=st.sampled_from(("hybrid", "l1", "l2")),
+)
+def test_sparsify_never_raises_on_numeric_flags(target, epsilon, delta, beta, s, dist):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["sparsify", "--generate", "gaussian,4,5,1", f"--dist={dist}", "--out", f"{tmp}/o.mtx"]
+        for flag, value in ((target, epsilon), ("--delta", delta), ("--beta", beta), ("--s", s)):
+            if flag is not None and value is not None:
+                argv.append(f"{flag}={value}")
+        rc, out, err = _run(argv)
+    _assert_ok_or_one_error_line(rc, out, err)
+    if rc == 0:
+        assert out.startswith("wrote ")

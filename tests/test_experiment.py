@@ -12,7 +12,6 @@ from elemsparse import (
     FileSource,
     GeneratorSpec,
     InvalidSpecError,
-    SpectralConfig,
     ZeroMatrixError,
     ZeroProbabilityError,
     compare_distributions,
@@ -24,7 +23,7 @@ from elemsparse import (
     sparsify,
     stable_rank,
 )
-from elemsparse import experiment
+from elemsparse import experiment, spectral
 from elemsparse.bounds import sample_size_corollary
 from elemsparse.experiment import (
     compare_payload,
@@ -233,10 +232,9 @@ def test_payload_deterministic_excluding_wall_times():
 # what the payload builder renames or adds: config "dist", result "passed"
 # and "kinds", and the source's keys. A field added to a result dataclass
 # reaches the JSON, and must be added here.
-_SPECTRAL_KEYS = {"max_iters": None, "seed": None, "tol": None}
 _CONFIG_KEYS = {
     "base_seed": None, "beta": None, "bound_form": None, "delta": None, "epsilon": None, "epsilon_rel": None,
-    "s_override": None, "spectral": _SPECTRAL_KEYS, "trials": None,
+    "s_override": None, "trials": None,
 }
 _GENERATOR_SOURCE_KEYS = {
     "alpha": None, "generator": None, "kind": None, "m": None, "n": None, "noise": None, "rank": None, "seed": None,
@@ -294,7 +292,7 @@ def test_payload_shape():
         "schema_version": None,
         "wall_times": None,
     }
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["command"] == "experiment"
     assert doc["config"]["dist"] == "hybrid"
     assert doc["config"]["source"]["kind"] == "generator"
@@ -305,8 +303,9 @@ def test_payload_shape():
     _assert_plain_round_trip(doc)
 
 
-def test_unconverged_trials_are_counted():
-    res = run_experiment(_cfg(trials=3, spectral=SpectralConfig(max_iters=1)))
+def test_unconverged_trials_are_counted(monkeypatch):
+    monkeypatch.setattr(spectral, "_MAX_STEPS", 1)
+    res = run_experiment(_cfg(trials=3))
     assert res.unconverged_trials == 3
     # the failure rate still compares every reported error against epsilon
     assert res.empirical_failure_rate == sum(e > res.epsilon_used for e in res.errors) / 3
@@ -314,13 +313,14 @@ def test_unconverged_trials_are_counted():
     assert res.passed is False
 
 
-def test_compare_counts_unconverged_trials():
-    cfg = _cfg(trials=2, spectral=SpectralConfig(max_iters=1))
+def test_compare_counts_unconverged_trials(monkeypatch):
+    cfg = _cfg(trials=2)
+    monkeypatch.setattr(spectral, "_MAX_STEPS", 1)
     res = compare_distributions(cfg)
     assert [summ.unconverged_trials for summ in res.summaries] == [2, 2, 2]
     kinds = compare_payload(res, cfg)["result"]["kinds"]
     assert [k["unconverged_trials"] for k in kinds] == [2, 2, 2]
-    cfg = _cfg(trials=2)
+    monkeypatch.undo()
     kinds = compare_payload(compare_distributions(cfg), cfg)["result"]["kinds"]
     assert [k["unconverged_trials"] for k in kinds] == [0, 0, 0]
 
@@ -395,7 +395,7 @@ def test_compare_payload_shape(tmp_path):
         "schema_version": None,
         "wall_times": {"hybrid": None, "l1": None, "l2": None},
     }
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["command"] == "compare"
     assert doc["config"]["source"] == {"format": None, "kind": "file", "path": str(path)}
     assert [k["kind"] for k in doc["result"]["kinds"]] == ["hybrid", "l1", "l2"]

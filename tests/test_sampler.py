@@ -189,6 +189,10 @@ def test_draw_validation(toy):
     table = build_alias_table(hybrid_distribution(toy))
     with pytest.raises(ElemsparseError):
         draw_samples(table, 0, seed=1)
+    # counts are int64: a larger s is refused before any draw, not drawn for ages
+    for s in (2**63, 10**300):
+        with pytest.raises(InvalidSpecError, match=r"more than 2\*\*63 - 1"):
+            draw_samples(table, s, seed=1)
     omega = draw_samples(table, 17, seed=1)
     assert (omega.m, omega.n, omega.s) == (2, 2, 17)
     assert omega.cells.shape == omega.counts.shape

@@ -6,16 +6,15 @@ import pytest
 
 from elemsparse import (
     DenseMatrix,
-    ElemsparseError,
     GeneratorSpec,
     ShapeMismatchError,
     SparseCOO,
-    SpectralConfig,
     generate_matrix,
     sparsify,
     sketch_error,
     spectral_norm,
 )
+from elemsparse import spectral
 from elemsparse.spectral import _lanczos_norms
 
 FIXTURE = Path(__file__).parent / "fixtures" / "spectral_oracle.json"
@@ -71,19 +70,12 @@ def test_transpose_agreement():
         assert a == pytest.approx(b, rel=1e-6)
 
 
-def test_max_iters_signals_nonconvergence(toy):
-    cfg = SpectralConfig(max_iters=1)
-    for est in (spectral_norm(toy, cfg), sketch_error(toy, SparseCOO(2, 2, [], [], []), cfg)):
+def test_max_iters_signals_nonconvergence(toy, monkeypatch):
+    monkeypatch.setattr(spectral, "_MAX_STEPS", 1)
+    for est in (spectral_norm(toy), sketch_error(toy, SparseCOO(2, 2, [], [], []))):
         assert not est.converged
         assert est.iterations == 1
         assert est.value > 0
-
-
-def test_config_validation():
-    with pytest.raises(ElemsparseError):
-        SpectralConfig(tol=0.0)
-    with pytest.raises(ElemsparseError):
-        SpectralConfig(max_iters=0)
 
 
 def test_oracle_fixture_subset():
@@ -179,27 +171,27 @@ def test_second_singular_value_trap():
     assert est.value == pytest.approx(13.362398968827721, abs=1e-9)
 
 
-def test_step_cap_below_min_dimension_is_unconverged_lower_bound():
+def test_step_cap_below_min_dimension_is_unconverged_lower_bound(monkeypatch):
     x = generate_matrix(GeneratorSpec("gaussian", 60, 40, 9))
     sk = sparsify(x, s=2400, seed=3)
-    cfg = SpectralConfig(max_iters=5)
+    monkeypatch.setattr(spectral, "_MAX_STEPS", 5)
     for est, dense in (
-        (spectral_norm(x, cfg), _dense_norm(x.data)),
-        (sketch_error(x, sk, cfg), _dense_norm(_densify(sk.matrix) - x.data)),
+        (spectral_norm(x), _dense_norm(x.data)),
+        (sketch_error(x, sk), _dense_norm(_densify(sk.matrix) - x.data)),
     ):
         assert not est.converged
         assert est.iterations == 5
-        assert est.residual > cfg.tol * est.value
+        assert est.residual > spectral._TOL * est.value
         assert 0 < est.value <= dense * (1 + 1e-12)
 
 
-def test_solve_is_exact_by_min_dimension():
+def test_solve_is_exact_by_min_dimension(monkeypatch):
     # with a tolerance no residual test can meet early, the solve still ends
     # certified once the Krylov space fills the smaller dimension
-    cfg = SpectralConfig(tol=1e-300)
+    monkeypatch.setattr(spectral, "_TOL", 1e-300)
     for shape in ((9, 6), (6, 9)):
         x = DenseMatrix(np.random.default_rng(34).standard_normal(shape))
-        est = spectral_norm(x, cfg)
+        est = spectral_norm(x)
         assert est.converged and est.iterations == 6
         assert est.value == pytest.approx(_dense_norm(x.data), rel=1e-12)
 
@@ -222,21 +214,23 @@ def _mixed_stack(shape) -> np.ndarray:
 
 @pytest.mark.parametrize("shape", [(30, 20), (20, 30)], ids=["tall", "wide"])
 @pytest.mark.parametrize(
-    "cfg, generic",
+    "settings, generic",
     [
-        (SpectralConfig(), None),
-        (SpectralConfig(tol=1e-300), (20, True)),  # runs to min(m, n), then exact
-        (SpectralConfig(max_iters=5), (5, False)),  # step cap: an uncertified lower bound
+        ({}, None),
+        ({"_TOL": 1e-300}, (20, True)),  # runs to min(m, n), then exact
+        ({"_MAX_STEPS": 5}, (5, False)),  # step cap: an uncertified lower bound
     ],
     ids=["default", "tol-1e-300", "max-iters-5"],
 )
-def test_stack_members_solve_as_alone(shape, cfg, generic):
+def test_stack_members_solve_as_alone(shape, settings, generic, monkeypatch):
+    for name, value in settings.items():
+        monkeypatch.setattr(spectral, name, value)
     stack = _mixed_stack(shape)
     members = [m.copy() for m in stack]
-    ests = _lanczos_norms(stack, cfg)
+    ests = _lanczos_norms(stack)
     assert len(ests) == len(members)
     for est, member in zip(ests, members):
-        alone = spectral_norm(member, cfg)
+        alone = spectral_norm(member)
         assert est.value == pytest.approx(alone.value, rel=1e-12, abs=0.0)
         assert (est.iterations, est.converged) == (alone.iterations, alone.converged)
         dense = _dense_norm(member)
