@@ -30,6 +30,9 @@ INPUT_CSV = "\n".join(
 # The l2 share of the 1e-200 cell underflows to 0, so the l2 certificate is 0.
 PART_CSV = "1e-200,2\n3,0\n"
 
+# Both shares of the 5e-324 cell underflow to 0, so every certificate is 0.
+SUBNORMAL_CSV = "5e-324,1\n1,0\n"
+
 # (name, argv after "elemsparse", output file or None for stdout)
 COMMANDS = [
     ("experiment-jobs2", ["experiment", "--generate", "gaussian,12,10,4", "--epsilon-rel", "0.6",
@@ -43,9 +46,8 @@ COMMANDS = [
                         "--trials", "6", "--out-format", "csv", "--out", "experiment.csv"], "experiment.csv"),
     ("compare-corollary", ["compare", "--generate", "low-rank-plus-noise,14,12,6", "--epsilon-rel", "0.8",
                            "--bound-form", "corollary", "--trials", "3", "--seed", "2"], None),
-    ("compare-file-beta", ["compare", "--input", "input.csv", "--s", "50", "--beta", "0.5",
-                           "--epsilon", "1.5", "--trials", "4", "--out", "compare-file-beta.json"],
-     "compare-file-beta.json"),
+    ("compare-file-s", ["compare", "--input", "input.csv", "--s", "50", "--epsilon", "1.5", "--trials", "4",
+                        "--out", "compare-file-s.json"], "compare-file-s.json"),
     ("compare-csv", ["compare", "--generate", "gaussian,7,9,8", "--epsilon-rel", "0.5", "--s", "80",
                      "--trials", "3", "--out-format", "csv", "--out", "compare.csv"], "compare.csv"),
     ("bounds-numbers", ["bounds", "--m", "100", "--n", "80", "--epsilon", "1", "--frobenius", "10"], None),
@@ -54,6 +56,8 @@ COMMANDS = [
     ("bounds-generate", ["bounds", "--generate", "power-law,20,15,3", "--epsilon-rel", "0.5"], None),
     ("bounds-input", ["bounds", "--input", "input.csv", "--epsilon", "2", "--out", "bounds-input.json"],
      "bounds-input.json"),
+    # the stable rank is about 7.7 < epsilon_rel^2, so the corollary row is null
+    ("bounds-corollary-null", ["bounds", "--generate", "gaussian,30,30,1", "--epsilon-rel", "10"], None),
     ("sparsify-mtx", ["sparsify", "--generate", "gaussian,10,12,1", "--s", "90", "--seed", "5",
                       "--out", "sketch.mtx"], "sketch.mtx"),
     ("sparsify-csv", ["sparsify", "--input", "input.csv", "--epsilon-rel", "0.6", "--dist", "l1",
@@ -64,6 +68,8 @@ COMMANDS = [
                                "--out", "sketch-huge.mtx"], "sketch-huge.mtx"),
     ("sparsify-l2-underflow-s", ["sparsify", "--input", "part.csv", "--dist", "l2", "--s", "10",
                                  "--out", "sketch-part.mtx"], "sketch-part.mtx"),
+    ("sparsify-subnormal-s", ["sparsify", "--input", "subnormal.csv", "--s", "10", "--out", "sketch-subnormal.mtx"],
+     "sketch-subnormal.mtx"),
     ("bounds-both-targets", ["bounds", "--m", "5", "--n", "5", "--frobenius", "1", "--epsilon", "1",
                              "--epsilon-rel", "1"], None),
 ]
@@ -79,9 +85,6 @@ def _without_wall_times(text: str) -> str:
     doc.pop("wall_times", None)
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
-# The l2 share of the 1e-200 cell underflows to 0, so the l2 certificate is 0.
-PART_CSV = "1e-200,2\n3,0\n"
-
 
 def _without_column(text: str, column: str) -> str:
     rows = [line.split(",") for line in text.splitlines()]
@@ -96,6 +99,7 @@ def main() -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "input.csv").write_text(INPUT_CSV)
     (outdir / "part.csv").write_text(PART_CSV)
+    (outdir / "subnormal.csv").write_text(SUBNORMAL_CSV)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     for name, argv, out in COMMANDS:
         proc = subprocess.run(

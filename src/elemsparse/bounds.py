@@ -10,6 +10,7 @@ ceilinged to integers since s is a trial count.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -192,14 +193,16 @@ def exact_second_moment(x: DenseMatrix, d: SamplingDistribution) -> DenseMatrix:
 
 def bound_report(req: BoundRequest, epsilon_rel: float | None = None) -> BoundReport:
     """Evaluate every bound for one request; the tail is reported at the
-    un-simplified sample size, where it must not exceed delta. Inputs whose
+    un-simplified sample size, where it must not exceed delta; s_corollary is
+    None without sr and epsilon_rel or when sr < epsilon_rel^2. Inputs whose
     bounds leave float range raise InvalidSpecError."""
     try:
         s1, case = sample_size_theorem1(req)
         s_un = sample_size_unsimplified(req)
         s_cor = None
         if req.stable_rank is not None and epsilon_rel is not None:
-            s_cor = sample_size_corollary(req, epsilon_rel)
+            with contextlib.suppress(HypothesisViolatedError):
+                s_cor = sample_size_corollary(req, epsilon_rel)
         gamma, rho2 = _gamma_rho_values(req.m, req.n, req.frobenius, req.beta)
         tail = bernstein_tail(req.m, req.n, s_un, req.epsilon, rho2, gamma)
     except (OverflowError, ZeroDivisionError):

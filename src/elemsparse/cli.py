@@ -3,10 +3,10 @@
 Subcommands: sparsify (one-shot sketch), bounds (sample-size calculator),
 experiment (Monte-Carlo guarantee check), compare (hybrid vs l1 vs l2).
 
-Every matrix-driven command sizes s through ``experiment.make_plan``; bounds
-given only numbers (--m/--n/--frobenius) runs the same sizing step without a
-matrix. bounds, experiment and compare hand their JSON payload or CSV text to
-one writer, which sends it to --out or, without --out, to stdout.
+Every sampling command sizes s through ``experiment.make_plan`` at its
+distribution's certificate; bounds runs the same sizing step at --beta, from a
+matrix or from numbers. bounds, experiment and compare hand their JSON payload
+or CSV text to one writer, which sends it to --out or, without --out, to stdout.
 
 Exit codes: 0 success, 1 config or I/O error, 2 guarantee not shown
 (experiment only: empirical failure rate above delta, or a trial whose error
@@ -16,11 +16,12 @@ solve stopped uncertified).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict
 
 from . import __version__
-from .distributions import DistributionKind
+from .distributions import DistributionKind, _shares
 from .errors import ElemsparseError, InvalidSpecError
 from .experiment import (
     BoundForm,
@@ -38,7 +39,7 @@ from .experiment import (
 )
 from .generate import GENERATOR_KINDS, GeneratorSpec
 from .io import FORMATS, write_csv, write_matrix_market
-from .matrix import coo_to_dense
+from .matrix import _stable_rank, coo_to_dense
 from .sampler import build_alias_table, draw_samples, sampling_operator
 
 __all__ = ["main", "build_parser"]
@@ -80,7 +81,7 @@ def _add_source_flags(p) -> None:
 
 def _add_bound_flags(p, sized: bool) -> None:
     """Error-target flags; sized adds --s and --bound-form, which choose the
-    s a sampling command uses (bounds reports every form instead)."""
+    s a sampling command uses (bounds reports every form instead, at --beta)."""
     p.add_argument("--epsilon", type=float, help="absolute spectral error target")
     p.add_argument(
         "--epsilon-rel",
@@ -88,10 +89,11 @@ def _add_bound_flags(p, sized: bool) -> None:
         help="relative error target: scales ||X||_2 under --bound-form corollary, ||X||_F otherwise",
     )
     p.add_argument("--delta", type=float, default=0.1, help="failure probability (default 0.1)")
-    p.add_argument("--beta", type=float, help="distribution quality override (default: computed certificate)")
     if sized:
         p.add_argument("--s", type=int, help="sample-count override, skips the bound")
         p.add_argument("--bound-form", choices=_FORM_CHOICES, default="unsimplified")
+    else:
+        p.add_argument("--beta", type=float, default=1.0, help="distribution quality in (0, 1] (default 1, the hybrid's)")
 
 
 def build_parser() -> _Parser:
@@ -158,7 +160,6 @@ def _experiment_config(args, dist: str | None) -> ExperimentConfig:
         epsilon=args.epsilon,
         epsilon_rel=args.epsilon_rel,
         delta=args.delta,
-        beta=args.beta,
         s_override=args.s,
         bound_form=BoundForm(args.bound_form),
         trials=args.trials,
@@ -201,7 +202,7 @@ def _cmd_sparsify(args) -> int:
         raise InvalidSpecError("--seed must be a nonnegative integer")
     plan = make_plan(
         resolve_matrix(_source(args)), (args.dist,), bound_form=BoundForm(args.bound_form), epsilon=args.epsilon,
-        epsilon_rel=args.epsilon_rel, delta=args.delta, beta=args.beta, s_override=args.s,
+        epsilon_rel=args.epsilon_rel, delta=args.delta, s_override=args.s,
     )
     x, dist = plan.x, plan.dists[0]
     sketch = sampling_operator(x, dist, draw_samples(build_alias_table(dist), plan.s, args.seed))
@@ -219,18 +220,14 @@ def _cmd_bounds(args) -> int:
         if given:
             flags = "/".join("--" + f.replace("_", "-") for f in given)
             raise InvalidSpecError(f"{flags} apply only without --input/--generate, which give the matrix itself")
-        plan = make_plan(
-            resolve_matrix(_source(args)), bound_form=None, epsilon=args.epsilon,
-            epsilon_rel=args.epsilon_rel, delta=args.delta, beta=args.beta,
-        )
-        req, report = plan.request, plan.report
+        x = resolve_matrix(_source(args))
+        fro = math.sqrt(_shares(x)[0])  # refuses the zero matrix and squares outside float range
+        m, n, sr = x.m, x.n, _stable_rank(x, fro)
     elif args.m is None or args.n is None or args.frobenius is None:
         raise InvalidSpecError("bounds needs --input, --generate or all of --m/--n/--frobenius")
     else:
-        req, report = _sizing(
-            args.m, args.n, args.frobenius, args.stable_rank, None,
-            args.epsilon, args.epsilon_rel, args.delta, args.beta,
-        )
+        m, n, fro, sr = args.m, args.n, args.frobenius, args.stable_rank
+    req, report = _sizing(m, n, fro, sr, None, args.epsilon, args.epsilon_rel, args.delta, args.beta)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "bounds",

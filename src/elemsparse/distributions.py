@@ -3,7 +3,7 @@
 The hybrid builder averages the squared-entry (L2) and absolute-entry (L1)
 distributions, which is the smallest distribution satisfying the per-cell
 lower bound p_ij >= (beta/2) * (x_ij^2/||X||_F^2 + |x_ij|/sum|X|) with
-beta = 1. ``beta_certificate`` computes the largest admissible beta in (0, 1]
+beta = 1. ``beta_certificate`` computes the largest admissible beta in [0, 1]
 for an arbitrary distribution, so downstream sample-size formulas never trust
 a user-supplied beta.
 """
@@ -78,9 +78,9 @@ class SamplingDistribution:
         )
 
 
-def _shares(x: DenseMatrix) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Exact sums of x^2 and |x|, and the per-cell shares x^2 / sum x^2 (L2)
-    and |x| / sum |x| (L1) that every distribution and certificate is built
+def _shares(x: DenseMatrix) -> tuple[float, np.ndarray, np.ndarray]:
+    """The exact sum of x^2, and the per-cell shares x^2 / sum x^2 (L2) and
+    |x| / sum |x| (L1) that every distribution and certificate is built
     from. Refuses the zero matrix, and a nonzero one whose squares underflow
     to 0 or overflow to inf, where no share is defined."""
     flat = x.flat()
@@ -95,27 +95,29 @@ def _shares(x: DenseMatrix) -> tuple[float, float, np.ndarray, np.ndarray]:
             f"the squared entries sum to {sum_sq!r} (largest |x| is {float(ab.max())!r}), "
             "outside float range; rescale the matrix"
         )
-    return sum_sq, abs_sum, sq / sum_sq, ab / abs_sum
+    return sum_sq, sq / sum_sq, ab / abs_sum
 
 
 def _certificate(flat: np.ndarray, p: np.ndarray, hybrid: np.ndarray) -> float:
-    mask = flat != 0.0
-    return float(min(1.0, (p[mask] / hybrid[mask]).min()))
+    """0 if a nonzero cell has p = 0, else the least p / hybrid (at most 1)
+    over cells with a positive hybrid share, so that no 0 is divided by 0."""
+    if np.any((p == 0.0) & (flat != 0.0)):
+        return 0.0
+    low = (hybrid > 0.0) & (p < hybrid)  # only these can lower it below 1
+    return float((p[low] / hybrid[low]).min(initial=1.0))
 
 
 def _distributions(x: DenseMatrix, kinds, l2: np.ndarray, l1: np.ndarray) -> tuple:
     """One distribution per kind, in order, from the shares of ``_shares``.
-    The hybrid is their average, and the L1/L2 certificates divide by it."""
+    The hybrid is their average, and every certificate divides by it: the
+    hybrid's own is 1 wherever its support covers x's."""
     hybrid = 0.5 * (l2 + l1)
     out = []
     for kind in map(DistributionKind, kinds):
-        if kind is DistributionKind.HYBRID:
-            out.append(SamplingDistribution(x.m, x.n, hybrid, kind, 1.0))
-        elif kind is DistributionKind.CUSTOM:
+        if kind is DistributionKind.CUSTOM:
             raise InvalidSpecError("custom distributions must be built via custom_distribution")
-        else:
-            probs = l2 if kind is DistributionKind.PURE_L2 else l1
-            out.append(SamplingDistribution(x.m, x.n, probs, kind, _certificate(x.flat(), probs, hybrid)))
+        probs = {DistributionKind.HYBRID: hybrid, DistributionKind.PURE_L2: l2, DistributionKind.PURE_L1: l1}[kind]
+        out.append(SamplingDistribution(x.m, x.n, probs, kind, _certificate(x.flat(), probs, hybrid)))
     return tuple(out)
 
 
@@ -141,7 +143,7 @@ def custom_distribution(x: DenseMatrix, probs: np.ndarray) -> SamplingDistributi
 
 
 def distribution_for_kind(x: DenseMatrix, kind) -> SamplingDistribution:
-    _, _, l2, l1 = _shares(x)
+    _, l2, l1 = _shares(x)
     return _distributions(x, (kind,), l2, l1)[0]
 
 
@@ -149,10 +151,10 @@ def beta_certificate(x: DenseMatrix, probs: np.ndarray) -> float:
     """Largest beta in (0, 1] for which the per-cell lower bound holds.
 
     Returns 0.0 when some nonzero cell has zero probability (the bound fails
-    for every beta > 0). Cells where x_ij = 0 impose no constraint and are
-    excluded from the minimum.
+    for every beta > 0). Cells where x_ij = 0 or both shares underflow to 0
+    impose no constraint and are excluded from the minimum.
     """
-    _, _, l2, l1 = _shares(x)
+    _, l2, l1 = _shares(x)
     p = np.asarray(probs, dtype=np.float64).reshape(-1)
     if p.shape[0] != x.m * x.n:
         raise ShapeMismatchError(f"expected {x.m * x.n} probabilities, got {p.shape[0]}")

@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bounds import BoundReport, BoundRequest, bound_report
+from .bounds import BoundReport, BoundRequest, bound_report, sample_size_corollary
 from .distributions import DistributionKind, _distributions, _shares
 from .errors import InvalidSpecError, ZeroProbabilityError
 from .generate import GeneratorSpec, generate_matrix
@@ -56,7 +56,7 @@ __all__ = [
     "payload_text",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # Bytes of S - X that one batched error solve stacks: eight trials of a
 # 100 x 100 matrix. A matrix larger than half of it runs one trial per
@@ -91,7 +91,6 @@ class ExperimentConfig:
     epsilon: float | None = None
     epsilon_rel: float | None = None
     delta: float = 0.1
-    beta: float | None = None
     s_override: int | None = None
     bound_form: BoundForm = BoundForm.UNSIMPLIFIED
     trials: int = 1
@@ -113,8 +112,6 @@ class ExperimentConfig:
             raise InvalidSpecError(f"epsilon_rel must be positive and finite, got {self.epsilon_rel!r}")
         if not 0.0 < self.delta < 1.0:
             raise InvalidSpecError("delta must lie in (0, 1)")
-        if self.beta is not None and not 0.0 < self.beta <= 1.0:
-            raise InvalidSpecError("beta must lie in (0, 1]")
         if self.s_override is not None and self.s_override < 1:
             raise InvalidSpecError("s_override must be a positive integer")
         if self.bound_form is BoundForm.COROLLARY and self.epsilon_rel is None:
@@ -170,20 +167,17 @@ class CompareResult:
 
 @dataclass(frozen=True, eq=False)
 class Plan:
-    """What a run derives from its matrix before any draw.
+    """What a sampling run derives from its matrix before any draw.
 
     request (epsilon, beta, ||X||_F and the stable rank, with m, n and delta)
-    and report are None when s was given without an error target; s is None
-    for the bounds command, which lists every form.
+    and report are None when s was given without an error target.
     """
 
     x: DenseMatrix
-    sum_sq: float  # sum of x^2, exactly rounded
-    abs_sum: float  # sum of |x|, exactly rounded
     dists: tuple  # one SamplingDistribution per requested kind, in order
     request: BoundRequest | None
     report: BoundReport | None
-    s: int | None
+    s: int
 
 
 def resolve_matrix(source) -> DenseMatrix:
@@ -198,7 +192,7 @@ def _sizing(m, n, frobenius, stable_rank, bound_form, epsilon, epsilon_rel, delt
     """The bound request and report for one error target. epsilon_rel scales
     ||X||_2 = ||X||_F / sqrt(sr) under the corollary form and ||X||_F
     otherwise (bound_form None, the bounds command, included), matching which
-    norm each statement is phrased against. beta None means 1."""
+    norm each statement is phrased against."""
     if epsilon is not None and epsilon_rel is not None:
         raise InvalidSpecError("give one of epsilon and epsilon_rel, not both")
     if epsilon is None and epsilon_rel is None:
@@ -210,69 +204,61 @@ def _sizing(m, n, frobenius, stable_rank, bound_form, epsilon, epsilon_rel, delt
         epsilon = epsilon_rel * frobenius / math.sqrt(stable_rank)
     elif epsilon is None:
         epsilon = epsilon_rel * frobenius
-    beta = 1.0 if beta is None else beta
     req = BoundRequest(m, n, epsilon, delta, beta, frobenius, stable_rank=stable_rank)
     return req, bound_report(req, epsilon_rel=epsilon_rel)
 
 
 def make_plan(
-    x: DenseMatrix, kinds=(), *, bound_form: BoundForm | None = BoundForm.UNSIMPLIFIED,
-    epsilon: float | None = None, epsilon_rel: float | None = None, delta: float = 0.1,
-    beta: float | None = None, s_override: int | None = None,
+    x: DenseMatrix, kinds, *, bound_form: BoundForm = BoundForm.UNSIMPLIFIED, epsilon: float | None = None,
+    epsilon_rel: float | None = None, delta: float = 0.1, s_override: int | None = None,
 ) -> Plan:
-    """Plan a run on x: one exact sum of x^2 and one of |x|, the distribution
-    of each kind built from them, and the bound that sizes s.
+    """Plan a sampling run on x: one exact sum of x^2 and one of |x|, the
+    distribution of each kind built from them, and the bound that sizes s.
 
-    With one kind, a certificate of 0 (a nonzero cell whose share underflows
-    to probability 0, so it is never drawn) raises ZeroProbabilityError even
-    when s is given. beta is that certificate or a requested value no larger:
-    a larger one would shrink s below what the distribution supports.
-    With none or several kinds beta is the requested value or 1, so one s
-    serves every kind. sigma_1 is solved once, and only for the corollary form
-    or for bound_form None: the bounds command, which reports the stable rank
-    beside every form and picks no s.
+    With one kind, s is sized at that distribution's certificate, and a
+    certificate of 0 (a nonzero cell whose share underflows to probability 0,
+    so it is never drawn) raises ZeroProbabilityError even when s is given.
+    With several kinds s is sized at beta = 1, the hybrid's certificate, so
+    one s serves every kind. sigma_1 is solved once, and only for the
+    corollary form, whose unmet hypothesis sr >= epsilon_rel^2 raises
+    HypothesisViolatedError.
     """
     if s_override is not None and s_override < 1:
         raise InvalidSpecError("s must be a positive integer")
-    sum_sq, abs_sum, l2, l1 = _shares(x)
+    sum_sq, l2, l1 = _shares(x)
     dists = _distributions(x, kinds, l2, l1)
-    sized = s_override is None or epsilon is not None or epsilon_rel is not None
-    if len(dists) == 1:  # beta is checked against the certificate only when it sizes s
-        beta = _single_beta(x, dists[0], beta if sized else None)
+    beta = _certified_beta(x, dists[0], l2, l1) if len(dists) == 1 else 1.0
     request = report = None
-    if sized:
+    if s_override is None or epsilon is not None or epsilon_rel is not None:
         fro = math.sqrt(sum_sq)
-        sr = None
-        if bound_form in (None, BoundForm.COROLLARY):
-            sr = _stable_rank(x, fro)
+        sr = _stable_rank(x, fro) if bound_form is BoundForm.COROLLARY else None
         request, report = _sizing(x.m, x.n, fro, sr, bound_form, epsilon, epsilon_rel, delta, beta)
-    s = s_override
-    if s is None and bound_form is not None:
-        s = getattr(report, f"s_{bound_form.value}")  # s_theorem1, s_unsimplified or s_corollary
-    return Plan(x, sum_sq, abs_sum, dists, request, report, s)
+        if bound_form is BoundForm.COROLLARY and report.s_corollary is None:
+            sample_size_corollary(request, epsilon_rel)  # raises the unmet hypothesis that the report leaves out
+    s = s_override if s_override is not None else getattr(report, f"s_{bound_form.value}")
+    return Plan(x, dists, request, report, s)
 
 
-def _single_beta(x: DenseMatrix, d, beta: float | None) -> float:
-    """The beta that sizes s for a run on the one distribution d."""
-    if d.beta == 0.0:
-        cell = int(np.flatnonzero((x.flat() != 0.0) & (d.probs == 0.0))[0])
-        i, j = divmod(cell, x.n)
-        other = " or l1" if d.kind is DistributionKind.PURE_L2 else ""
-        raise ZeroProbabilityError(
-            f"the {d.kind.value} distribution gives the nonzero entry x[{i}, {j}] = {float(x.flat()[cell])!r} "
-            f"probability 0 (its share underflows), so no beta certifies it; use the hybrid{other} distribution"
-        )
-    if beta is None:
+def _certified_beta(x: DenseMatrix, d, l2: np.ndarray, l1: np.ndarray) -> float:
+    """The certificate of the one distribution d; 0 is refused, naming each
+    other distribution that gives the starved cell positive probability."""
+    if d.beta > 0.0:
         return d.beta
-    if beta > d.beta:
-        raise InvalidSpecError(f"beta {beta!r} exceeds the {d.kind.value} distribution's certificate {d.beta!r}")
-    return beta
+    cell = int(np.flatnonzero((x.flat() != 0.0) & (d.probs == 0.0))[0])
+    i, j = divmod(cell, x.n)
+    shares = zip(_HARNESS_KINDS, (0.5 * (l2[cell] + l1[cell]), l1[cell], l2[cell]))
+    others = " or ".join(kind.value for kind, share in shares if kind is not d.kind and share > 0.0)
+    use = f"; use the {others} distribution" if others else ""
+    raise ZeroProbabilityError(
+        f"the {d.kind.value} distribution gives the nonzero entry x[{i}, {j}] = {float(x.flat()[cell])!r} "
+        f"probability 0 (its share underflows), so no beta certifies it{use}"
+    )
 
 
 def _config_plan(cfg: ExperimentConfig, kinds) -> Plan:
     return make_plan(
         resolve_matrix(cfg.source), kinds, bound_form=cfg.bound_form, epsilon=cfg.epsilon,
-        epsilon_rel=cfg.epsilon_rel, delta=cfg.delta, beta=cfg.beta, s_override=cfg.s_override,
+        epsilon_rel=cfg.epsilon_rel, delta=cfg.delta, s_override=cfg.s_override,
     )
 
 
@@ -333,9 +319,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 def compare_distributions(cfg: ExperimentConfig) -> CompareResult:
     """Hybrid, l1 and l2 head to head at one shared sample size and identical
-    per-trial seeds. s comes from the configured bound form at beta = 1 (or
-    cfg.beta / s_override when given); per-kind certificates are reported but
-    deliberately do not change s, so the error columns stay comparable."""
+    per-trial seeds. s comes from the configured bound form at beta = 1, the
+    hybrid's certificate, or from s_override; per-kind certificates are reported
+    but deliberately do not change s, so the error columns stay comparable."""
     plan = _config_plan(cfg, _HARNESS_KINDS)
     summaries = []
     walls = {}

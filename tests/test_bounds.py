@@ -244,3 +244,6 @@ def test_bound_report_fields():
 def test_bound_report_without_corollary_inputs():
     assert bound_report(_req()).s_corollary is None
     assert bound_report(_req(sr=10.0)).s_corollary is None
+    # below the hypothesis sr >= epsilon_rel^2 the other rows are still reported
+    rep = bound_report(_req(sr=0.2), epsilon_rel=0.5)
+    assert rep.s_corollary is None and rep.s_unsimplified == 319238

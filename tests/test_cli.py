@@ -56,6 +56,11 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["experiment", "--dist", "l3", "--generate", "gaussian,3,3,1", "--epsilon", "1"])
     assert exc.value.code == 1
+    # a sampling run takes beta from its distribution; only bounds takes --beta
+    for command in ("sparsify", "experiment", "compare"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--generate", "gaussian,3,3,1", "--epsilon", "1", "--beta", "0.5", "--out", "o"])
+        assert exc.value.code == 1
 
 
 def test_source_is_required_and_exclusive(tmp_path, capsys):
@@ -121,7 +126,7 @@ def test_bounds_matches_library(capsys):
     assert doc["report"]["s_theorem1"] == sample_size_theorem1(req)[0] == 456055
     assert doc["report"]["s_unsimplified"] == sample_size_unsimplified(req) == 319238
     assert doc["report"]["s_corollary"] is None
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
 
 
 def test_bounds_with_stable_rank_and_epsilon_rel(capsys):
@@ -150,6 +155,22 @@ def test_bounds_from_generator(capsys):
     assert doc["request"]["stable_rank"] == stable_rank(x)
     assert doc["request"]["epsilon"] == 0.5 * frobenius_norm(x)
     assert doc["report"]["s_corollary"] >= 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--generate", "gaussian,30,30,1"], ["--m", "30", "--n", "30", "--frobenius", "10", "--stable-rank", "2"]],
+    ids=["generate", "numbers"],
+)
+def test_bounds_leaves_corollary_null_below_its_hypothesis(capsys, args):
+    # sr < epsilon_rel^2 = 100: the corollary does not apply, every other form does
+    assert main(["bounds", *args, "--epsilon-rel", "10"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["request"]["stable_rank"] < 100
+    assert doc["report"]["s_corollary"] is None
+    req = BoundRequest(**{k: v for k, v in doc["request"].items() if k != "epsilon_rel"})
+    assert doc["report"]["s_theorem1"] == sample_size_theorem1(req)[0]
+    assert doc["report"]["s_unsimplified"] == sample_size_unsimplified(req)
 
 
 def test_bounds_has_no_sample_flags(capsys):
@@ -228,7 +249,7 @@ def test_experiment_writes_json(tmp_path, capsys):
     assert main(["experiment", "--generate", "gaussian,8,10,21", "--epsilon", "4", "--delta", "0.5",
                  "--s", "60", "--trials", "2", "--seed", "5", "--out", str(out)]) in (0, 2)
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert len(doc["wall_times"]) == 2
 
 
@@ -292,6 +313,8 @@ _TINY = "1e-200,2e-200\n3e-200,0\n"
 _HUGE = "1e200,2e200\n3e200,0\n"
 # the l2 share of the 1e-200 cell underflows to 0, so its l2 certificate is 0
 _TINY_CELL = "1e-200,2\n3,0\n"
+# both shares of the subnormal cell underflow to 0, so every certificate is 0
+_SUBNORMAL = "5e-324,1\n1,0\n"
 # 10^18 cells ask for 6.94 EiB, beyond any 64-bit address space: the
 # allocation fails at once and touches no memory
 _GIANT = "1000000000"
@@ -313,12 +336,10 @@ _PAST_INT64 = "10000000000"
                      id="float-index-mtx"),
         pytest.param(None, None, ["sparsify", "--generate", "gaussian,20,20,1", "--s", "10", "--seed", "-1"],
                      "--seed", id="negative-seed"),
-        # the l2 certificate of this matrix is about 3.4e-4
-        pytest.param(None, None, ["sparsify", "--generate", "gaussian,20,20,1", "--dist", "l2", "--beta", "1.0",
-                                  "--epsilon-rel", "0.5"], "certificate", id="sparsify-beta-above-certificate"),
-        pytest.param(None, None, ["experiment", "--generate", "gaussian,20,20,1", "--dist", "l2",
-                                  "--beta", "1.0", "--epsilon-rel", "0.5", "--trials", "2"], "certificate",
-                     id="experiment-beta-above-certificate"),
+        # the stable rank of this matrix is about 7.7, so the corollary does not cover epsilon_rel = 10
+        pytest.param(None, None, ["experiment", "--generate", "gaussian,30,30,1", "--bound-form", "corollary",
+                                  "--epsilon-rel", "10", "--trials", "2"], "is below epsilon_rel^2 = 100.0",
+                     id="experiment-corollary-hypothesis"),
         # a certificate of 0 is refused whether s is sized or given
         *[
             pytest.param("x.csv", _TINY_CELL, [cmd, "--dist", "l2", *target],
@@ -327,6 +348,17 @@ _PAST_INT64 = "10000000000"
                 ("sparsify-l2-underflow", "sparsify", ["--epsilon-rel", "0.5"]),
                 ("experiment-l2-underflow", "experiment", ["--epsilon-rel", "0.5"]),
                 ("sparsify-l2-underflow-s", "sparsify", ["--s", "10"]),
+            )
+        ],
+        # both shares of a subnormal entry underflow, so every distribution starves it
+        *[
+            pytest.param("x.csv", _SUBNORMAL, [cmd, "--dist", dist, *target],
+                         f"the {dist} distribution gives the nonzero entry x[0, 0] = 5e-324 probability 0 "
+                         "(its share underflows), so no beta certifies it\n", id=case)
+            for case, cmd, dist, target in (
+                ("sparsify-hybrid-subnormal-s", "sparsify", "hybrid", ["--s", "10"]),
+                ("sparsify-l1-subnormal-s", "sparsify", "l1", ["--s", "10"]),
+                ("experiment-hybrid-subnormal", "experiment", "hybrid", ["--epsilon-rel", "0.5"]),
             )
         ],
         # sample counts are int64, whether s is given or sized (here s is about 6.0e26)
@@ -470,17 +502,43 @@ def test_bounds_never_raises_on_numeric_flags(m, n, target, epsilon, delta, beta
     target=_maybe(("--epsilon", "--epsilon-rel")),
     epsilon=st.sampled_from(_FLOAT_VALUES),
     delta=_maybe(_FLOAT_VALUES + ("0.1",)),
-    beta=_maybe(_FLOAT_VALUES + ("0.5",)),
     s=_maybe(_INT_VALUES),
     dist=st.sampled_from(("hybrid", "l1", "l2")),
 )
-def test_sparsify_never_raises_on_numeric_flags(target, epsilon, delta, beta, s, dist):
+def test_sparsify_never_raises_on_numeric_flags(target, epsilon, delta, s, dist):
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["sparsify", "--generate", "gaussian,4,5,1", f"--dist={dist}", "--out", f"{tmp}/o.mtx"]
-        for flag, value in ((target, epsilon), ("--delta", delta), ("--beta", beta), ("--s", s)):
+        for flag, value in ((target, epsilon), ("--delta", delta), ("--s", s)):
             if flag is not None and value is not None:
                 argv.append(f"{flag}={value}")
         rc, out, err = _run(argv)
     _assert_ok_or_one_error_line(rc, out, err)
     if rc == 0:
         assert out.startswith("wrote ")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(("experiment", "compare")),
+    target=_maybe(("--epsilon", "--epsilon-rel")),
+    epsilon=st.sampled_from(_FLOAT_VALUES),
+    delta=_maybe(_FLOAT_VALUES + ("0.1",)),
+    s=_maybe(_INT_VALUES),
+    bound_form=_maybe(("theorem1", "unsimplified", "corollary")),
+    dist=_maybe(("hybrid", "l1", "l2")),
+)
+def test_experiment_and_compare_never_raise_on_numeric_flags(command, target, epsilon, delta, s, bound_form, dist):
+    argv = [command, "--generate", "gaussian,4,5,1", "--trials", "2"]
+    flags = [(target, epsilon), ("--delta", delta), ("--s", s), ("--bound-form", bound_form)]
+    if command == "experiment":
+        flags.append(("--dist", dist))
+    for flag, value in flags:
+        if flag is not None and value is not None:
+            argv.append(f"{flag}={value}")
+    rc, out, err = _run(argv)
+    if rc == 2:  # the guarantee was not shown, which only experiment reports
+        assert command == "experiment" and err == ""
+    else:
+        _assert_ok_or_one_error_line(rc, out, err)
+    if rc != 1:
+        assert json.loads(out)["command"] == command

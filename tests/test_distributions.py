@@ -1,12 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from elemsparse import (
     DenseMatrix,
     DistributionKind,
     ElemsparseError,
+    NonFiniteError,
     SamplingDistribution,
     ShapeMismatchError,
     ZeroMatrixError,
@@ -132,6 +137,20 @@ def test_certificate_zero_when_support_missing(toy):
     assert beta_certificate(toy, probs) == 0.0
 
 
+def test_certificate_of_a_subnormal_entry_is_zero():
+    # both shares of 5e-324 underflow to 0, so no distribution can draw it;
+    # no certificate may divide 0 by 0 (a warning, here an error) and say 1
+    x = DenseMatrix(np.array([[5e-324, 1.0], [1.0, 0.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind in ("hybrid", "l1", "l2"):
+            d = distribution_for_kind(x, kind)
+            assert d.probs[0] == 0.0
+            assert d.beta == beta_certificate(x, d.probs) == 0.0
+        # given positive probability, the cell bounds nothing: its hybrid share is 0
+        assert beta_certificate(x, np.array([0.2, 0.4, 0.4, 0.0])) == 0.8
+
+
 def test_certificate_errors(toy):
     with pytest.raises(ShapeMismatchError):
         beta_certificate(toy, np.array([1.0]))
@@ -202,3 +221,31 @@ def test_sampling_distribution_validation():
         SamplingDistribution(2, 2, np.array([1.1, -0.1, 0.0, 0.0]), DistributionKind.CUSTOM, 1.0)
     with pytest.raises(ElemsparseError):
         SamplingDistribution(1, 1, np.array([1.0]), DistributionKind.CUSTOM, 1.5)
+
+
+# zeros, both signs, ordinary magnitudes, and tiny and subnormal entries
+# whose shares underflow (both of them for 5e-324)
+_ENTRIES = st.one_of(
+    st.sampled_from((0.0, 5e-324, -5e-324, 1e-310, 1e-200, -1e-160)),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=4), elements=_ENTRIES))
+def test_certificate_property(a):
+    x = DenseMatrix(a)
+    flat = x.flat()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            dists = [distribution_for_kind(x, kind) for kind in ("hybrid", "l1", "l2")]
+        except (ZeroMatrixError, NonFiniteError):
+            reject()  # the zero matrix, or one whose squares all underflow: no shares
+        for d in dists:
+            cert = beta_certificate(x, d.probs)
+            assert d.beta == cert and 0.0 <= cert <= 1.0
+            starved = bool(np.any((flat != 0.0) & (d.probs == 0.0)))
+            assert (cert == 0.0) == starved
+            if d.kind is DistributionKind.HYBRID:
+                assert cert == (0.0 if starved else 1.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -24,7 +25,7 @@ from elemsparse import (
     stable_rank,
 )
 from elemsparse import experiment, spectral
-from elemsparse.bounds import sample_size_corollary
+from elemsparse.bounds import sample_size_corollary, sample_size_unsimplified
 from elemsparse.experiment import (
     compare_payload,
     experiment_payload,
@@ -50,8 +51,6 @@ def test_config_validation():
         _cfg(epsilon=-1.0)
     with pytest.raises(InvalidSpecError):
         _cfg(delta=1.0)
-    with pytest.raises(InvalidSpecError):
-        _cfg(beta=1.5)
     with pytest.raises(InvalidSpecError):
         _cfg(s_override=0)
     with pytest.raises(InvalidSpecError):
@@ -160,7 +159,6 @@ def test_plan_matches_reference_bit_for_bit(spec):
     l2, l1 = sq / math.fsum(sq.tolist()), ab / math.fsum(ab.tolist())
     hybrid = 0.5 * (l2 + l1)
     plan = make_plan(x, ("hybrid", "l1", "l2"), bound_form=BoundForm.COROLLARY, epsilon_rel=0.9)
-    assert plan.sum_sq == math.fsum(sq.tolist()) and plan.abs_sum == math.fsum(ab.tolist())
     for dist, probs in zip(plan.dists, (hybrid, l1, l2)):
         assert np.array_equal(dist.probs, probs)
         assert np.array_equal(dist.probs, distribution_for_kind(x, dist.kind).probs)
@@ -199,23 +197,16 @@ def test_failure_rate_is_exact_count():
 
 
 def test_beta_defaults_to_certificate():
-    res = run_experiment(_cfg(dist_kind="l2", trials=1))
     x = generate_matrix(GEN)
-    from elemsparse import l2_distribution
-
-    cert = l2_distribution(x).beta
+    fro = frobenius_norm(x)
+    sized = _cfg(epsilon=0.5 * fro, s_override=None, trials=1)
+    cert = distribution_for_kind(x, "l2").beta
+    res = run_experiment(dataclasses.replace(sized, dist_kind="l2"))
     assert res.beta == cert
-    forced = run_experiment(_cfg(dist_kind="l2", trials=1, beta=cert / 2))
-    assert forced.beta == cert / 2
-
-
-def test_beta_above_certificate_rejected():
-    # the l2 certificate of GEN is about 5e-3: a beta of 0.25 would size s
-    # about 50x too small for what the distribution supports
-    with pytest.raises(InvalidSpecError, match="certificate"):
-        run_experiment(_cfg(dist_kind="l2", trials=1, beta=0.25))
-    # compare shares one s across kinds and keeps the requested beta
-    assert compare_distributions(_cfg(trials=1, beta=0.25)).s_used == 60
+    assert res.s_used == sample_size_unsimplified(BoundRequest(x.m, x.n, 0.5 * fro, 0.5, cert, fro))
+    # compare shares one s across kinds, sized at the hybrid's certificate
+    shared = BoundRequest(x.m, x.n, 0.5 * fro, 0.5, 1.0, fro)
+    assert compare_distributions(sized).s_used == sample_size_unsimplified(shared) < res.s_used
 
 
 def test_payload_deterministic_excluding_wall_times():
@@ -233,7 +224,7 @@ def test_payload_deterministic_excluding_wall_times():
 # and "kinds", and the source's keys. A field added to a result dataclass
 # reaches the JSON, and must be added here.
 _CONFIG_KEYS = {
-    "base_seed": None, "beta": None, "bound_form": None, "delta": None, "epsilon": None, "epsilon_rel": None,
+    "base_seed": None, "bound_form": None, "delta": None, "epsilon": None, "epsilon_rel": None,
     "s_override": None, "trials": None,
 }
 _GENERATOR_SOURCE_KEYS = {
@@ -292,7 +283,7 @@ def test_payload_shape():
         "schema_version": None,
         "wall_times": None,
     }
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert doc["command"] == "experiment"
     assert doc["config"]["dist"] == "hybrid"
     assert doc["config"]["source"]["kind"] == "generator"
@@ -369,6 +360,10 @@ def test_zero_certificate_refused_alone_reported_in_compare(tmp_path):
         run_experiment(cfg)
     certs = [summ.beta_certificate for summ in compare_distributions(cfg).summaries]
     assert certs[0] == 1.0 and certs[1] > 0.0 and certs[2] == 0.0
+    path.write_text("5e-324,1\n1,0\n")  # both shares of the subnormal cell underflow
+    with pytest.raises(ZeroProbabilityError, match=r"x\[0, 0\] = 5e-324 .* certifies it$"):
+        run_experiment(dataclasses.replace(cfg, dist_kind="hybrid"))
+    assert [summ.beta_certificate for summ in compare_distributions(cfg).summaries] == [0.0] * 3
 
 
 def test_compare_csv_row_count(tmp_path):
@@ -395,7 +390,7 @@ def test_compare_payload_shape(tmp_path):
         "schema_version": None,
         "wall_times": {"hybrid": None, "l1": None, "l2": None},
     }
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert doc["command"] == "compare"
     assert doc["config"]["source"] == {"format": None, "kind": "file", "path": str(path)}
     assert [k["kind"] for k in doc["result"]["kinds"]] == ["hybrid", "l1", "l2"]
