@@ -40,7 +40,7 @@ from .experiment import (
 from .generate import GENERATOR_KINDS, GeneratorSpec
 from .io import FORMATS, write_csv, write_matrix_market
 from .matrix import _stable_rank, coo_to_dense
-from .sampler import build_alias_table, draw_samples, sampling_operator
+from .sampler import draw_samples, sampling_operator
 
 __all__ = ["main", "build_parser"]
 
@@ -205,7 +205,7 @@ def _cmd_sparsify(args) -> int:
         epsilon_rel=args.epsilon_rel, delta=args.delta, s_override=args.s,
     )
     x, dist = plan.x, plan.dists[0]
-    sketch = sampling_operator(x, dist, draw_samples(build_alias_table(dist), plan.s, args.seed))
+    sketch = sampling_operator(x, dist, draw_samples(dist, plan.s, args.seed))
     if args.out_format == "matrix-market":
         write_matrix_market(args.out, sketch.matrix)
     else:

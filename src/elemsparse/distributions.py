@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidSpecError, NonFiniteError, ShapeMismatchError, ZeroMatrixError
+from .errors import InvalidSpecError, NonFiniteError, ShapeMismatchError, ZeroMatrixError, ZeroProbabilityError
 from .matrix import DenseMatrix, _exact_sum
 
 __all__ = [
@@ -38,6 +38,10 @@ class DistributionKind(str, Enum):
     PURE_L2 = "l2"
     PURE_L1 = "l1"
     CUSTOM = "custom"
+
+
+# The kinds built from a matrix alone, in the order the harness reports them.
+_BUILTIN_KINDS = (DistributionKind.HYBRID, DistributionKind.PURE_L1, DistributionKind.PURE_L2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,6 +123,22 @@ def _distributions(x: DenseMatrix, kinds, l2: np.ndarray, l1: np.ndarray) -> tup
         probs = {DistributionKind.HYBRID: hybrid, DistributionKind.PURE_L2: l2, DistributionKind.PURE_L1: l1}[kind]
         out.append(SamplingDistribution(x.m, x.n, probs, kind, _certificate(x.flat(), probs, hybrid)))
     return tuple(out)
+
+
+def _certified_beta(x: DenseMatrix, d, l2: np.ndarray, l1: np.ndarray) -> float:
+    """The certificate of the one distribution d; 0 is refused, naming each
+    other distribution that gives the starved cell positive probability."""
+    if d.beta > 0.0:
+        return d.beta
+    cell = int(np.flatnonzero((x.flat() != 0.0) & (d.probs == 0.0))[0])
+    i, j = divmod(cell, x.n)
+    shares = zip(_BUILTIN_KINDS, (0.5 * (l2[cell] + l1[cell]), l1[cell], l2[cell]))
+    others = " or ".join(kind.value for kind, share in shares if kind is not d.kind and share > 0.0)
+    use = f"; use the {others} distribution" if others else ""
+    raise ZeroProbabilityError(
+        f"the {d.kind.value} distribution gives the nonzero entry x[{i}, {j}] = {float(x.flat()[cell])!r} "
+        f"probability 0 (its share underflows), so no beta certifies it{use}"
+    )
 
 
 def l2_distribution(x: DenseMatrix) -> SamplingDistribution:

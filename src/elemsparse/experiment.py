@@ -10,12 +10,15 @@ result dataclass reaches the JSON with no other change.
 
 Reproducibility contract: trial t draws with seed (base_seed + t) mod 2^64,
 so results are independent of --jobs scheduling; aggregation sorts by trial
-index before reporting. Trials run in fixed batches of consecutive indices
-whose size depends only on the matrix shape; a batch's error solves run as
-one Lanczos solve over the stack of its S - X arrays, in which every trial
-takes the steps it would take alone, and --jobs is the number of workers
-that take batches. Serialized output is deterministic (sorted keys)
-apart from the wall_times block, which is environment noise by nature.
+index before reporting. A trial draws only its cell counts and builds its
+S - X from them, never a sketch; that array is the densified
+``sparsify(x, s, seed, kind)`` sketch minus X, bit for bit. Trials run in
+fixed batches of consecutive indices whose size depends only on the matrix
+shape; a batch's error solves run as one Lanczos solve over the stack of its
+S - X arrays, in which every trial takes the steps it would take alone, and
+--jobs is the number of workers that take batches. Serialized output is
+deterministic (sorted keys) apart from the wall_times block, which is
+environment noise by nature.
 """
 
 from __future__ import annotations
@@ -30,13 +33,13 @@ from enum import Enum
 import numpy as np
 
 from .bounds import BoundReport, BoundRequest, bound_report, sample_size_corollary
-from .distributions import DistributionKind, _distributions, _shares
-from .errors import InvalidSpecError, ZeroProbabilityError
+from .distributions import _BUILTIN_KINDS, DistributionKind, _certified_beta, _distributions, _shares
+from .errors import InvalidSpecError
 from .generate import GeneratorSpec, generate_matrix
 from .io import load_matrix
 from .matrix import DenseMatrix, _stable_rank
-from .sampler import _SEED_MASK, build_alias_table, draw_samples, sampling_operator
-from .spectral import _difference, _lanczos_norms
+from .sampler import _SEED_MASK, _cell_values, _draw_counts
+from .spectral import _lanczos_norms
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -62,12 +65,6 @@ SCHEMA_VERSION = 3
 # 100 x 100 matrix. A matrix larger than half of it runs one trial per
 # batch. Each pool worker holds one stack.
 _BATCH_BYTES = 640_000
-
-_HARNESS_KINDS = (
-    DistributionKind.HYBRID,
-    DistributionKind.PURE_L1,
-    DistributionKind.PURE_L2,
-)
 
 
 class BoundForm(str, Enum):
@@ -102,7 +99,7 @@ class ExperimentConfig:
             object.__setattr__(self, "dist_kind", DistributionKind(self.dist_kind))
         if isinstance(self.bound_form, str) and not isinstance(self.bound_form, BoundForm):
             object.__setattr__(self, "bound_form", BoundForm(self.bound_form))
-        if self.dist_kind not in _HARNESS_KINDS:
+        if self.dist_kind not in _BUILTIN_KINDS:
             raise InvalidSpecError("dist_kind must be one of hybrid, l1, l2")
         if (self.epsilon is None) == (self.epsilon_rel is None):
             raise InvalidSpecError("exactly one of epsilon and epsilon_rel must be set")
@@ -239,22 +236,6 @@ def make_plan(
     return Plan(x, dists, request, report, s)
 
 
-def _certified_beta(x: DenseMatrix, d, l2: np.ndarray, l1: np.ndarray) -> float:
-    """The certificate of the one distribution d; 0 is refused, naming each
-    other distribution that gives the starved cell positive probability."""
-    if d.beta > 0.0:
-        return d.beta
-    cell = int(np.flatnonzero((x.flat() != 0.0) & (d.probs == 0.0))[0])
-    i, j = divmod(cell, x.n)
-    shares = zip(_HARNESS_KINDS, (0.5 * (l2[cell] + l1[cell]), l1[cell], l2[cell]))
-    others = " or ".join(kind.value for kind, share in shares if kind is not d.kind and share > 0.0)
-    use = f"; use the {others} distribution" if others else ""
-    raise ZeroProbabilityError(
-        f"the {d.kind.value} distribution gives the nonzero entry x[{i}, {j}] = {float(x.flat()[cell])!r} "
-        f"probability 0 (its share underflows), so no beta certifies it{use}"
-    )
-
-
 def _config_plan(cfg: ExperimentConfig, kinds) -> Plan:
     return make_plan(
         resolve_matrix(cfg.source), kinds, bound_form=cfg.bound_form, epsilon=cfg.epsilon,
@@ -268,25 +249,27 @@ def _run_trials(cfg: ExperimentConfig, x: DenseMatrix, dist, s_used: int) -> tup
     over mn, and the wall times.
 
     Trials run in fixed batches of consecutive trial indices, sized by
-    _BATCH_BYTES alone. A batch draws and assembles each sketch in turn,
-    scatters its S - X into the batch's stack and solves the stack at once;
-    the pool maps over batches. Each trial's wall time is its batch's over
-    the batch size.
+    _BATCH_BYTES alone. A batch draws each trial's cell counts in turn,
+    writes its S - X = counts * x / (s * p) - x straight into the batch's
+    stack (the same array as the densified ``sparsify`` sketch minus X, bit
+    for bit) and solves the stack at once; the pool maps over batches. Each
+    trial's wall time is its batch's over the batch size.
     """
     seeds = tuple((cfg.base_seed + t) & _SEED_MASK for t in range(cfg.trials))
-    table = build_alias_table(dist)
-    size = max(1, _BATCH_BYTES // (8 * x.m * x.n))
+    mn = x.m * x.n
+    xf, sp = x.flat(), s_used * dist.probs
+    size = max(1, _BATCH_BYTES // (8 * mn))
     batches = [seeds[lo : lo + size] for lo in range(0, len(seeds), size)]
 
     def batch(batch_seeds: tuple):
         t0 = time.perf_counter()
-        stack = np.empty((len(batch_seeds), x.m, x.n))
+        stack = np.empty((len(batch_seeds), mn))
         ratios = []
         for slot, seed in zip(stack, batch_seeds):
-            coo = sampling_operator(x, dist, draw_samples(table, s_used, seed)).matrix
-            _difference(x.data, coo, out=slot)
-            ratios.append(coo.nnz / (x.m * x.n))
-        ests = _lanczos_norms(stack)
+            counts = _draw_counts(dist.probs, s_used, seed)
+            np.subtract(_cell_values(counts, xf, sp, slot), xf, out=slot)
+            ratios.append(np.count_nonzero(counts) / mn)
+        ests = _lanczos_norms(stack.reshape(-1, x.m, x.n))
         wall = (time.perf_counter() - t0) / len(batch_seeds)
         return [(est, ratio, wall) for est, ratio in zip(ests, ratios)]
 
@@ -322,7 +305,7 @@ def compare_distributions(cfg: ExperimentConfig) -> CompareResult:
     per-trial seeds. s comes from the configured bound form at beta = 1, the
     hybrid's certificate, or from s_override; per-kind certificates are reported
     but deliberately do not change s, so the error columns stay comparable."""
-    plan = _config_plan(cfg, _HARNESS_KINDS)
+    plan = _config_plan(cfg, _BUILTIN_KINDS)
     summaries = []
     walls = {}
     for dist in plan.dists:

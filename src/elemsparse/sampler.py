@@ -3,31 +3,28 @@
 The sketch of X from a sample multiset Omega of s cells is
 ``(1/s) * sum_t X[i_t, j_t] / p[i_t, j_t]`` placed at cell (i_t, j_t), so it
 depends only on how many times each cell was drawn: a ``SampleSet`` holds
-those per-cell counts, not the draws. Draws use an alias table (O(1) per
-draw after O(mn) setup) fed by a seeded PCG64 stream that is consumed in
-blocks and counted per block, so no array of length s is ever held; per
-draw, two uniforms are consumed in fixed order (slot, then coin), so a
-(distribution, s, seed) triple always regenerates the identical sample.
+those per-cell counts, not the draws. The counts of s i.i.d. draws are
+Multinomial(s, p), so they are drawn by one ``multinomial`` call on a seeded
+PCG64 stream: O(mn) work and memory whatever s is, and a (distribution, s,
+seed) triple always regenerates the identical sample under one numpy
+version (numpy promises no stream across versions).
 """
 
 from __future__ import annotations
 
 import operator
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistributionKind, SamplingDistribution, distribution_for_kind
+from .distributions import DistributionKind, SamplingDistribution, _certified_beta, _distributions, _shares
 from .errors import InvalidSpecError, ShapeMismatchError, ZeroProbabilityError
 from .matrix import DenseMatrix, SparseCOO
 
 __all__ = [
-    "AliasTable",
     "SampleSet",
     "SparseSketch",
     "build_alias_table",
-    "reconstructed_probs",
     "draw_samples",
     "sampling_operator",
     "sparsify",
@@ -35,23 +32,6 @@ __all__ = [
 ]
 
 _SEED_MASK = (1 << 64) - 1
-
-# Least draws per block: 2 * 2**16 uniforms (1 MiB) stay in cache.
-_DRAW_BLOCK = 1 << 16
-
-
-@dataclass(frozen=True, eq=False)
-class AliasTable:
-    """Walker/Vose table over the mn cells of an m-by-n probability grid."""
-
-    m: int
-    n: int
-    prob: np.ndarray
-    alias: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.m * self.n
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,90 +81,51 @@ class SparseSketch:
     distribution_kind: DistributionKind
 
 
-def _alias_build(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Walker/Vose two-stack construction of the (prob, alias) arrays.
+def _draw_counts(probs: np.ndarray, s: int, seed: int) -> np.ndarray:
+    """How many of s i.i.d. draws from probs hit each cell: one
+    Multinomial(s, probs) draw from PCG64(seed mod 2^64), an int64 array as
+    long as probs. s above 2^63 - 1 (the most int64 counts hold) or below 1
+    is refused, and so are probs numpy will not draw from.
 
-    Cells with scaled probability below 1 start on the small stack, the rest
-    on the large one, each in increasing index order. Each step pops one cell
-    from each; the small cell ``lo`` keeps ``prob = scaled[lo]`` and aliases
-    the large cell ``hi``, whose scaled value becomes
-    ``(scaled[hi] + scaled[lo]) - 1.0`` and which is pushed back on the stack
-    that value belongs to. Stack layout, pop order and that float expression
-    are fixed, so a distribution always builds the same table, bit for bit.
-    Cells left on either stack keep prob=1 and alias themselves.
-
-    The loop runs on ``array.array`` buffers: they index to plain Python
-    floats and ints, several times cheaper per step than numpy scalars, and
-    hold 8 bytes per cell rather than a Python object. A popped small cell
-    is never pushed again, so its final scaled value is its prob.
-    """
-    size = probs.shape[0]
-    scaled_np = probs * size
-    cells = np.arange(size, dtype=np.int64)
-    scaled = array("d", scaled_np.tobytes())
-    alias = array("q", cells.tobytes())
-    small = array("q", np.flatnonzero(scaled_np < 1.0).tobytes())
-    large = array("q", np.flatnonzero(scaled_np >= 1.0).tobytes())
-    pop_small, push_small = small.pop, small.append
-    pop_large, push_large = large.pop, large.append
-    while small and large:
-        lo = pop_small()
-        hi = pop_large()
-        alias[lo] = hi
-        scaled[hi] = rest = (scaled[hi] + scaled[lo]) - 1.0
-        if rest < 1.0:
-            push_small(hi)
-        else:
-            push_large(hi)
-    alias_np = np.frombuffer(alias, dtype=np.int64)
-    prob = np.where(alias_np != cells, np.frombuffer(scaled, dtype=np.float64), 1.0)
-    return prob, alias_np
-
-
-def _alias_draw(prob, alias, u_slot, u_coin) -> np.ndarray:
-    """Flat cell index per draw: slot k = trunc(u_slot * size), clamped to
-    size - 1 in case the product rounds up to size; keep k when
-    u_coin < prob[k], else take alias[k]."""
-    size = prob.shape[0]
-    k = (u_slot * size).astype(np.int64)
-    np.minimum(k, size - 1, out=k)
-    return np.where(u_coin < prob[k], k, alias[k])
-
-
-def build_alias_table(d: SamplingDistribution) -> AliasTable:
-    prob, alias = _alias_build(d.probs)
-    prob.setflags(write=False)
-    alias.setflags(write=False)
-    return AliasTable(d.m, d.n, prob, alias)
-
-
-def reconstructed_probs(table: AliasTable) -> np.ndarray:
-    """Invert the table back to per-cell probabilities (diagnostic)."""
-    moved = np.bincount(table.alias, weights=1.0 - table.prob, minlength=table.size)
-    return (table.prob + moved) / table.size
-
-
-def draw_samples(table: AliasTable, s: int, seed: int) -> SampleSet:
-    """s i.i.d. with-replacement draws, counted per cell; a pure function of
-    (table, s, seed mod 2^64), the seed the SampleSet records; s > 2^63 - 1 is refused.
-
-    The stream is consumed in blocks; consecutive ``random`` calls continue
-    one stream, so the counts equal those of a single ``(s, 2)`` call. Each
-    block's ``bincount`` costs O(mn), so a block holds at least mn draws and
-    the whole draw stays O(s + mn).
+    numpy gives the last category whatever the others leave, float rounding
+    of the running remainder included, so the draw ends at the last cell of
+    positive probability: no count lands on a trailing cell of probability 0.
     """
     if s > (1 << 63) - 1:
         raise InvalidSpecError(f"sample count {s} is more than 2**63 - 1, the most int64 counts hold")
+    if s < 1:
+        raise InvalidSpecError(f"sample count must be >= 1, got {s}")
     seed = operator.index(seed) & _SEED_MASK  # index(): a numpy integer & 2^64 - 1 overflows
-    rng = np.random.Generator(np.random.PCG64(seed))
-    size = table.size
-    block = max(_DRAW_BLOCK, size)
-    total = np.zeros(size, dtype=np.int64)
-    for start in range(0, s, block):
-        u = rng.random((min(block, s - start), 2))
-        total += np.bincount(_alias_draw(table.prob, table.alias, u[:, 0], u[:, 1]), minlength=size)
-    cells = np.flatnonzero(total)
-    return SampleSet(table.m, table.n, s, cells, total[cells], seed)
+    end = probs.size if probs[-1] > 0.0 else int(np.flatnonzero(probs)[-1]) + 1
+    counts = np.zeros(probs.size, dtype=np.int64)
+    try:
+        counts[:end] = np.random.Generator(np.random.PCG64(seed)).multinomial(s, probs[:end])
+    except ValueError as exc:  # numpy refuses p whose leading sum is above 1 + 1e-12
+        raise InvalidSpecError(f"cannot draw from these probabilities: {exc}") from None
+    return counts
+
+
+def build_alias_table(d: SamplingDistribution) -> SamplingDistribution:
+    """Deprecated identity: returns d, which ``draw_samples`` takes. Kept only
+    for callers written against the alias-table sampler; the benchmark
+    revision of ROADMAP item 1 deletes it."""
+    return d
+
+
+def draw_samples(d: SamplingDistribution, s: int, seed: int) -> SampleSet:
+    """s i.i.d. with-replacement draws from d, counted per cell; a pure
+    function of (d, s, seed mod 2^64), the seed the SampleSet records."""
+    counts = _draw_counts(d.probs, s, seed)
+    cells = np.flatnonzero(counts)
+    return SampleSet(d.m, d.n, s, cells, counts[cells], operator.index(seed) & _SEED_MASK)
+
+
+def _cell_values(counts, x, sp, out: np.ndarray) -> np.ndarray:
+    """The sketch's value counts * x / sp at each cell, sp = s * p, written
+    into out. It is computed only where sp > 0, so a cell of probability 0,
+    never drawn, keeps counts * x = 0."""
+    np.multiply(counts, x, out=out)
+    return np.divide(out, sp, out=out, where=sp > 0.0)
 
 
 def sampling_operator(
@@ -203,7 +144,7 @@ def sampling_operator(
             "sample contains a cell with zero probability; "
             "the sample set does not belong to this distribution"
         )
-    vals = omega.counts * x.flat()[cells] / (omega.s * p)
+    vals = _cell_values(omega.counts, x.flat()[cells], omega.s * p, np.empty(cells.size))
     coo = SparseCOO(x.m, x.n, cells // x.n, cells % x.n, vals)
     return SparseSketch(coo, omega.s, omega.seed, d.kind)
 
@@ -211,11 +152,16 @@ def sampling_operator(
 def sparsify(
     x: DenseMatrix, s: int, seed: int, kind=DistributionKind.HYBRID
 ) -> SparseSketch:
-    """End-to-end: build the kind's distribution, draw s cells, assemble."""
-    d = distribution_for_kind(x, kind)
-    table = build_alias_table(d)
-    omega = draw_samples(table, s, seed)
-    return sampling_operator(x, d, omega)
+    """End-to-end: build the kind's distribution, draw s cells, assemble.
+
+    A distribution that gives a nonzero entry probability 0 (certificate 0)
+    is refused with ZeroProbabilityError: that entry is never drawn, so the
+    sketch would be biased.
+    """
+    _, l2, l1 = _shares(x)
+    d = _distributions(x, (kind,), l2, l1)[0]
+    _certified_beta(x, d, l2, l1)
+    return sampling_operator(x, d, draw_samples(d, s, seed))
 
 
 def exact_expectation(x: DenseMatrix, d: SamplingDistribution) -> DenseMatrix:

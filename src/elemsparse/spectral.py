@@ -209,11 +209,5 @@ def sketch_error(x, sketch) -> SpectralEstimate:
         raise ShapeMismatchError(
             f"sketch shape ({coo.m}, {coo.n}) does not match matrix shape {arr.shape}"
         )
-    return _lanczos_norms(_difference(arr, coo)[None])[0]
-
-
-def _difference(x: np.ndarray, coo, out: np.ndarray | None = None) -> np.ndarray:
-    """S - X as an m x n array, S the scattered COO matrix (duplicate cells
-    add up); written into out when given, else into S's own array."""
-    d = _scatter(coo)
-    return np.subtract(d, x, out=d if out is None else out)
+    diff = _scatter(coo)
+    return _lanczos_norms(np.subtract(diff, arr, out=diff)[None])[0]

@@ -23,7 +23,6 @@ from elemsparse import (
     GeneratorSpec,
     beta_certificate,
     bound_report,
-    build_alias_table,
     distribution_for_kind,
     draw_samples,
     frobenius_norm,
@@ -110,7 +109,7 @@ def test_criterion_03_stochastic_unbiasedness():
     n_sketches = 100_000
     # The mean of N single-draw sketches equals one N-draw operator output
     # (same i.i.d. cell draws, same 1/(N p) weights), so assemble it directly.
-    omega = draw_samples(build_alias_table(d), n_sketches, seed=424242)
+    omega = draw_samples(d, n_sketches, seed=424242)
     mean = coo_to_dense(sampling_operator(x, d, omega).matrix).data
     p = d.grid()
     nz = x.data != 0.0

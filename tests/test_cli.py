@@ -16,6 +16,7 @@ from elemsparse import (
     GeneratorSpec,
     frobenius_norm,
     generate_matrix,
+    hybrid_distribution,
     load_matrix,
     sparsify,
     stable_rank,
@@ -101,6 +102,17 @@ def test_sparsify_seed_is_reduced_mod_2_64(tmp_path, capsys):
         assert main(["sparsify", "--generate", "gaussian,6,5,1", "--s", "40", "--seed", str(seed),
                      "--out", str(out)]) == 0
         np.testing.assert_array_equal(load_matrix(out).data, expected.data)
+
+
+def test_sparsify_draws_a_billion_cells_at_once(tmp_path, capsys):
+    # one multinomial draw costs O(mn) whatever s is, so s = 10^9 returns at once
+    out = tmp_path / "sk.mtx"
+    assert main(["sparsify", "--generate", "gaussian,4,5,1", "--s", str(10**9), "--out", str(out)]) == 0
+    x = generate_matrix(GeneratorSpec("gaussian", 4, 5, 1))
+    implied = load_matrix(out).data * 10**9 * hybrid_distribution(x).grid() / x.data
+    counts = np.rint(implied)
+    assert np.max(np.abs(implied - counts)) < 1e-3
+    assert int(counts.sum()) == 10**9
 
 
 def test_sparsify_csv_output_and_bound_derived_s(tmp_path, capsys):
@@ -363,11 +375,12 @@ _PAST_INT64 = "10000000000"
         ],
         # sample counts are int64, whether s is given or sized (here s is about 6.0e26)
         *[
-            pytest.param(None, None, ["sparsify", "--generate", "gaussian,4,5,1", *size],
+            pytest.param(None, None, [cmd, "--generate", "gaussian,4,5,1", *size],
                          "is more than 2**63 - 1", id=case)
-            for case, size in (
-                ("sparsify-s-past-int64", ["--s", str(2**63)]),
-                ("sparsify-sized-s-past-int64", ["--epsilon", "1e-12"]),
+            for case, cmd, size in (
+                ("sparsify-s-past-int64", "sparsify", ["--s", str(2**63)]),
+                ("sparsify-sized-s-past-int64", "sparsify", ["--epsilon", "1e-12"]),
+                ("experiment-s-past-int64", "experiment", ["--epsilon", "1", "--s", str(2**63)]),
             )
         ],
         pytest.param("x.mtx", _MTX_HEADER + f"{_GIANT} {_GIANT} 1\n1 1 2.5\n", ["sparsify", "--s", "5"],

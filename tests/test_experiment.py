@@ -8,6 +8,7 @@ import pytest
 from elemsparse import (
     BoundForm,
     BoundRequest,
+    DenseMatrix,
     DistributionKind,
     ExperimentConfig,
     FileSource,
@@ -26,6 +27,7 @@ from elemsparse import (
 )
 from elemsparse import experiment, spectral
 from elemsparse.bounds import sample_size_corollary, sample_size_unsimplified
+from elemsparse.matrix import _scatter
 from elemsparse.experiment import (
     compare_payload,
     experiment_payload,
@@ -113,6 +115,31 @@ def test_jobs_do_not_change_results(monkeypatch):
         assert res.errors == alone
         assert res.nnz_ratio == runs[0].nnz_ratio
         assert res.unconverged_trials == 0
+
+
+@pytest.mark.parametrize("kind", ["hybrid", "l1", "l2"])
+def test_trial_difference_is_the_densified_sketch_minus_x(monkeypatch, kind):
+    # the harness builds S - X from the drawn counts, never through a COO
+    # sketch; each stacked array must be that sketch's, bit for bit, and the
+    # nnz ratio its mean nnz over mn
+    stacks = []
+
+    def capture(stack):
+        stacks.append(stack.copy())
+        return solve(stack)
+
+    solve = experiment._lanczos_norms
+    monkeypatch.setattr(experiment, "_lanczos_norms", capture)
+    a = generate_matrix(GeneratorSpec("low-rank-plus-noise", 30, 20, 4)).data.copy()
+    a[0, :5] = 0.0  # cells of probability 0 keep S - X = -x = 0
+    x = DenseMatrix(a)
+    cfg = ExperimentConfig(FileSource("unused"), dist_kind=kind, epsilon=1.0, s_override=900, trials=10,
+                           base_seed=2**64 - 4)  # the seeds wrap past 2^64
+    seeds, _, _, nnz_ratio, _ = experiment._run_trials(cfg, x, distribution_for_kind(x, kind), 900)
+    sketches = [sparsify(x, 900, seed, kind).matrix for seed in seeds]
+    expected = [_scatter(sk) - x.data for sk in sketches]
+    assert np.concatenate(stacks).tobytes() == np.stack(expected).tobytes()
+    assert nnz_ratio == float(np.mean([sk.nnz / (x.m * x.n) for sk in sketches]))
 
 
 def test_emitted_s_matches_bounds_module():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,10 +26,11 @@ from elemsparse import (
     sparsify,
 )
 from elemsparse.matrix import coo_to_dense
-from elemsparse.sampler import _DRAW_BLOCK, _alias_draw, exact_expectation, reconstructed_probs
+from elemsparse.sampler import _draw_counts, exact_expectation
 
-# chi-square inverse CDF at 0.999 with df=3, frozen from scipy.stats.chi2.ppf
+# chi-square inverse CDF at 0.999 with df=3 and df=19, frozen from scipy.stats.chi2.ppf
 CHI2_DF3_999 = 16.26623619623813
+CHI2_DF19_999 = 43.82019596451753
 
 # step-4 values for X=[[3,4],[0,0]] under hybrid p=[69/175, 106/175]:
 # 3/(2 p00), 4/(2 p01), and the duplicate case 2*4/(2 p01)
@@ -57,94 +60,10 @@ def _same_sample(a, b):
     )
 
 
-def test_alias_table_reconstructs_probs(toy):
-    rng = np.random.default_rng(2)
-    dists = [hybrid_distribution(toy)]
-    for _ in range(10):
-        m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-        a = rng.standard_normal((m, n))
-        a[rng.random((m, n)) < 0.4] = 0.0
-        if not a.any():
-            a[0, 0] = 1.0
-        dists.append(hybrid_distribution(DenseMatrix(a)))
-    for d in dists:
-        table = build_alias_table(d)
-        np.testing.assert_allclose(reconstructed_probs(table), d.probs, atol=1e-12)
-
-
-def _numpy_scalar_alias_build(probs):
-    """The two-stack Vose loop on numpy arrays and scalars, as first written:
-    the reference that build_alias_table must match bit for bit."""
-    size = probs.shape[0]
-    scaled = probs * size
-    prob = np.ones(size)
-    alias = np.arange(size, dtype=np.int64)
-    below = np.nonzero(scaled < 1.0)[0]
-    above = np.nonzero(scaled >= 1.0)[0]
-    small = np.empty(size, dtype=np.int64)
-    large = np.empty(size, dtype=np.int64)
-    ns = below.shape[0]
-    nl = above.shape[0]
-    small[:ns] = below
-    large[:nl] = above
-    while ns > 0 and nl > 0:
-        ns -= 1
-        nl -= 1
-        lo = small[ns]
-        hi = large[nl]
-        prob[lo] = scaled[lo]
-        alias[lo] = hi
-        scaled[hi] = (scaled[hi] + scaled[lo]) - 1.0
-        if scaled[hi] < 1.0:
-            small[ns] = hi
-            ns += 1
-        else:
-            large[nl] = hi
-            nl += 1
-    return prob, alias
-
-
-def _assert_reference_table(d):
-    table = build_alias_table(d)
-    prob, alias = _numpy_scalar_alias_build(d.probs)
-    assert table.prob.tobytes() == prob.tobytes()
-    assert table.alias.tobytes() == alias.tobytes()
-
-
-@st.composite
-def _alias_distributions(draw):
-    """A point mass, a uniform table, or the hybrid distribution of a matrix
-    of entries spread over twelve decades, with zero cells common."""
-    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 7))
-    shape = draw(st.sampled_from(["point", "uniform", "entries"]))
-    if shape == "point":
-        a = np.zeros((m, n))
-        a[draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))] = draw(st.sampled_from([1.0, -3.5, 1e-9]))
-    elif shape == "uniform":
-        a = np.full((m, n), draw(st.sampled_from([1.0, -2.0])))
-    else:
-        value = st.floats(1e-6, 1e6) | st.floats(-1e6, -1e-6) | st.just(0.0)
-        a = np.array(draw(st.lists(value, min_size=m * n, max_size=m * n))).reshape(m, n)
-        if not np.any(a != 0.0):
-            a[0, 0] = 1.0
-    return hybrid_distribution(DenseMatrix(a))
-
-
-@settings(max_examples=150, deadline=None)
-@given(d=_alias_distributions())
-def test_alias_build_matches_numpy_scalar_loop(d):
-    _assert_reference_table(d)
-
-
-def test_alias_build_matches_numpy_scalar_loop_on_power_law_500():
-    _assert_reference_table(hybrid_distribution(generate_matrix(GeneratorSpec("power-law", 500, 500, 3))))
-
-
 def test_point_mass_always_drawn():
     x = DenseMatrix(np.array([[0.0, 7.0], [0.0, 0.0]]))
     d = hybrid_distribution(x)  # all mass on cell (0,1)
-    table = build_alias_table(d)
-    omega = draw_samples(table, 50, seed=123)
+    omega = draw_samples(d, 50, seed=123)
     assert omega.cells.tolist() == [1]  # row-major cell (0, 1)
     assert omega.counts.tolist() == [50]
 
@@ -153,8 +72,7 @@ def test_uniform_four_cells_chi_square():
     d = custom_distribution(
         DenseMatrix(np.ones((2, 2))), np.full(4, 0.25)
     )
-    table = build_alias_table(d)
-    counts = _cell_counts(draw_samples(table, 10**6, seed=99))
+    counts = _cell_counts(draw_samples(d, 10**6, seed=99))
     expected = 250_000.0
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 <= CHI2_DF3_999
@@ -162,9 +80,8 @@ def test_uniform_four_cells_chi_square():
 
 def test_toy_hybrid_draw_frequencies(toy):
     d = hybrid_distribution(toy)
-    table = build_alias_table(d)
     n_draws = 10**6
-    counts = _cell_counts(draw_samples(table, n_draws, seed=7))
+    counts = _cell_counts(draw_samples(d, n_draws, seed=7))
     assert counts[2] == 0 and counts[3] == 0  # zero-probability cells never drawn
     for k in (0, 1):
         p = d.probs[k]
@@ -173,48 +90,120 @@ def test_toy_hybrid_draw_frequencies(toy):
 
 
 def test_draw_determinism(toy):
-    table = build_alias_table(hybrid_distribution(toy))
-    a = draw_samples(table, 1000, seed=42)
-    b = draw_samples(table, 1000, seed=42)
+    d = hybrid_distribution(toy)
+    a = draw_samples(d, 1000, seed=42)
+    b = draw_samples(d, 1000, seed=42)
     assert _same_sample(a, b)
     assert a.seed == b.seed == 42
-    c = draw_samples(table, 1000, seed=43)
+    c = draw_samples(d, 1000, seed=43)
     assert not np.array_equal(a.counts, c.counts)
     # a seed is reduced mod 2^64, and the sample records the reduced seed
-    assert _same_sample(draw_samples(table, 1000, seed=42 + 2**64), a)
-    assert _same_sample(draw_samples(table, 1000, seed=np.int64(42)), a)
+    assert _same_sample(draw_samples(d, 1000, seed=42 + 2**64), a)
+    assert _same_sample(draw_samples(d, 1000, seed=np.int64(42)), a)
 
 
 def test_draw_validation(toy):
-    table = build_alias_table(hybrid_distribution(toy))
+    d = hybrid_distribution(toy)
     with pytest.raises(ElemsparseError):
-        draw_samples(table, 0, seed=1)
+        draw_samples(d, 0, seed=1)
     # counts are int64: a larger s is refused before any draw, not drawn for ages
     for s in (2**63, 10**300):
         with pytest.raises(InvalidSpecError, match=r"more than 2\*\*63 - 1"):
-            draw_samples(table, s, seed=1)
-    omega = draw_samples(table, 17, seed=1)
+            draw_samples(d, s, seed=1)
+    omega = draw_samples(d, 17, seed=1)
     assert (omega.m, omega.n, omega.s) == (2, 2, 17)
     assert omega.cells.shape == omega.counts.shape
     assert omega.cells.min() >= 0 and omega.cells.max() < 4
     assert omega.counts.sum() == 17
 
 
-@pytest.mark.parametrize("shape", [(2, 3), (300, 300)], ids=["block-constant", "block-mn"])
-def test_draw_matches_one_unblocked_call_across_blocks(shape):
-    # A block holds max(_DRAW_BLOCK, mn) draws; 2 blocks + 3 draws crosses
-    # two boundaries and ends on a partial block.
-    rng = np.random.default_rng(21)
-    x = DenseMatrix(rng.standard_normal(shape))
-    table = build_alias_table(hybrid_distribution(x))
-    s = 2 * max(_DRAW_BLOCK, table.size) + 3
-    u = np.random.Generator(np.random.PCG64(5)).random((s, 2))
-    expected = np.bincount(
-        _alias_draw(table.prob, table.alias, u[:, 0], u[:, 1]), minlength=table.size
-    )
-    omega = draw_samples(table, s, seed=5)
-    np.testing.assert_array_equal(_cell_counts(omega), expected)
-    np.testing.assert_array_equal(omega.cells, np.flatnonzero(expected))
+def test_largest_s_draws_at_once(toy):
+    # one multinomial call costs O(mn) whatever s is; toy's trailing cells
+    # have probability 0, and the count left by rounding goes to the last
+    # cell of the support, never to them
+    omega = draw_samples(hybrid_distribution(toy), 2**63 - 1, seed=0)
+    assert omega.cells.tolist() == [0, 1]
+    assert int(omega.counts.sum()) == 2**63 - 1
+
+
+def test_build_alias_table_is_a_deprecated_identity(toy):
+    d = hybrid_distribution(toy)
+    assert build_alias_table(d) is d
+
+
+# Three sketches of the 4x5 low-rank-plus-noise matrix of seed 2 at s=60 and
+# seed 11, as numpy 2.4's multinomial draws them. numpy promises no stream
+# across versions (NEP 19), so a version that moves the stream fails here.
+PINNED = {
+    "hybrid": ([0, 1, 2, 5, 6, 7, 8, 9, 10, 12, 13, 15, 17, 18, 19], [3, 1, 6, 1, 1, 5, 24, 7, 1, 3, 1, 1, 1, 3, 2]),
+    "l1": (
+        [0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 16, 17, 18, 19],
+        [3, 2, 6, 1, 2, 1, 4, 17, 7, 1, 1, 4, 1, 1, 1, 2, 3, 3],
+    ),
+    "l2": ([0, 1, 2, 6, 7, 8, 9, 12, 13, 17, 18, 19], [3, 1, 6, 1, 5, 19, 12, 4, 1, 1, 6, 1]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED))
+def test_pinned_multinomial_sketches(kind):
+    x = generate_matrix(GeneratorSpec("low-rank-plus-noise", 4, 5, 2))
+    omega = draw_samples(distribution_for_kind(x, kind), 60, seed=11)
+    assert (omega.cells.tolist(), omega.counts.tolist()) == PINNED[kind]
+
+
+def test_counts_chi_square_against_s_p():
+    x = generate_matrix(GeneratorSpec("gaussian", 4, 5, 6))  # no zero cell: 19 degrees of freedom
+    d = hybrid_distribution(x)
+    s = 10**6
+    counts = _cell_counts(draw_samples(d, s, seed=13))
+    expected = s * d.probs
+    assert float(((counts - expected) ** 2 / expected).sum()) <= CHI2_DF19_999
+
+
+def test_mean_sketch_matches_exact_expectation():
+    # A table that starves two nonzero cells: the sketch is unbiased for X
+    # restricted to the support, which is what exact_expectation returns.
+    x = generate_matrix(GeneratorSpec("gaussian", 3, 4, 8))
+    probs = np.abs(x.flat()).copy()
+    probs[[1, 6]] = 0.0
+    d = custom_distribution(x, probs / probs.sum())
+    n_sketches = 100_000
+    # the mean of N single-draw sketches is one N-draw sketch
+    mean = coo_to_dense(sampling_operator(x, d, draw_samples(d, n_sketches, seed=31)).matrix).data
+    target = exact_expectation(x, d).data
+    p = d.grid()
+    support = p > 0.0
+    half = np.zeros_like(target)
+    half[support] = 4.0 * np.sqrt(x.data[support] ** 2 * (1.0 - p[support]) / p[support] / n_sketches)
+    assert np.all(np.abs(mean - target)[support] <= half[support])
+    assert np.all(mean[~support] == 0.0) and np.all(target[~support] == 0.0)
+
+
+@pytest.mark.parametrize("excess, refused", [(1.01e-12, True), (0.99e-12, False)], ids=["refused", "drawn"])
+def test_numpy_sum_check_is_a_typed_error(excess, refused):
+    # numpy refuses p whose leading entries sum above 1 + 1e-12
+    probs = np.array([0.5, 0.5 + excess, 0.25])
+    if refused:
+        with pytest.raises(InvalidSpecError, match="cannot draw"):
+            _draw_counts(probs, 10, 0)
+    else:
+        assert int(_draw_counts(probs, 10, 0).sum()) == 10
+
+
+@pytest.mark.parametrize(
+    "rows, kind, cell",
+    [
+        ([[5e-324, 1.0], [1.0, 0.0]], DistributionKind.HYBRID, "x[0, 0] = 5e-324"),
+        ([[5e-324, 1.0], [1.0, 0.0]], DistributionKind.PURE_L1, "x[0, 0] = 5e-324"),
+        ([[5e-324, 1.0], [1.0, 0.0]], DistributionKind.PURE_L2, "x[0, 0] = 5e-324"),
+        ([[1e-200, 2.0], [3.0, 0.0]], DistributionKind.PURE_L2, "x[0, 0] = 1e-200"),
+    ],
+    ids=["subnormal-hybrid", "subnormal-l1", "subnormal-l2", "tiny-l2"],
+)
+def test_sparsify_refuses_a_starved_entry(rows, kind, cell):
+    # the entry has probability 0, so no sketch could hold it: refused, not biased
+    with pytest.raises(ZeroProbabilityError, match=rf"the {kind.value} distribution .*{re.escape(cell)}"):
+        sparsify(DenseMatrix(rows), 10, 0, kind)
 
 
 @pytest.mark.parametrize(
@@ -238,8 +227,7 @@ def test_sample_set_rejects_malformed_multiset(cells, counts, s, error):
 
 def test_uniform_two_cell_binomial():
     d = custom_distribution(DenseMatrix(np.ones((1, 2))), np.array([0.5, 0.5]))
-    table = build_alias_table(d)
-    count0 = int(_cell_counts(draw_samples(table, 10**5, seed=11))[0])
+    count0 = int(_cell_counts(draw_samples(d, 10**5, seed=11))[0])
     sigma = np.sqrt(10**5 * 0.25)
     assert abs(count0 - 50_000) <= 3 * sigma
 
@@ -348,7 +336,7 @@ def test_error_decay_one_over_sqrt_s():
 @st.composite
 def _sampling_problems(draw):
     """A small nonzero matrix (entries on a quarter grid, zeros common), one
-    of the built-in distributions over it, and its alias table."""
+    of the built-in distributions over it."""
     m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     entries = draw(st.lists(st.integers(-8, 8), min_size=m * n, max_size=m * n))
     a = np.array(entries, dtype=np.float64).reshape(m, n) / 4
@@ -356,20 +344,19 @@ def _sampling_problems(draw):
         a[draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))] = 1.0
     x = DenseMatrix(a)
     kind = draw(st.sampled_from([DistributionKind.HYBRID, DistributionKind.PURE_L1, DistributionKind.PURE_L2]))
-    d = distribution_for_kind(x, kind)
-    return x, d, build_alias_table(d)
+    return x, distribution_for_kind(x, kind)
 
 
 @settings(max_examples=60, deadline=None)
 @given(problem=_sampling_problems(), s=st.integers(1, 400), seed=st.integers(0, 2**64 - 1))
 def test_drawn_multiset_properties(problem, s, seed):
-    x, d, table = problem
-    omega = draw_samples(table, s, seed)
+    x, d = problem
+    omega = draw_samples(d, s, seed)
     assert (omega.m, omega.n, omega.s, omega.seed) == (x.m, x.n, s, seed)
     assert int(omega.counts.sum()) == s and np.all(omega.counts >= 1)
     assert np.all(np.diff(omega.cells) > 0)
     assert np.all(d.probs[omega.cells] > 0.0)  # only cells in the support of d
-    assert _same_sample(omega, draw_samples(table, s, seed))
+    assert _same_sample(omega, draw_samples(d, s, seed))
 
     sk = sampling_operator(x, d, omega)
     np.testing.assert_array_equal(sk.matrix.rows * x.n + sk.matrix.cols, omega.cells)
@@ -381,9 +368,3 @@ def test_drawn_multiset_properties(problem, s, seed):
     ]
     np.testing.assert_array_equal(sk.matrix.vals, expected)
     assert (sk.s, sk.source_seed, sk.distribution_kind) == (s, seed, d.kind)
-
-
-@settings(max_examples=40, deadline=None)
-@given(problem=_sampling_problems())
-def test_alias_build_matches_numpy_scalar_loop_on_builtin_kinds(problem):
-    _assert_reference_table(problem[1])

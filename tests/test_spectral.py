@@ -7,9 +7,12 @@ import pytest
 from elemsparse import (
     DenseMatrix,
     GeneratorSpec,
+    SampleSet,
     ShapeMismatchError,
     SparseCOO,
     generate_matrix,
+    hybrid_distribution,
+    sampling_operator,
     sparsify,
     sketch_error,
     spectral_norm,
@@ -18,6 +21,7 @@ from elemsparse import spectral
 from elemsparse.spectral import _lanczos_norms
 
 FIXTURE = Path(__file__).parent / "fixtures" / "spectral_oracle.json"
+TRAP = Path(__file__).parent / "fixtures" / "sigma2_trap_sketch.json"
 
 SKETCH_ERR_01_DUP = 3.9723591078164717  # ||[[-3, 700/106 - 4], [0, 0]]||_2
 
@@ -164,9 +168,14 @@ def test_solves_agree_with_dense_norm(spec):
 
 def test_second_singular_value_trap():
     # Power iteration stopped on sigma_2 = 13.19256... of this difference and
-    # reported it as converged; the residual certificate finds sigma_1.
-    x = generate_matrix(GeneratorSpec("gaussian", 100, 100, 44))
-    est = sketch_error(x, sparsify(x, 15202, 29))
+    # reported it as converged; the residual certificate finds sigma_1. The
+    # sketch is frozen (scripts/make_trap_fixture.py): the sampler's stream
+    # draws another one from its seed.
+    doc = json.loads(TRAP.read_text(encoding="ascii"))
+    x = generate_matrix(GeneratorSpec(**doc["generator"]))
+    d = hybrid_distribution(x)
+    omega = SampleSet(x.m, x.n, doc["s"], doc["cells"], doc["counts"], doc["seed"])
+    est = sketch_error(x, sampling_operator(x, d, omega))
     assert est.converged
     assert est.value == pytest.approx(13.362398968827721, abs=1e-9)
 
