@@ -21,7 +21,7 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .distributions import DistributionKind, _shares
+from .distributions import _BUILTIN_KINDS, DistributionKind, _shares
 from .errors import ElemsparseError, InvalidSpecError
 from .experiment import (
     BoundForm,
@@ -44,7 +44,7 @@ from .sampler import draw_samples, sampling_operator
 
 __all__ = ["main", "build_parser"]
 
-_DIST_CHOICES = ("hybrid", "l1", "l2")
+_DIST_CHOICES = tuple(kind.value for kind in _BUILTIN_KINDS)
 _FORM_CHOICES = tuple(f.value for f in BoundForm)
 
 

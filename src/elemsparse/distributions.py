@@ -33,7 +33,17 @@ __all__ = [
 _SUM_TOL = 1e-12
 
 
-class DistributionKind(str, Enum):
+class _Named(str, Enum):
+    """A string enum that refuses an unknown value with InvalidSpecError
+    naming the known ones, not Enum's bare ValueError."""
+
+    @classmethod
+    def _missing_(cls, value):
+        names = ", ".join(member.value for member in cls)
+        raise InvalidSpecError(f"{value!r} is not a valid {cls.__name__}; use one of {names}")
+
+
+class DistributionKind(_Named):
     HYBRID = "hybrid"
     PURE_L2 = "l2"
     PURE_L1 = "l1"

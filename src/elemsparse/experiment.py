@@ -28,12 +28,11 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from enum import Enum
 
 import numpy as np
 
 from .bounds import BoundReport, BoundRequest, bound_report, sample_size_corollary
-from .distributions import _BUILTIN_KINDS, DistributionKind, _certified_beta, _distributions, _shares
+from .distributions import _BUILTIN_KINDS, DistributionKind, _certified_beta, _distributions, _Named, _shares
 from .errors import InvalidSpecError
 from .generate import GeneratorSpec, generate_matrix
 from .io import load_matrix
@@ -67,7 +66,7 @@ SCHEMA_VERSION = 3
 _BATCH_BYTES = 640_000
 
 
-class BoundForm(str, Enum):
+class BoundForm(_Named):
     THEOREM1 = "theorem1"
     UNSIMPLIFIED = "unsimplified"
     COROLLARY = "corollary"
@@ -95,12 +94,10 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if isinstance(self.dist_kind, str) and not isinstance(self.dist_kind, DistributionKind):
-            object.__setattr__(self, "dist_kind", DistributionKind(self.dist_kind))
-        if isinstance(self.bound_form, str) and not isinstance(self.bound_form, BoundForm):
-            object.__setattr__(self, "bound_form", BoundForm(self.bound_form))
         if self.dist_kind not in _BUILTIN_KINDS:
             raise InvalidSpecError("dist_kind must be one of hybrid, l1, l2")
+        object.__setattr__(self, "dist_kind", DistributionKind(self.dist_kind))
+        object.__setattr__(self, "bound_form", BoundForm(self.bound_form))
         if (self.epsilon is None) == (self.epsilon_rel is None):
             raise InvalidSpecError("exactly one of epsilon and epsilon_rel must be set")
         if self.epsilon is not None and not 0 < self.epsilon < math.inf:

@@ -90,6 +90,13 @@ def _draw_counts(probs: np.ndarray, s: int, seed: int) -> np.ndarray:
     numpy gives the last category whatever the others leave, float rounding
     of the running remainder included, so the draw ends at the last cell of
     positive probability: no count lands on a trailing cell of probability 0.
+
+    numpy computes each other count as a float64 binomial draw, so counts are
+    exact draws only up to s = 2^53. Above it they are rounded to float64:
+    the hybrid of [[3, 4], [0, 0]] at s = 2^63 - 1, seed 0, draws
+    3636643833541878272, a multiple of 512, for its first cell, and the
+    sketch is unbiased only to about 1e-16 relative. The counts still sum to
+    s exactly.
     """
     if s > (1 << 63) - 1:
         raise InvalidSpecError(f"sample count {s} is more than 2**63 - 1, the most int64 counts hold")

@@ -7,7 +7,12 @@ would be alone: ``spectral_norm`` and ``sketch_error`` hand it a stack of
 one, and the experiment harness a batch of trials' ``S - X``, densified at
 the size of X, which the program already holds dense. The solver stops each
 member on a residual certificate for its top Ritz triple, so ``converged``
-means the reported value lies within ``_TOL`` (relative) of a singular value.
+means the reported value lies within ``_TOL`` (relative) of a singular value;
+one test per Lanczos step makes that decision, breakdown and the exact last
+step included. The solver consumes its stack: it scales each member in place
+by a power of two, which keeps its dot products in float range and is undone
+exactly on the results, and it reorders the stack in place. So a result does
+not depend on the scale of its matrix, and ``spectral_norm`` solves a copy.
 """
 
 from __future__ import annotations
@@ -104,22 +109,30 @@ def _lanczos_norms(a: np.ndarray) -> list:
     transpose when wide (so the start vector lives in the smaller dimension N
     and the solve is exact by step N), it builds orthonormal V (right) and U
     (left) with T V_k = U_k B_k and T^T U_k = V_k B_k^T + beta_k v_{k+1}
-    e_k^T, and tests the top Ritz triple of B_k every _CHECK_EVERY steps, at
-    the step cap, and on breakdown. A step makes one batched product with T
-    and one with T^T, both on a as it lies in memory, over the members still
-    running, which are always the front of a: a member that stops is
-    recorded, and the running members after it move forward in a and in the
-    Krylov buffers. a is reordered in place, never copied. Returns one
-    SpectralEstimate per member, in the order of a.
+    e_k^T. One test per step stops members: the top Ritz triple of B_k is
+    tested every _CHECK_EVERY steps, at the step cap, and where beta_k = 0,
+    as breakdown (alpha_k = 0) and k = N set it. A step makes one batched
+    product with T and one with T^T, both on a as it lies in memory, over the
+    members still running, which are always the front of a: a member that
+    stops is recorded, and the running members after it move forward in a
+    and in the Krylov buffers.
+
+    a is consumed, never copied: it is reordered in place, and each member is
+    first scaled in place by the power of two that puts its largest |entry|
+    in [1/2, 1), so that no dot product underflows or overflows; the scaling
+    is exact and undone on the results. Returns one SpectralEstimate per
+    member, in the order of a.
     """
     count, m, n = a.shape
     big, small = max(m, n), min(m, n)
-    ops, ops_t = (a, a.transpose(0, 2, 1)) if m >= n else (a.transpose(0, 2, 1), a)
+    top = np.maximum(a.max(axis=(1, 2), initial=0.0), -a.min(axis=(1, 2), initial=0.0))
+    exps = np.frexp(top)[1]
+    np.ldexp(a, -exps[:, None, None], out=a)
+    op, op_t = (a, a.transpose(0, 2, 1)) if m >= n else (a.transpose(0, 2, 1), a)
     steps = min(_MAX_STEPS, small)
     start = np.random.Generator(np.random.PCG64(_START_SEED)).standard_normal(small)
     start /= np.sqrt(start @ start)
     # Lanczos vectors are columns (B, d, 1); the Krylov buffers hold them as rows.
-    v = np.tile(start[:, None], (count, 1, 1))
     rows = min(small, 16)
     vs, us = np.empty((count, rows, small)), np.empty((count, rows, big))
     vs[:, 0] = start
@@ -128,56 +141,49 @@ def _lanczos_norms(a: np.ndarray) -> list:
     ids = list(range(count))
     out = [None] * count
     b = count
-
-    def residual_test(tested: np.ndarray, k: int, beta_k: np.ndarray, step_column: np.ndarray) -> int:
-        """Residual test of the running members where tested is set; those
-        that converged or reached the step cap are recorded and leave the
-        running set. Returns the new running count."""
-        pos = np.flatnonzero(tested)
-        sigma, residual = _top_ritz(alphas[pos, :k], betas[pos, : k - 1], beta_k[pos])
-        converged = residual <= _TOL * sigma
-        stopped = np.flatnonzero(converged | (k == steps)).tolist()
-        if not stopped:
-            return b
-        for j in stopped:
-            out[ids[pos[j]]] = SpectralEstimate(float(sigma[j]), k, bool(converged[j]), float(residual[j]))
-        keep = sorted(set(range(b)).difference(pos[stopped].tolist()))
-        _compact(keep, (a, vs, us, v, alphas, betas, beta, ids, step_column))
-        return len(keep)
-
-    op, op_t, vb, betab = ops[:b], ops_t[:b], v[:b], beta[:b]
     for k in range(1, steps + 1):
-        u = np.matmul(op, vb)
+        v = vs[:b, k - 1, :, None]
+        u = np.matmul(op, v)
         if k > 1:
-            u -= betab * us[:b, k - 2, :, None]
+            u -= beta * us[:b, k - 2, :, None]
             _orthogonalize(u, us[:b, : k - 1])
         alpha = _norms(u)
         alphas[:b, k - 1] = alpha[:, 0, 0]
         # alpha = 0 makes span(V_k) invariant under T^T T, and at k = N V_k
-        # spans the whole space: either way beta_k = 0 and the Ritz triple is
-        # exact.
-        if k == small or np.count_nonzero(alpha) < b:
-            b = residual_test((alphas[:b, k - 1] == 0.0) | (k == small), k, np.zeros(b), u)
-            if b == 0:
-                break
-            op, op_t, vb, betab = ops[:b], ops_t[:b], v[:b], beta[:b]
-            u, alpha = u[:b], alphas[:b, k - 1, None, None]
-        u /= alpha
+        # spans the whole space: either way beta_k = 0, the Ritz triple is
+        # exact, and the test below stops the member.
+        exact = k == small or np.count_nonzero(alpha) < b
+        if exact:
+            np.divide(u, alpha, out=u, where=alpha > 0.0)
+        else:
+            u /= alpha
         us = _push(us, k - 1, u)
         r = np.matmul(op_t, u)
-        r -= alpha * vb
+        r -= alpha * v
         _orthogonalize(r, vs[:b, :k])
-        betab[...] = _norms(r)
+        beta[...] = _norms(r)
+        if exact:
+            beta[(alpha == 0.0) | (k == small)] = 0.0
         scheduled = k % _CHECK_EVERY == 0 or k == steps
-        if scheduled or np.count_nonzero(betab) < b:
-            b = residual_test((betab[:, 0, 0] == 0.0) | scheduled, k, beta[:, 0, 0], r)
-            if b == 0:
-                break
-            op, op_t, vb, betab = ops[:b], ops_t[:b], v[:b], beta[:b]
-            r = r[:b]
-        betas[:b, k - 1] = betab[:, 0, 0]
-        np.divide(r, betab, out=vb)
-        vs = _push(vs, k, vb)
+        if scheduled or np.count_nonzero(beta) < b:
+            pos = np.flatnonzero((beta[:, 0, 0] == 0.0) | scheduled)
+            sigma, residual = _top_ritz(alphas[pos, :k], betas[pos, : k - 1], beta[pos, 0, 0])
+            converged = residual <= _TOL * sigma
+            stopped = np.flatnonzero(converged | (k == steps)).tolist()
+            for j in stopped:
+                i = ids[pos[j]]
+                value, res = np.ldexp(sigma[j], exps[i]), np.ldexp(residual[j], exps[i])
+                out[i] = SpectralEstimate(float(value), k, bool(converged[j]), float(res))
+            if stopped:
+                keep = sorted(set(range(b)).difference(pos[stopped].tolist()))
+                _compact(keep, (a, vs, us, alphas, betas, beta, ids, r))
+                b = len(keep)
+                if b == 0:
+                    break
+                op, op_t, beta, r = op[:b], op_t[:b], beta[:b], r[:b]
+        betas[:b, k - 1] = beta[:, 0, 0]
+        r /= beta
+        vs = _push(vs, k, r)
     return out
 
 
@@ -188,9 +194,11 @@ def spectral_norm(a) -> SpectralEstimate:
     converged is True exactly when the residual test held; after _MAX_STEPS
     (5000) steps, when that is below min(m, n), the last estimate comes back
     with converged=False. A Lanczos estimate never exceeds the true norm.
-    Non-convergence is signaled, not raised.
+    Non-convergence is signaled, not raised. The solve runs on a copy of a,
+    and 2^k a takes the same steps as a; a norm above the float range reads
+    inf, with numpy's overflow warning.
     """
-    return _lanczos_norms(_as_array(a)[None])[0]
+    return _lanczos_norms(_as_array(a)[None].copy())[0]
 
 
 def sketch_error(x, sketch) -> SpectralEstimate:

@@ -11,6 +11,7 @@ from elemsparse import (
     DenseMatrix,
     DistributionKind,
     ElemsparseError,
+    InvalidSpecError,
     NonFiniteError,
     SamplingDistribution,
     ShapeMismatchError,
@@ -21,6 +22,7 @@ from elemsparse import (
     hybrid_distribution,
     l1_distribution,
     l2_distribution,
+    sparsify,
 )
 
 # exact rationals for X = [[3,4],[0,0]]
@@ -202,6 +204,9 @@ def test_distribution_for_kind(toy):
         )
     with pytest.raises(ElemsparseError):
         distribution_for_kind(toy, DistributionKind.CUSTOM)
+    for build in (lambda kind: distribution_for_kind(toy, kind), lambda kind: sparsify(toy, 10, 0, kind=kind)):
+        with pytest.raises(InvalidSpecError, match="'bogus' is not a valid DistributionKind; use one of hybrid, l2, l1"):
+            build("bogus")
 
 
 def test_grid_support_transpose(toy):

@@ -65,6 +65,13 @@ def test_config_validation():
         _cfg(dist_kind="custom")
     with pytest.raises(InvalidSpecError):
         _cfg(bound_form=BoundForm.COROLLARY)  # corollary wants epsilon_rel
+    # unknown names are typed errors that list the known ones
+    with pytest.raises(InvalidSpecError, match="hybrid, l1, l2"):
+        _cfg(dist_kind="bogus")
+    with pytest.raises(InvalidSpecError, match="theorem1, unsimplified, corollary"):
+        _cfg(bound_form="bogus")
+    with pytest.raises(InvalidSpecError, match="hybrid, l2, l1, custom"):
+        make_plan(generate_matrix(GEN), ("bogus",))
 
 
 def test_config_accepts_plain_strings():

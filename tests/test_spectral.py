@@ -65,6 +65,46 @@ def test_scale_equivariance():
         assert scaled == pytest.approx(abs(c) * base, rel=1e-8)
 
 
+def test_power_of_two_scales_bit_for_bit():
+    # the solver scales each member by a power of two first, so 2^k X gives
+    # 2^k times the result for X, even where u . u would underflow or
+    # overflow unscaled
+    x = np.random.default_rng(36).standard_normal((20, 30))
+    base = spectral_norm(x)
+    for k in (-600, -540, 540, 600):
+        est = spectral_norm(2.0**k * x)
+        assert (est.value, est.residual) == (2.0**k * base.value, 2.0**k * base.residual)
+        assert (est.iterations, est.converged) == (base.iterations, base.converged)
+
+
+@pytest.mark.parametrize("scale", [1e-165, 1e-160, 1e160])
+def test_extreme_scale_is_certified_dense_norm(scale):
+    # unscaled, u . u underflowed or overflowed: 1e-165 read 0.0 after one
+    # step and 1e-160 read 2e-6 (relative) low, both as converged, and 1e160
+    # raised numpy's LinAlgError after overflow warnings
+    x = scale * np.random.default_rng(36).standard_normal((20, 30))
+    est = spectral_norm(x)
+    assert est.converged
+    assert est.value == pytest.approx(_dense_norm(x), rel=1e-9, abs=0.0)
+
+
+def test_subnormal_largest_entry_solves_without_warning():
+    # the factor 2^1072 that lifts the largest entry, 1e-323, to 1/2 is above
+    # the float range, so only a per-entry ldexp scales it without an
+    # overflow warning, which the suite's warning filter makes a failure
+    x = np.array([[5e-324, 0.0, 0.0], [0.0, 1e-323, 0.0]])
+    (est,) = _lanczos_norms(x[None].copy())
+    assert (est.value, est.converged, est.residual) == (1e-323, True, 0.0)
+
+
+def test_spectral_norm_leaves_its_argument_unchanged():
+    x = 3.0 * np.random.default_rng(37).standard_normal((6, 4))
+    before = x.copy()
+    for a in (x, DenseMatrix(x)):
+        spectral_norm(a)
+        np.testing.assert_array_equal(x, before)
+
+
 def test_transpose_agreement():
     rng = np.random.default_rng(32)
     for _ in range(5):
@@ -208,7 +248,7 @@ def test_solve_is_exact_by_min_dimension(monkeypatch):
 def _mixed_stack(shape) -> np.ndarray:
     """Members that stop at different steps: a zero matrix (alpha = 0 at step
     1), a single nonzero entry (alpha = 0 at step 2), a rank-one matrix, and
-    two gaussian matrices."""
+    four gaussian matrices, two of them scaled by 1e-170 and 1e160."""
     rng = np.random.default_rng(35)
     single = np.zeros(shape)
     single[3, 5] = 2.5
@@ -218,6 +258,8 @@ def _mixed_stack(shape) -> np.ndarray:
         np.outer(rng.standard_normal(shape[0]), rng.standard_normal(shape[1])),
         rng.standard_normal(shape),
         rng.standard_normal(shape),
+        1e-170 * rng.standard_normal(shape),
+        1e160 * rng.standard_normal(shape),
     ])
 
 
@@ -252,4 +294,4 @@ def test_stack_members_solve_as_alone(shape, settings, generic, monkeypatch):
     assert (single.iterations, single.converged) == (2, True)
     assert rank_one.converged and rank_one.iterations < ests[3].iterations
     if generic is not None:
-        assert [(e.iterations, e.converged) for e in ests[3:]] == [generic] * 2
+        assert [(e.iterations, e.converged) for e in ests[3:]] == [generic] * 4
