@@ -4,7 +4,10 @@ to OUTFILE, one line per solve.
 Each line names the solver setting, the shape, the stack layout and the
 member, then holds the ``repr`` of ``(value, iterations, converged,
 residual)`` from ``elemsparse.spectral._lanczos_norms``, run on the package
-in this checkout's ``src``. A stack whose solve raises writes the
+in this checkout's ``src``. The lines of the last block, setting
+``dispatch``, come from ``elemsparse.spectral._spectral_norms`` instead and
+name the path it took: ``dense`` (a Gram eigensolve, which reports 0 steps)
+or ``lanczos``. A stack whose solve raises writes the
 exception's type and message for each member instead, and a solve that warns
 appends the warning categories. Two checkouts are compared by running their
 copies of this script and diffing the two files:
@@ -20,7 +23,9 @@ single entry, rank one, two gaussian, power law, rank deficient and a
 gaussian scaled by 1e-170) are solved as one stack, each alone, and as one
 permuted stack; three extreme-scale gaussian members (scaled by 1e160,
 -1e160 and 1e-165) are solved alone and as one stack of their own. That is
-13 * 4 * (3 * 8 + 2 * 3) = 1560 solves.
+13 * 4 * (3 * 8 + 2 * 3) = 1560 solves. The dispatch block solves the same
+stacks under the default settings, plus those of one 320x301 shape, above
+the largest dense shape, so 14 * (3 * 8 + 2 * 3) = 420 solves more.
 """
 
 import sys
@@ -35,6 +40,10 @@ from elemsparse import spectral  # noqa: E402
 
 SHAPES = [(1, 1), (1, 6), (6, 1), (2, 3), (3, 2), (4, 4), (9, 6), (6, 9), (20, 13), (13, 20), (33, 32),
           (120, 40), (40, 120)]
+
+# Shapes of the dispatch block: every min(m, n) of SHAPES takes the dense
+# path, and 320x301 takes Lanczos.
+DISPATCH_SHAPES = [*SHAPES, (320, 301)]
 
 SETTINGS = [
     ("default", {}),
@@ -68,14 +77,22 @@ def _extreme(m: int, n: int) -> dict:
     return {"huge-1e160": 1e160 * g, "huge-neg-1e160": -1e160 * g, "tiny-1e-165": 1e-165 * g}
 
 
-def _solve(names: list, arrays: dict) -> list:
+def _lanczos_line(est) -> str:
+    return repr(tuple(est))
+
+
+def _dispatch_line(est) -> str:
+    return f"{'dense' if est.iterations == 0 else 'lanczos'} {tuple(est)!r}"
+
+
+def _solve(names: list, arrays: dict, solve=spectral._lanczos_norms, line=_lanczos_line) -> list:
     """One line body per member of the stack of the named arrays, solved on
     a copy, since the solver may reorder and rescale its stack in place."""
     stack = np.array([arrays[name] for name in names])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            results = [repr(tuple(est)) for est in spectral._lanczos_norms(stack)]
+            results = [line(est) for est in solve(stack)]
         except Exception as exc:  # the line records it, so a checkout that raises still diffs
             results = [f"raised {type(exc).__name__}: {exc}"] * len(names)
     if caught:
@@ -112,6 +129,11 @@ def main() -> None:
     finally:
         for name, value in defaults.items():
             setattr(spectral, name, value)
+    for m, n in DISPATCH_SHAPES:
+        for arrays, permuted in ((_members(m, n), True), (_extreme(m, n), False)):
+            for layout, names in _stacks(arrays, permuted):
+                for name, result in zip(names, _solve(names, arrays, spectral._spectral_norms, _dispatch_line)):
+                    lines.append(f"dispatch {m}x{n} {layout} {name}: {result}\n")
     Path(sys.argv[1]).write_text("".join(lines))
 
 

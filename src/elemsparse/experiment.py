@@ -14,11 +14,12 @@ index before reporting. A trial draws only its cell counts and builds its
 S - X from them, never a sketch; that array is the densified
 ``sparsify(x, s, seed, kind)`` sketch minus X, bit for bit. Trials run in
 fixed batches of consecutive indices whose size depends only on the matrix
-shape; a batch's error solves run as one Lanczos solve over the stack of its
-S - X arrays, in which every trial takes the steps it would take alone, and
---jobs is the number of workers that take batches. Serialized output is
-deterministic (sorted keys) apart from the wall_times block, which is
-environment noise by nature.
+shape; a batch's error solves run as one ``spectral._spectral_norms`` call on
+the stack of its S - X arrays (exact Gram eigensolves where min(m, n) <=
+300, one Lanczos solve above), in which every trial gets the value it would
+get alone, and --jobs is the number of workers that take batches.
+Serialized output is deterministic (sorted keys) apart from the wall_times
+block, which is environment noise by nature.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .generate import GeneratorSpec, generate_matrix
 from .io import load_matrix
 from .matrix import DenseMatrix, _stable_rank
 from .sampler import _SEED_MASK, _cell_values, _draw_counts
-from .spectral import _lanczos_norms
+from .spectral import _spectral_norms
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -219,6 +220,7 @@ def make_plan(
     """
     if s_override is not None and s_override < 1:
         raise InvalidSpecError("s must be a positive integer")
+    bound_form = BoundForm(bound_form)
     sum_sq, l2, l1 = _shares(x)
     dists = _distributions(x, kinds, l2, l1)
     beta = _certified_beta(x, dists[0], l2, l1) if len(dists) == 1 else 1.0
@@ -266,7 +268,7 @@ def _run_trials(cfg: ExperimentConfig, x: DenseMatrix, dist, s_used: int) -> tup
             counts = _draw_counts(dist.probs, s_used, seed)
             np.subtract(_cell_values(counts, xf, sp, slot), xf, out=slot)
             ratios.append(np.count_nonzero(counts) / mn)
-        ests = _lanczos_norms(stack.reshape(-1, x.m, x.n))
+        ests = _spectral_norms(stack.reshape(-1, x.m, x.n))
         wall = (time.perf_counter() - t0) / len(batch_seeds)
         return [(est, ratio, wall) for est, ratio in zip(ests, ratios)]
 

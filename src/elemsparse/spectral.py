@@ -1,18 +1,23 @@
-"""Deterministic-seeded spectral-norm solves by Golub–Kahan–Lanczos
-bidiagonalization.
+"""Spectral-norm solves: exact from a Gram eigensolve on small operands, by
+deterministic-seeded Golub–Kahan–Lanczos bidiagonalization on large ones.
 
-Used for the error measurement ``||sketch - X||_2`` and for stable rank. One
-solver runs on a stack of dense arrays of one shape, each member solved as it
-would be alone: ``spectral_norm`` and ``sketch_error`` hand it a stack of
-one, and the experiment harness a batch of trials' ``S - X``, densified at
-the size of X, which the program already holds dense. The solver stops each
+Used for the error measurement ``||sketch - X||_2`` and for stable rank.
+``_spectral_norms`` takes a stack of dense arrays of one shape, each member
+solved as it would be alone: ``spectral_norm`` and ``sketch_error`` hand it a
+stack of one, and the experiment harness a batch of trials' ``S - X``,
+densified at the size of X, which the program already holds dense. It picks
+the path from the shape alone. Where min(m, n) <= _DENSE_MAX_DIM,
+``_gram_norms`` takes sigma_1 as the square root of the top eigenvalue of the
+member's Gram matrix, which is exact to roundoff and reports 0 steps,
+``converged`` True and residual 0.0. Above it, ``_lanczos_norms`` stops each
 member on a residual certificate for its top Ritz triple, so ``converged``
 means the reported value lies within ``_TOL`` (relative) of a singular value;
 one test per Lanczos step makes that decision, breakdown and the exact last
-step included. The solver consumes its stack: it scales each member in place
-by a power of two, which keeps its dot products in float range and is undone
-exactly on the results, and it reorders the stack in place. So a result does
-not depend on the scale of its matrix, and ``spectral_norm`` solves a copy.
+step included. Both paths consume their stack: ``_scale_down`` scales each
+member in place by a power of two, which keeps products in float range and
+is undone exactly on the results, and Lanczos reorders the stack in place. So
+a result does not depend on the scale of its matrix, and ``spectral_norm``
+solves a copy.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import NonFiniteError, ShapeMismatchError
 from .matrix import _scatter
 
 __all__ = ["SpectralEstimate", "spectral_norm", "sketch_error"]
@@ -35,13 +40,20 @@ _START_SEED = 0
 # Steps between residual tests; a test costs one SVD of the k x k bidiagonal,
 # which outweighs a Lanczos step on small operators.
 _CHECK_EVERY = 4
+# Members with min(m, n) <= _DENSE_MAX_DIM are solved exactly from their Gram
+# matrix, larger ones by Lanczos. The Gram solve costs O(mn min(m, n)) time
+# and min(m, n)^2 memory; on square S - X members it is the faster of the two
+# up to about 300-325, and Lanczos is from 350 (the crossover table is in
+# ROADMAP.md).
+_DENSE_MAX_DIM = 300
 
 
 class SpectralEstimate(NamedTuple):
     value: float
-    iterations: int
-    converged: bool
-    residual: float  # ||A^T u - value * v|| of the reported Ritz triple
+    iterations: int  # Lanczos steps taken; 0 for a dense (Gram) solve
+    converged: bool  # the residual test held; always True for a dense solve
+    # ||A^T u - value * v|| of the reported Ritz triple; 0.0 for a dense solve
+    residual: float
 
 
 def _as_array(a) -> np.ndarray:
@@ -49,7 +61,23 @@ def _as_array(a) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeMismatchError(f"expected a 2-d operand, got ndim={arr.ndim}")
+    if arr.size == 0:
+        raise ShapeMismatchError(f"expected a nonempty operand, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteError("the operand holds a NaN or infinite entry")
     return arr
+
+
+def _scale_down(a: np.ndarray) -> np.ndarray:
+    """Scale each member of the stack a (B, m, n) in place by the power of
+    two that puts its largest |entry| in [1/2, 1), and return the exponents
+    e (B,) that undo it: member i's singular values are 2^e[i] times those of
+    its scaled copy. One per-element ldexp pass, exact even for a subnormal
+    largest entry, so no later product underflows or overflows."""
+    top = np.maximum(a.max(axis=(1, 2), initial=0.0), -a.min(axis=(1, 2), initial=0.0))
+    exps = np.frexp(top)[1]
+    np.ldexp(a, -exps[:, None, None], out=a)
+    return exps
 
 
 def _norms(w: np.ndarray) -> np.ndarray:
@@ -117,17 +145,13 @@ def _lanczos_norms(a: np.ndarray) -> list:
     stops is recorded, and the running members after it move forward in a
     and in the Krylov buffers.
 
-    a is consumed, never copied: it is reordered in place, and each member is
-    first scaled in place by the power of two that puts its largest |entry|
-    in [1/2, 1), so that no dot product underflows or overflows; the scaling
-    is exact and undone on the results. Returns one SpectralEstimate per
-    member, in the order of a.
+    a is consumed, never copied: _scale_down scales it in place first, so
+    that no dot product underflows or overflows, and it is then reordered in
+    place. Returns one SpectralEstimate per member, in the order of a.
     """
     count, m, n = a.shape
     big, small = max(m, n), min(m, n)
-    top = np.maximum(a.max(axis=(1, 2), initial=0.0), -a.min(axis=(1, 2), initial=0.0))
-    exps = np.frexp(top)[1]
-    np.ldexp(a, -exps[:, None, None], out=a)
+    exps = _scale_down(a)
     op, op_t = (a, a.transpose(0, 2, 1)) if m >= n else (a.transpose(0, 2, 1), a)
     steps = min(_MAX_STEPS, small)
     start = np.random.Generator(np.random.PCG64(_START_SEED)).standard_normal(small)
@@ -187,18 +211,53 @@ def _lanczos_norms(a: np.ndarray) -> list:
     return out
 
 
+def _gram_norms(a: np.ndarray) -> list:
+    """Top singular value of each member of the stack a (B, m, n), exact to
+    roundoff: with T the member, or its transpose when wide, sigma_1 is the
+    square root of the top eigenvalue of T^T T, which LAPACK's symmetric
+    eigensolver returns with every other eigenvalue, so it cannot be missed.
+
+    Each member is solved on its own into one reused Gram buffer of side
+    min(m, n), so a member of a stack gives the bits it gives alone. a is
+    consumed: _scale_down scales it in place first. Returns one
+    SpectralEstimate(value, 0, True, 0.0) per member, in the order of a.
+    """
+    _, m, n = a.shape
+    exps = _scale_down(a)
+    gram = np.empty((min(m, n),) * 2)
+    out = []
+    for member, e in zip(a, exps):
+        t = member if m >= n else member.T
+        top = np.linalg.eigvalsh(np.matmul(t.T, t, out=gram))[-1]
+        out.append(SpectralEstimate(float(np.ldexp(np.sqrt(top), e)), 0, True, 0.0))
+    return out
+
+
+def _spectral_norms(a: np.ndarray) -> list:
+    """Top singular value of each member of the stack a (B, m, n): exactly
+    by _gram_norms where min(m, n) <= _DENSE_MAX_DIM, by _lanczos_norms
+    above. a is consumed. Returns one SpectralEstimate per member, in the
+    order of a."""
+    solve = _gram_norms if min(a.shape[1:]) <= _DENSE_MAX_DIM else _lanczos_norms
+    return solve(a)
+
+
 def spectral_norm(a) -> SpectralEstimate:
     """Top singular value of a dense matrix, with its Lanczos step count,
     convergence flag and Ritz residual.
 
-    converged is True exactly when the residual test held; after _MAX_STEPS
+    Where min(m, n) <= _DENSE_MAX_DIM (300) the value is exact and comes
+    back as SpectralEstimate(value, 0, True, 0.0). Above it, converged is
+    True exactly when the Lanczos residual test held; after _MAX_STEPS
     (5000) steps, when that is below min(m, n), the last estimate comes back
     with converged=False. A Lanczos estimate never exceeds the true norm.
-    Non-convergence is signaled, not raised. The solve runs on a copy of a,
-    and 2^k a takes the same steps as a; a norm above the float range reads
-    inf, with numpy's overflow warning.
+    Non-convergence is signaled, not raised. An operand with a NaN or
+    infinite entry raises NonFiniteError, and one with no rows or columns
+    ShapeMismatchError. The solve runs on a copy of a, and 2^k a takes the
+    same path and steps as a; a norm above the float range reads inf, with
+    numpy's overflow warning.
     """
-    return _lanczos_norms(_as_array(a)[None].copy())[0]
+    return _spectral_norms(_as_array(a)[None].copy())[0]
 
 
 def sketch_error(x, sketch) -> SpectralEstimate:
@@ -207,7 +266,7 @@ def sketch_error(x, sketch) -> SpectralEstimate:
     Accepts a SparseSketch (unwrapping its COO matrix) or a SparseCOO. S is
     scattered into an m x n array once (duplicate cells add up) and X is
     subtracted in place, so the solve holds one array the size of X: a stack
-    of one for the solver that the experiment runs on its batches. Returns
+    of one for the dispatch that the experiment runs on its batches. Returns
     the same SpectralEstimate as spectral_norm; a value with converged=False
     may sit below the true norm.
     """
@@ -218,4 +277,4 @@ def sketch_error(x, sketch) -> SpectralEstimate:
             f"sketch shape ({coo.m}, {coo.n}) does not match matrix shape {arr.shape}"
         )
     diff = _scatter(coo)
-    return _lanczos_norms(np.subtract(diff, arr, out=diff)[None])[0]
+    return _spectral_norms(np.subtract(diff, arr, out=diff)[None])[0]

@@ -80,6 +80,16 @@ def test_config_accepts_plain_strings():
     assert cfg.bound_form is BoundForm.THEOREM1
 
 
+def test_make_plan_accepts_plain_string_bound_forms():
+    # a plain "theorem1" raised AttributeError, and "corollary" skipped the
+    # corollary branches
+    x = generate_matrix(GEN)
+    for form, target in ((BoundForm.THEOREM1, {"epsilon": 1.0}), (BoundForm.COROLLARY, {"epsilon_rel": 0.9})):
+        plan = make_plan(x, ("hybrid",), bound_form=form.value, **target)
+        assert plan.s == make_plan(x, ("hybrid",), bound_form=form, **target).s
+        assert plan.s == getattr(plan.report, f"s_{form.value}")
+
+
 def test_single_cell_fixture_runs_clean(tmp_path):
     path = tmp_path / "c.csv"
     path.write_text("2.5\n")
@@ -135,8 +145,8 @@ def test_trial_difference_is_the_densified_sketch_minus_x(monkeypatch, kind):
         stacks.append(stack.copy())
         return solve(stack)
 
-    solve = experiment._lanczos_norms
-    monkeypatch.setattr(experiment, "_lanczos_norms", capture)
+    solve = experiment._spectral_norms
+    monkeypatch.setattr(experiment, "_spectral_norms", capture)
     a = generate_matrix(GeneratorSpec("low-rank-plus-noise", 30, 20, 4)).data.copy()
     a[0, :5] = 0.0  # cells of probability 0 keep S - X = -x = 0
     x = DenseMatrix(a)
@@ -329,6 +339,7 @@ def test_payload_shape():
 
 
 def test_unconverged_trials_are_counted(monkeypatch):
+    monkeypatch.setattr(spectral, "_DENSE_MAX_DIM", 0)
     monkeypatch.setattr(spectral, "_MAX_STEPS", 1)
     res = run_experiment(_cfg(trials=3))
     assert res.unconverged_trials == 3
@@ -340,6 +351,7 @@ def test_unconverged_trials_are_counted(monkeypatch):
 
 def test_compare_counts_unconverged_trials(monkeypatch):
     cfg = _cfg(trials=2)
+    monkeypatch.setattr(spectral, "_DENSE_MAX_DIM", 0)
     monkeypatch.setattr(spectral, "_MAX_STEPS", 1)
     res = compare_distributions(cfg)
     assert [summ.unconverged_trials for summ in res.summaries] == [2, 2, 2]

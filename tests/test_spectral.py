@@ -7,6 +7,7 @@ import pytest
 from elemsparse import (
     DenseMatrix,
     GeneratorSpec,
+    NonFiniteError,
     SampleSet,
     ShapeMismatchError,
     SparseCOO,
@@ -18,7 +19,7 @@ from elemsparse import (
     spectral_norm,
 )
 from elemsparse import spectral
-from elemsparse.spectral import _lanczos_norms
+from elemsparse.spectral import _gram_norms, _lanczos_norms
 
 FIXTURE = Path(__file__).parent / "fixtures" / "spectral_oracle.json"
 TRAP = Path(__file__).parent / "fixtures" / "sigma2_trap_sketch.json"
@@ -65,27 +66,35 @@ def test_scale_equivariance():
         assert scaled == pytest.approx(abs(c) * base, rel=1e-8)
 
 
-def test_power_of_two_scales_bit_for_bit():
-    # the solver scales each member by a power of two first, so 2^k X gives
-    # 2^k times the result for X, even where u . u would underflow or
-    # overflow unscaled
+# _DENSE_MAX_DIM settings that send a small operand down each path
+_PATHS = {"dense": spectral._DENSE_MAX_DIM, "lanczos": 0}
+
+
+def test_power_of_two_scales_bit_for_bit(monkeypatch):
+    # both paths scale each member by a power of two first, so 2^k X gives
+    # 2^k times the result for X, even where u . u (or a Gram entry) would
+    # underflow or overflow unscaled
     x = np.random.default_rng(36).standard_normal((20, 30))
-    base = spectral_norm(x)
-    for k in (-600, -540, 540, 600):
-        est = spectral_norm(2.0**k * x)
-        assert (est.value, est.residual) == (2.0**k * base.value, 2.0**k * base.residual)
-        assert (est.iterations, est.converged) == (base.iterations, base.converged)
+    for dense_max in _PATHS.values():
+        monkeypatch.setattr(spectral, "_DENSE_MAX_DIM", dense_max)
+        base = spectral_norm(x)
+        for k in (-600, -540, 540, 600):
+            est = spectral_norm(2.0**k * x)
+            assert (est.value, est.residual) == (2.0**k * base.value, 2.0**k * base.residual)
+            assert (est.iterations, est.converged) == (base.iterations, base.converged)
 
 
 @pytest.mark.parametrize("scale", [1e-165, 1e-160, 1e160])
-def test_extreme_scale_is_certified_dense_norm(scale):
+def test_extreme_scale_is_certified_dense_norm(scale, monkeypatch):
     # unscaled, u . u underflowed or overflowed: 1e-165 read 0.0 after one
     # step and 1e-160 read 2e-6 (relative) low, both as converged, and 1e160
     # raised numpy's LinAlgError after overflow warnings
     x = scale * np.random.default_rng(36).standard_normal((20, 30))
-    est = spectral_norm(x)
-    assert est.converged
-    assert est.value == pytest.approx(_dense_norm(x), rel=1e-9, abs=0.0)
+    for dense_max in _PATHS.values():
+        monkeypatch.setattr(spectral, "_DENSE_MAX_DIM", dense_max)
+        est = spectral_norm(x)
+        assert est.converged
+        assert est.value == pytest.approx(_dense_norm(x), rel=1e-9, abs=0.0)
 
 
 def test_subnormal_largest_entry_solves_without_warning():
@@ -93,8 +102,28 @@ def test_subnormal_largest_entry_solves_without_warning():
     # the float range, so only a per-entry ldexp scales it without an
     # overflow warning, which the suite's warning filter makes a failure
     x = np.array([[5e-324, 0.0, 0.0], [0.0, 1e-323, 0.0]])
-    (est,) = _lanczos_norms(x[None].copy())
-    assert (est.value, est.converged, est.residual) == (1e-323, True, 0.0)
+    for solve in (_gram_norms, _lanczos_norms):
+        (est,) = solve(x[None].copy())
+        assert (est.value, est.converged, est.residual) == (1e-323, True, 0.0)
+
+
+@pytest.mark.parametrize(
+    "operand, error",
+    [
+        ([[1.0, np.nan], [2.0, 3.0]], NonFiniteError),
+        ([[1.0, 2.0], [-np.inf, 3.0]], NonFiniteError),
+        (np.zeros((0, 3)), ShapeMismatchError),
+        (np.zeros((3, 0)), ShapeMismatchError),
+    ],
+    ids=["nan", "inf", "no-rows", "no-columns"],
+)
+def test_bad_operand_is_refused_with_a_typed_error(operand, error):
+    # unchecked, a nan entry read nan as converged on the dense path (and
+    # raised LinAlgError on Lanczos), and an empty operand raised IndexError
+    with pytest.raises(error):
+        spectral_norm(operand)
+    with pytest.raises(error):
+        sketch_error(operand, SparseCOO(*np.shape(operand), [], [], []))
 
 
 def test_spectral_norm_leaves_its_argument_unchanged():
@@ -115,6 +144,7 @@ def test_transpose_agreement():
 
 
 def test_max_iters_signals_nonconvergence(toy, monkeypatch):
+    monkeypatch.setattr(spectral, "_DENSE_MAX_DIM", 0)
     monkeypatch.setattr(spectral, "_MAX_STEPS", 1)
     for est in (spectral_norm(toy), sketch_error(toy, SparseCOO(2, 2, [], [], []))):
         assert not est.converged
@@ -193,36 +223,73 @@ _ENSEMBLE = {
 
 
 @pytest.mark.parametrize("spec", _ENSEMBLE.values(), ids=_ENSEMBLE.keys())
-def test_solves_agree_with_dense_norm(spec):
+def test_solves_agree_with_dense_norm(spec, monkeypatch):
+    # the dense path is exact to roundoff, far inside Lanczos's 1e-9, and
+    # sets its steps and residual by construction
     x = generate_matrix(spec)
-    est = spectral_norm(x)
-    assert est.converged
-    assert est.residual <= 1e-9 * est.value
-    assert est.value == pytest.approx(_dense_norm(x.data), rel=1e-9)
-    for seed in (0, 1):
-        sk = sparsify(x, s=2 * x.m * x.n, seed=seed)
-        est = sketch_error(x, sk)
-        assert est.converged
-        assert est.value == pytest.approx(_dense_norm(_densify(sk.matrix) - x.data), rel=1e-9)
+    sketches = [sparsify(x, s=2 * x.m * x.n, seed=seed) for seed in (0, 1)]
+    dense = [_dense_norm(x.data)] + [_dense_norm(_densify(sk.matrix) - x.data) for sk in sketches]
+    for path, dense_max in _PATHS.items():
+        monkeypatch.setattr(spectral, "_DENSE_MAX_DIM", dense_max)
+        rel = 1e-12 if path == "dense" else 1e-9
+        for est, norm in zip([spectral_norm(x)] + [sketch_error(x, sk) for sk in sketches], dense):
+            assert est.converged
+            assert est.residual <= 1e-9 * est.value
+            assert est.value == pytest.approx(norm, rel=rel, abs=0.0)
+            assert (est.iterations == 0) is (path == "dense")
+            if path == "dense":
+                assert est.residual == 0.0
 
 
-def test_second_singular_value_trap():
+@pytest.mark.parametrize("shape", [(30, 20), (20, 30)], ids=["tall", "wide"])
+def test_dense_stack_members_solve_as_alone(shape):
+    stack = _mixed_stack(shape)
+    members = [m.copy() for m in stack]
+    ests = _gram_norms(stack)
+    assert len(ests) == len(members)
+    for est, member in zip(ests, members):
+        assert est == spectral_norm(member)  # bit for bit, through the dispatch
+        assert est == (pytest.approx(_dense_norm(member), rel=1e-12, abs=0.0), 0, True, 0.0)
+
+
+def test_paths_meet_at_the_crossover():
+    # the dispatch changes path between min(m, n) = _DENSE_MAX_DIM and one
+    # more; on both sides the two paths give the same value
+    for small in (spectral._DENSE_MAX_DIM, spectral._DENSE_MAX_DIM + 1):
+        x = generate_matrix(GeneratorSpec("gaussian", small + 20, small, small))
+        sk = sparsify(x, s=x.m * x.n, seed=1)
+        diff = _densify(sk.matrix) - x.data
+        (dense,) = _gram_norms(diff[None].copy())
+        (lanczos,) = _lanczos_norms(diff[None].copy())
+        assert lanczos.converged
+        assert dense.value == pytest.approx(lanczos.value, rel=1e-12, abs=0.0)
+        assert sketch_error(x, sk) == (dense if small == spectral._DENSE_MAX_DIM else lanczos)
+
+
+def test_second_singular_value_trap(monkeypatch):
     # Power iteration stopped on sigma_2 = 13.19256... of this difference and
-    # reported it as converged; the residual certificate finds sigma_1. The
-    # sketch is frozen (scripts/make_trap_fixture.py): the sampler's stream
-    # draws another one from its seed.
+    # reported it as converged; Lanczos's residual certificate finds sigma_1,
+    # and the dense path, which takes this 100 x 100 difference by default,
+    # gets every eigenvalue. The sketch is frozen
+    # (scripts/make_trap_fixture.py): the sampler's stream draws another one
+    # from its seed.
     doc = json.loads(TRAP.read_text(encoding="ascii"))
     x = generate_matrix(GeneratorSpec(**doc["generator"]))
     d = hybrid_distribution(x)
     omega = SampleSet(x.m, x.n, doc["s"], doc["cells"], doc["counts"], doc["seed"])
-    est = sketch_error(x, sampling_operator(x, d, omega))
-    assert est.converged
-    assert est.value == pytest.approx(13.362398968827721, abs=1e-9)
+    sketch = sampling_operator(x, d, omega)
+    for path, dense_max in _PATHS.items():
+        monkeypatch.setattr(spectral, "_DENSE_MAX_DIM", dense_max)
+        est = sketch_error(x, sketch)
+        assert est.converged
+        assert (est.iterations == 0) is (path == "dense")
+        assert est.value == pytest.approx(13.362398968827721, abs=1e-9)
 
 
 def test_step_cap_below_min_dimension_is_unconverged_lower_bound(monkeypatch):
     x = generate_matrix(GeneratorSpec("gaussian", 60, 40, 9))
     sk = sparsify(x, s=2400, seed=3)
+    monkeypatch.setattr(spectral, "_DENSE_MAX_DIM", 0)
     monkeypatch.setattr(spectral, "_MAX_STEPS", 5)
     for est, dense in (
         (spectral_norm(x), _dense_norm(x.data)),
@@ -237,6 +304,7 @@ def test_step_cap_below_min_dimension_is_unconverged_lower_bound(monkeypatch):
 def test_solve_is_exact_by_min_dimension(monkeypatch):
     # with a tolerance no residual test can meet early, the solve still ends
     # certified once the Krylov space fills the smaller dimension
+    monkeypatch.setattr(spectral, "_DENSE_MAX_DIM", 0)
     monkeypatch.setattr(spectral, "_TOL", 1e-300)
     for shape in ((9, 6), (6, 9)):
         x = DenseMatrix(np.random.default_rng(34).standard_normal(shape))
@@ -274,6 +342,7 @@ def _mixed_stack(shape) -> np.ndarray:
     ids=["default", "tol-1e-300", "max-iters-5"],
 )
 def test_stack_members_solve_as_alone(shape, settings, generic, monkeypatch):
+    monkeypatch.setattr(spectral, "_DENSE_MAX_DIM", 0)  # spectral_norm solves alone by Lanczos
     for name, value in settings.items():
         monkeypatch.setattr(spectral, name, value)
     stack = _mixed_stack(shape)
