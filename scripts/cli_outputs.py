@@ -38,6 +38,9 @@ COMMANDS = [
     ("experiment-jobs2", ["experiment", "--generate", "gaussian,12,10,4", "--epsilon-rel", "0.6",
                           "--trials", "8", "--seed", "3", "--jobs", "2", "--out", "experiment-jobs2.json"],
      "experiment-jobs2.json"),
+    # more workers asked for than there are trials
+    ("experiment-jobs-above-trials", ["experiment", "--generate", "gaussian,12,10,4", "--epsilon-rel", "0.6",
+                                      "--trials", "3", "--seed", "3", "--jobs", "5"], None),
     ("experiment-l1-theorem1", ["experiment", "--generate", "power-law,9,11,2", "--dist", "l1", "--s", "300",
                                 "--epsilon-rel", "0.5", "--bound-form", "theorem1", "--trials", "5"], None),
     ("experiment-l2-file", ["experiment", "--input", "input.csv", "--dist", "l2", "--epsilon-rel", "0.7",

@@ -1,16 +1,15 @@
 """Solve a fixed, seeded set of spectral-norm problems and write every result
 to OUTFILE, one line per solve.
 
-Each line names the solver setting, the shape, the stack layout and the
-member, then holds the ``repr`` of ``(value, iterations, converged,
-residual)`` from ``elemsparse.spectral._lanczos_norms``, run on the package
-in this checkout's ``src``. The lines of the last block, setting
-``dispatch``, come from ``elemsparse.spectral._spectral_norms`` instead and
-name the path it took: ``dense`` (a Gram eigensolve, which reports 0 steps)
-or ``lanczos``. A stack whose solve raises writes the
-exception's type and message for each member instead, and a solve that warns
-appends the warning categories. Two checkouts are compared by running their
-copies of this script and diffing the two files:
+Each line names the solver setting, the shape and the member, then holds the
+``repr`` of ``(value, iterations, converged, residual)`` from
+``elemsparse.spectral._lanczos_norm``, run on the package in this checkout's
+``src``. The lines of the last block, setting ``dispatch``, come from
+``elemsparse.spectral._spectral_norm`` instead and name the path it took:
+``dense`` (a Gram eigensolve, which reports 0 steps) or ``lanczos``. A solve
+that raises writes the exception's type and message instead, and a solve
+that warns appends the warning categories. Two checkouts are compared by
+running their copies of this script and diffing the two files:
 
     python3 scripts/solver_outputs.py /tmp/before.txt   # in one checkout
     python3 scripts/solver_outputs.py /tmp/after.txt    # in the other
@@ -20,12 +19,11 @@ The set: 13 shapes from 1x1 to 120x40, tall and wide, under four settings
 (the defaults, ``_TOL = 1e-300`` so every solve runs to min(m, n), and
 ``_MAX_STEPS`` of 5 and 3). Per shape and setting, eight members (zero,
 single entry, rank one, two gaussian, power law, rank deficient and a
-gaussian scaled by 1e-170) are solved as one stack, each alone, and as one
-permuted stack; three extreme-scale gaussian members (scaled by 1e160,
--1e160 and 1e-165) are solved alone and as one stack of their own. That is
-13 * 4 * (3 * 8 + 2 * 3) = 1560 solves. The dispatch block solves the same
-stacks under the default settings, plus those of one 320x301 shape, above
-the largest dense shape, so 14 * (3 * 8 + 2 * 3) = 420 solves more.
+gaussian scaled by 1e-170) and three extreme-scale gaussian members (scaled
+by 1e160, -1e160 and 1e-165) are each solved on their own. That is
+13 * 4 * 11 = 572 solves. The dispatch block solves the same members under
+the default settings, plus those of one 320x301 shape, above the largest
+dense shape, so 14 * 11 = 154 solves more.
 """
 
 import sys
@@ -85,31 +83,22 @@ def _dispatch_line(est) -> str:
     return f"{'dense' if est.iterations == 0 else 'lanczos'} {tuple(est)!r}"
 
 
-def _solve(names: list, arrays: dict, solve=spectral._lanczos_norms, line=_lanczos_line) -> list:
-    """One line body per member of the stack of the named arrays, solved on
-    a copy, since the solver may reorder and rescale its stack in place."""
-    stack = np.array([arrays[name] for name in names])
+def _solve(member: np.ndarray, solve=spectral._lanczos_norm, line=_lanczos_line) -> str:
+    """One line body for member, solved on a copy, since the solver rescales
+    its operand in place."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            results = [line(est) for est in solve(stack)]
+            result = line(solve(member.copy()))
         except Exception as exc:  # the line records it, so a checkout that raises still diffs
-            results = [f"raised {type(exc).__name__}: {exc}"] * len(names)
+            result = f"raised {type(exc).__name__}: {exc}"
     if caught:
-        warned = sorted({w.category.__name__ for w in caught})
-        results = [f"{line} warned {','.join(warned)}" for line in results]
-    return results
+        result += f" warned {','.join(sorted({w.category.__name__ for w in caught}))}"
+    return result
 
 
-def _stacks(arrays: dict, permuted: bool) -> list:
-    """(layout, member names) of each stack of one member set: all stacked,
-    each alone and, if permuted, all stacked in a fixed permuted order."""
-    names = list(arrays)
-    stacks = [("stacked", names), *(("alone", [name]) for name in names)]
-    if permuted:
-        order = np.random.default_rng(len(names)).permutation(len(names))
-        stacks.append(("permuted", [names[i] for i in order]))
-    return stacks
+def _all_members(m: int, n: int) -> dict:
+    return {**_members(m, n), **_extreme(m, n)}
 
 
 def main() -> None:
@@ -122,18 +111,14 @@ def main() -> None:
             for name, value in {**defaults, **values}.items():
                 setattr(spectral, name, value)
             for m, n in SHAPES:
-                for arrays, permuted in ((_members(m, n), True), (_extreme(m, n), False)):
-                    for layout, names in _stacks(arrays, permuted):
-                        for name, result in zip(names, _solve(names, arrays)):
-                            lines.append(f"{setting} {m}x{n} {layout} {name}: {result}\n")
+                for name, member in _all_members(m, n).items():
+                    lines.append(f"{setting} {m}x{n} {name}: {_solve(member)}\n")
     finally:
         for name, value in defaults.items():
             setattr(spectral, name, value)
     for m, n in DISPATCH_SHAPES:
-        for arrays, permuted in ((_members(m, n), True), (_extreme(m, n), False)):
-            for layout, names in _stacks(arrays, permuted):
-                for name, result in zip(names, _solve(names, arrays, spectral._spectral_norms, _dispatch_line)):
-                    lines.append(f"dispatch {m}x{n} {layout} {name}: {result}\n")
+        for name, member in _all_members(m, n).items():
+            lines.append(f"dispatch {m}x{n} {name}: {_solve(member, spectral._spectral_norm, _dispatch_line)}\n")
     Path(sys.argv[1]).write_text("".join(lines))
 
 

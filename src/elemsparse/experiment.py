@@ -12,14 +12,13 @@ Reproducibility contract: trial t draws with seed (base_seed + t) mod 2^64,
 so results are independent of --jobs scheduling; aggregation sorts by trial
 index before reporting. A trial draws only its cell counts and builds its
 S - X from them, never a sketch; that array is the densified
-``sparsify(x, s, seed, kind)`` sketch minus X, bit for bit. Trials run in
-fixed batches of consecutive indices whose size depends only on the matrix
-shape; a batch's error solves run as one ``spectral._spectral_norms`` call on
-the stack of its S - X arrays (exact Gram eigensolves where min(m, n) <=
-300, one Lanczos solve above), in which every trial gets the value it would
-get alone, and --jobs is the number of workers that take batches.
-Serialized output is deterministic (sorted keys) apart from the wall_times
-block, which is environment noise by nature.
+``sparsify(x, s, seed, kind)`` sketch minus X, bit for bit, and its error is
+one ``spectral._spectral_norm`` solve (an exact Gram eigensolve where
+min(m, n) <= 300, Lanczos above). --jobs is the number of workers; each
+takes an interleaved slice of the trials and runs them one at a time, and
+no trial's result depends on which worker ran it. Serialized output is
+deterministic (sorted keys) apart from the wall_times block, which is
+environment noise by nature.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .generate import GeneratorSpec, generate_matrix
 from .io import load_matrix
 from .matrix import DenseMatrix, _stable_rank
 from .sampler import _SEED_MASK, _cell_values, _draw_counts
-from .spectral import _spectral_norms
+from .spectral import _spectral_norm
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -60,12 +59,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 3
-
-# Bytes of S - X that one batched error solve stacks: eight trials of a
-# 100 x 100 matrix. A matrix larger than half of it runs one trial per
-# batch. Each pool worker holds one stack.
-_BATCH_BYTES = 640_000
-
 
 class BoundForm(_Named):
     THEOREM1 = "theorem1"
@@ -247,33 +240,31 @@ def _run_trials(cfg: ExperimentConfig, x: DenseMatrix, dist, s_used: int) -> tup
     errors, the count of solves that stopped uncertified, the mean sketch nnz
     over mn, and the wall times.
 
-    Trials run in fixed batches of consecutive trial indices, sized by
-    _BATCH_BYTES alone. A batch draws each trial's cell counts in turn,
-    writes its S - X = counts * x / (s * p) - x straight into the batch's
-    stack (the same array as the densified ``sparsify`` sketch minus X, bit
-    for bit) and solves the stack at once; the pool maps over batches. Each
-    trial's wall time is its batch's over the batch size.
+    w = min(jobs, trials) workers each take the interleaved slice
+    seeds[i::w] and run its trials one at a time: draw the cell counts, write
+    S - X = counts * x / (s * p) - x into the worker's one mn buffer (the
+    same array as the densified ``sparsify`` sketch minus X, bit for bit) and
+    solve it. Each wall time is its own trial's: draw, assembly and solve.
     """
     seeds = tuple((cfg.base_seed + t) & _SEED_MASK for t in range(cfg.trials))
     mn = x.m * x.n
     xf, sp = x.flat(), s_used * dist.probs
-    size = max(1, _BATCH_BYTES // (8 * mn))
-    batches = [seeds[lo : lo + size] for lo in range(0, len(seeds), size)]
+    workers = min(cfg.jobs, cfg.trials)
 
-    def batch(batch_seeds: tuple):
-        t0 = time.perf_counter()
-        stack = np.empty((len(batch_seeds), mn))
-        ratios = []
-        for slot, seed in zip(stack, batch_seeds):
+    def run(task_seeds: tuple) -> list:
+        diff = np.empty(mn)
+        done = []
+        for seed in task_seeds:
+            t0 = time.perf_counter()
             counts = _draw_counts(dist.probs, s_used, seed)
-            np.subtract(_cell_values(counts, xf, sp, slot), xf, out=slot)
-            ratios.append(np.count_nonzero(counts) / mn)
-        ests = _spectral_norms(stack.reshape(-1, x.m, x.n))
-        wall = (time.perf_counter() - t0) / len(batch_seeds)
-        return [(est, ratio, wall) for est, ratio in zip(ests, ratios)]
+            np.subtract(_cell_values(counts, xf, sp, diff), xf, out=diff)
+            est = _spectral_norm(diff.reshape(x.m, x.n))
+            done.append((est, np.count_nonzero(counts) / mn, time.perf_counter() - t0))
+        return done
 
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        ests, ratios, walls = zip(*(trial for done in pool.map(batch, batches) for trial in done))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        slices = list(pool.map(run, [seeds[i::workers] for i in range(workers)]))
+    ests, ratios, walls = zip(*(slices[t % workers][t // workers] for t in range(cfg.trials)))
     errors = tuple(est.value for est in ests)
     return seeds, errors, sum(not est.converged for est in ests), float(np.mean(ratios)), walls
 

@@ -116,37 +116,49 @@ def test_seeds_derived_from_base():
     assert res.seeds == (100, 101, 102, 103)
 
 
-def test_jobs_do_not_change_results(monkeypatch):
-    # batches of 3 make 8 trials two full batches and a partial one; each
-    # trial's wall time is its batch's over the batch size
-    monkeypatch.setattr(experiment, "_BATCH_BYTES", 3 * 8 * GEN.m * GEN.n)
+def test_jobs_do_not_change_results():
+    # each wall time is one trial's own: draw, assembly and solve
     runs = [run_experiment(_cfg(trials=8, jobs=jobs)) for jobs in (1, 2, 3)]
-    for res in runs:
-        assert [len(set(res.wall_times[lo : lo + 3])) for lo in (0, 3, 6)] == [1, 1, 1]
-        assert len(set(res.wall_times)) == 3
-    monkeypatch.setattr(experiment, "_BATCH_BYTES", 0)  # one trial per batch
-    runs.append(run_experiment(_cfg(trials=8, jobs=2)))
     x = generate_matrix(GEN)
     alone = tuple(sketch_error(x, sparsify(x, 60, seed)).value for seed in runs[0].seeds)
     for res in runs:
+        assert len(res.wall_times) == 8
+        assert all(wall > 0.0 for wall in res.wall_times)
         assert res.errors == alone
         assert res.nnz_ratio == runs[0].nnz_ratio
         assert res.unconverged_trials == 0
 
 
+def test_workers_never_outnumber_trials(monkeypatch):
+    # a pool asked for more workers than there are trials gets one per trial
+    sizes = []
+
+    class Recording(experiment.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(experiment, "ThreadPoolExecutor", Recording)
+    capped = run_experiment(_cfg(trials=3, jobs=1000))
+    assert sizes == [3]
+    one = run_experiment(_cfg(trials=3, jobs=1))
+    assert (capped.errors, capped.nnz_ratio) == (one.errors, one.nnz_ratio)
+    assert len(capped.wall_times) == 3
+
+
 @pytest.mark.parametrize("kind", ["hybrid", "l1", "l2"])
 def test_trial_difference_is_the_densified_sketch_minus_x(monkeypatch, kind):
     # the harness builds S - X from the drawn counts, never through a COO
-    # sketch; each stacked array must be that sketch's, bit for bit, and the
+    # sketch; each solved array must be that sketch's, bit for bit, and the
     # nnz ratio its mean nnz over mn
-    stacks = []
+    operands = []
 
-    def capture(stack):
-        stacks.append(stack.copy())
-        return solve(stack)
+    def capture(a):
+        operands.append(a.copy())
+        return solve(a)
 
-    solve = experiment._spectral_norms
-    monkeypatch.setattr(experiment, "_spectral_norms", capture)
+    solve = experiment._spectral_norm
+    monkeypatch.setattr(experiment, "_spectral_norm", capture)
     a = generate_matrix(GeneratorSpec("low-rank-plus-noise", 30, 20, 4)).data.copy()
     a[0, :5] = 0.0  # cells of probability 0 keep S - X = -x = 0
     x = DenseMatrix(a)
@@ -155,7 +167,7 @@ def test_trial_difference_is_the_densified_sketch_minus_x(monkeypatch, kind):
     seeds, _, _, nnz_ratio, _ = experiment._run_trials(cfg, x, distribution_for_kind(x, kind), 900)
     sketches = [sparsify(x, 900, seed, kind).matrix for seed in seeds]
     expected = [_scatter(sk) - x.data for sk in sketches]
-    assert np.concatenate(stacks).tobytes() == np.stack(expected).tobytes()
+    assert np.stack(operands).tobytes() == np.stack(expected).tobytes()
     assert nnz_ratio == float(np.mean([sk.nnz / (x.m * x.n) for sk in sketches]))
 
 

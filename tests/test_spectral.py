@@ -19,7 +19,7 @@ from elemsparse import (
     spectral_norm,
 )
 from elemsparse import spectral
-from elemsparse.spectral import _gram_norms, _lanczos_norms
+from elemsparse.spectral import _gram_norm, _lanczos_norm
 
 FIXTURE = Path(__file__).parent / "fixtures" / "spectral_oracle.json"
 TRAP = Path(__file__).parent / "fixtures" / "sigma2_trap_sketch.json"
@@ -71,7 +71,7 @@ _PATHS = {"dense": spectral._DENSE_MAX_DIM, "lanczos": 0}
 
 
 def test_power_of_two_scales_bit_for_bit(monkeypatch):
-    # both paths scale each member by a power of two first, so 2^k X gives
+    # both paths scale the operand by a power of two first, so 2^k X gives
     # 2^k times the result for X, even where u . u (or a Gram entry) would
     # underflow or overflow unscaled
     x = np.random.default_rng(36).standard_normal((20, 30))
@@ -102,8 +102,8 @@ def test_subnormal_largest_entry_solves_without_warning():
     # the float range, so only a per-entry ldexp scales it without an
     # overflow warning, which the suite's warning filter makes a failure
     x = np.array([[5e-324, 0.0, 0.0], [0.0, 1e-323, 0.0]])
-    for solve in (_gram_norms, _lanczos_norms):
-        (est,) = solve(x[None].copy())
+    for solve in (_gram_norm, _lanczos_norm):
+        est = solve(x.copy())
         assert (est.value, est.converged, est.residual) == (1e-323, True, 0.0)
 
 
@@ -241,17 +241,6 @@ def test_solves_agree_with_dense_norm(spec, monkeypatch):
                 assert est.residual == 0.0
 
 
-@pytest.mark.parametrize("shape", [(30, 20), (20, 30)], ids=["tall", "wide"])
-def test_dense_stack_members_solve_as_alone(shape):
-    stack = _mixed_stack(shape)
-    members = [m.copy() for m in stack]
-    ests = _gram_norms(stack)
-    assert len(ests) == len(members)
-    for est, member in zip(ests, members):
-        assert est == spectral_norm(member)  # bit for bit, through the dispatch
-        assert est == (pytest.approx(_dense_norm(member), rel=1e-12, abs=0.0), 0, True, 0.0)
-
-
 def test_paths_meet_at_the_crossover():
     # the dispatch changes path between min(m, n) = _DENSE_MAX_DIM and one
     # more; on both sides the two paths give the same value
@@ -259,8 +248,8 @@ def test_paths_meet_at_the_crossover():
         x = generate_matrix(GeneratorSpec("gaussian", small + 20, small, small))
         sk = sparsify(x, s=x.m * x.n, seed=1)
         diff = _densify(sk.matrix) - x.data
-        (dense,) = _gram_norms(diff[None].copy())
-        (lanczos,) = _lanczos_norms(diff[None].copy())
+        dense = _gram_norm(diff.copy())
+        lanczos = _lanczos_norm(diff.copy())
         assert lanczos.converged
         assert dense.value == pytest.approx(lanczos.value, rel=1e-12, abs=0.0)
         assert sketch_error(x, sk) == (dense if small == spectral._DENSE_MAX_DIM else lanczos)
@@ -313,54 +302,68 @@ def test_solve_is_exact_by_min_dimension(monkeypatch):
         assert est.value == pytest.approx(_dense_norm(x.data), rel=1e-12)
 
 
-def _mixed_stack(shape) -> np.ndarray:
-    """Members that stop at different steps: a zero matrix (alpha = 0 at step
-    1), a single nonzero entry (alpha = 0 at step 2), a rank-one matrix, and
-    four gaussian matrices, two of them scaled by 1e-170 and 1e160."""
+def _mixed_members(shape) -> dict:
+    """Operands that stop at different steps: a zero matrix (alpha = 0 at
+    step 1), a single nonzero entry (alpha = 0 at step 2), a rank-one matrix,
+    and four gaussian matrices, two of them scaled by 1e-170 and 1e160."""
     rng = np.random.default_rng(35)
     single = np.zeros(shape)
     single[3, 5] = 2.5
-    return np.array([
-        np.zeros(shape),
-        single,
-        np.outer(rng.standard_normal(shape[0]), rng.standard_normal(shape[1])),
-        rng.standard_normal(shape),
-        rng.standard_normal(shape),
-        1e-170 * rng.standard_normal(shape),
-        1e160 * rng.standard_normal(shape),
-    ])
+    return {
+        "zero": np.zeros(shape),
+        "single": single,
+        "rank-one": np.outer(rng.standard_normal(shape[0]), rng.standard_normal(shape[1])),
+        "gaussian-a": rng.standard_normal(shape),
+        "gaussian-b": rng.standard_normal(shape),
+        "tiny-1e-170": 1e-170 * rng.standard_normal(shape),
+        "huge-1e160": 1e160 * rng.standard_normal(shape),
+    }
 
 
-@pytest.mark.parametrize("shape", [(30, 20), (20, 30)], ids=["tall", "wide"])
-@pytest.mark.parametrize(
-    "settings, generic",
-    [
-        ({}, None),
-        ({"_TOL": 1e-300}, (20, True)),  # runs to min(m, n), then exact
-        ({"_MAX_STEPS": 5}, (5, False)),  # step cap: an uncertified lower bound
-    ],
-    ids=["default", "tol-1e-300", "max-iters-5"],
-)
-def test_stack_members_solve_as_alone(shape, settings, generic, monkeypatch):
-    monkeypatch.setattr(spectral, "_DENSE_MAX_DIM", 0)  # spectral_norm solves alone by Lanczos
+_SHAPES = {"tall": (30, 20), "wide": (20, 30)}
+_MEMBERS = list(_mixed_members((30, 20)))
+
+
+@pytest.mark.parametrize("shape", _SHAPES.values(), ids=_SHAPES.keys())
+@pytest.mark.parametrize("member", _MEMBERS)
+def test_dense_member_solves(shape, member):
+    a = _mixed_members(shape)[member]
+    est = _gram_norm(a.copy())
+    assert est == spectral_norm(a)  # bit for bit, through the dispatch
+    assert est == (pytest.approx(_dense_norm(a), rel=1e-12, abs=0.0), 0, True, 0.0)
+
+
+# Lanczos settings: module constants, and the (steps, converged) of every
+# gaussian member under them
+_LANCZOS_SETTINGS = {
+    "default": ({}, None),
+    "tol-1e-300": ({"_TOL": 1e-300}, (20, True)),  # runs to min(m, n), then exact
+    "max-iters-5": ({"_MAX_STEPS": 5}, (5, False)),  # step cap: an uncertified lower bound
+}
+
+
+@pytest.mark.parametrize("shape", _SHAPES.values(), ids=_SHAPES.keys())
+@pytest.mark.parametrize("setting", _LANCZOS_SETTINGS.values(), ids=_LANCZOS_SETTINGS.keys())
+@pytest.mark.parametrize("member", _MEMBERS)
+def test_lanczos_member_solves(shape, setting, member, monkeypatch):
+    settings, generic = setting
+    monkeypatch.setattr(spectral, "_DENSE_MAX_DIM", 0)  # spectral_norm solves by Lanczos
     for name, value in settings.items():
         monkeypatch.setattr(spectral, name, value)
-    stack = _mixed_stack(shape)
-    members = [m.copy() for m in stack]
-    ests = _lanczos_norms(stack)
-    assert len(ests) == len(members)
-    for est, member in zip(ests, members):
-        alone = spectral_norm(member)
-        assert est.value == pytest.approx(alone.value, rel=1e-12, abs=0.0)
-        assert (est.iterations, est.converged) == (alone.iterations, alone.converged)
-        dense = _dense_norm(member)
-        if est.converged:
-            assert est.value == pytest.approx(dense, rel=1e-9, abs=0.0)
-        else:
-            assert est.value <= dense * (1 + 1e-12)
-    zero, single, rank_one = ests[:3]
-    assert (zero.value, zero.iterations, zero.converged) == (0.0, 1, True)
-    assert (single.iterations, single.converged) == (2, True)
-    assert rank_one.converged and rank_one.iterations < ests[3].iterations
-    if generic is not None:
-        assert [(e.iterations, e.converged) for e in ests[3:]] == [generic] * 4
+    members = _mixed_members(shape)
+    a = members[member]
+    est = _lanczos_norm(a.copy())
+    assert est == spectral_norm(a)  # bit for bit, through the dispatch
+    dense = _dense_norm(a)
+    if est.converged:
+        assert est.value == pytest.approx(dense, rel=1e-9, abs=0.0)
+    else:
+        assert est.value <= dense * (1 + 1e-12)
+    if member == "zero":
+        assert (est.value, est.iterations, est.converged) == (0.0, 1, True)
+    elif member == "single":
+        assert (est.iterations, est.converged) == (2, True)
+    elif member == "rank-one":  # stops before the gaussian members
+        assert est.converged and est.iterations < _lanczos_norm(members["gaussian-a"]).iterations
+    elif generic is not None:
+        assert (est.iterations, est.converged) == generic
