@@ -51,6 +51,9 @@ COMMANDS = [
                            "--bound-form", "corollary", "--trials", "3", "--seed", "2"], None),
     ("compare-file-s", ["compare", "--input", "input.csv", "--s", "50", "--epsilon", "1.5", "--trials", "4",
                         "--out", "compare-file-s.json"], "compare-file-s.json"),
+    # three workers over four trials, each kind on the same seeds
+    ("compare-jobs3", ["compare", "--generate", "gaussian,9,8,2", "--epsilon-rel", "0.7", "--trials", "4",
+                       "--seed", "6", "--jobs", "3"], None),
     ("compare-csv", ["compare", "--generate", "gaussian,7,9,8", "--epsilon-rel", "0.5", "--s", "80",
                      "--trials", "3", "--out-format", "csv", "--out", "compare.csv"], "compare.csv"),
     ("bounds-numbers", ["bounds", "--m", "100", "--n", "80", "--epsilon", "1", "--frobenius", "10"], None),

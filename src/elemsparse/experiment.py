@@ -9,22 +9,23 @@ size that every command shares. ``run_experiment`` and
 result dataclass reaches the JSON with no other change.
 
 Reproducibility contract: trial t draws with seed (base_seed + t) mod 2^64,
-so results are independent of --jobs scheduling; aggregation sorts by trial
-index before reporting. A trial draws only its cell counts and builds its
-S - X from them, never a sketch; that array is the densified
-``sparsify(x, s, seed, kind)`` sketch minus X, bit for bit, and its error is
-one ``spectral._spectral_norm`` solve (an exact Gram eigensolve where
-min(m, n) <= 300, Lanczos above). --jobs is the number of workers; each
-takes an interleaved slice of the trials and runs them one at a time, and
-no trial's result depends on which worker ran it. Serialized output is
-deterministic (sorted keys) apart from the wall_times block, which is
-environment noise by nature.
+so results are independent of --jobs scheduling. A trial draws only its cell
+counts and builds its S - X from them, never a sketch; that array is the
+densified ``sparsify(x, s, seed, kind)`` sketch minus X, bit for bit, and its
+error is one ``spectral._spectral_norm`` solve (an exact Gram eigensolve
+where min(m, n) <= 300, Lanczos above). Each trial yields one record, stored
+at its index, and the callers aggregate the records. --jobs bounds the
+number of workers; each runs an interleaved share of the trials one at a
+time, and no trial's result depends on which worker ran it. Serialized
+output is deterministic (sorted keys) apart from the wall_times block, which
+is environment noise by nature.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -235,43 +236,40 @@ def _config_plan(cfg: ExperimentConfig, kinds) -> Plan:
     )
 
 
-def _run_trials(cfg: ExperimentConfig, x: DenseMatrix, dist, s_used: int) -> tuple:
-    """One distribution's trials, aggregated in trial order: the seeds, the
-    errors, the count of solves that stopped uncertified, the mean sketch nnz
-    over mn, and the wall times.
+def _run_trials(x: DenseMatrix, dist, s: int, seeds: tuple, jobs: int) -> list:
+    """One distribution's trials, one (estimate, nnz, seconds) record per seed
+    in seed order: the SpectralEstimate of ||S - X||_2, the sketch's count of
+    distinct cells, and the trial's wall time (draw, assembly and solve).
 
-    w = min(jobs, trials) workers each take the interleaved slice
-    seeds[i::w] and run its trials one at a time: draw the cell counts, write
+    w = min(jobs, trials, CPU count) workers; worker i runs trials i, i + w,
+    ... one at a time. A trial draws its cell counts, writes
     S - X = counts * x / (s * p) - x into the worker's one mn buffer (the
-    same array as the densified ``sparsify`` sketch minus X, bit for bit) and
-    solve it. Each wall time is its own trial's: draw, assembly and solve.
+    same array as the densified ``sparsify`` sketch minus X, bit for bit),
+    solves it and stores its record at its own index.
     """
-    seeds = tuple((cfg.base_seed + t) & _SEED_MASK for t in range(cfg.trials))
-    mn = x.m * x.n
-    xf, sp = x.flat(), s_used * dist.probs
-    workers = min(cfg.jobs, cfg.trials)
+    xf, sp = x.flat(), s * dist.probs
+    records = [None] * len(seeds)
+    workers = min(jobs, len(seeds), os.cpu_count() or 1)
 
-    def run(task_seeds: tuple) -> list:
-        diff = np.empty(mn)
-        done = []
-        for seed in task_seeds:
+    def run(first: int) -> None:
+        diff = np.empty(x.m * x.n)
+        for t in range(first, len(seeds), workers):
             t0 = time.perf_counter()
-            counts = _draw_counts(dist.probs, s_used, seed)
+            counts = _draw_counts(dist.probs, s, seeds[t])
             np.subtract(_cell_values(counts, xf, sp, diff), xf, out=diff)
             est = _spectral_norm(diff.reshape(x.m, x.n))
-            done.append((est, np.count_nonzero(counts) / mn, time.perf_counter() - t0))
-        return done
+            records[t] = (est, np.count_nonzero(counts), time.perf_counter() - t0)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        slices = list(pool.map(run, [seeds[i::workers] for i in range(workers)]))
-    ests, ratios, walls = zip(*(slices[t % workers][t // workers] for t in range(cfg.trials)))
-    errors = tuple(est.value for est in ests)
-    return seeds, errors, sum(not est.converged for est in ests), float(np.mean(ratios)), walls
+        list(pool.map(run, range(workers)))  # reading every result raises a worker's exception
+    return records
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     plan = _config_plan(cfg, (cfg.dist_kind,))
-    seeds, errors, unconverged, nnz_ratio, walls = _run_trials(cfg, plan.x, plan.dists[0], plan.s)
+    seeds = tuple((cfg.base_seed + t) & _SEED_MASK for t in range(cfg.trials))
+    ests, nnzs, walls = zip(*_run_trials(plan.x, plan.dists[0], plan.s, seeds, cfg.jobs))
+    errors = tuple(est.value for est in ests)
     epsilon = plan.request.epsilon
     failures = sum(1 for e in errors if e > epsilon)
     return ExperimentResult(
@@ -283,8 +281,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         beta=plan.request.beta,
         dist_kind=cfg.dist_kind,
         empirical_failure_rate=failures / cfg.trials,
-        unconverged_trials=unconverged,
-        nnz_ratio=nnz_ratio,
+        unconverged_trials=sum(not est.converged for est in ests),
+        nnz_ratio=float(np.mean([nnz / (plan.x.m * plan.x.n) for nnz in nnzs])),
         wall_times=walls,
         bound_report=plan.report,
     )
@@ -296,10 +294,12 @@ def compare_distributions(cfg: ExperimentConfig) -> CompareResult:
     hybrid's certificate, or from s_override; per-kind certificates are reported
     but deliberately do not change s, so the error columns stay comparable."""
     plan = _config_plan(cfg, _BUILTIN_KINDS)
+    seeds = tuple((cfg.base_seed + t) & _SEED_MASK for t in range(cfg.trials))
     summaries = []
     walls = {}
     for dist in plan.dists:
-        seeds, errors, unconverged, _, walls[dist.kind.value] = _run_trials(cfg, plan.x, dist, plan.s)
+        ests, _, walls[dist.kind.value] = zip(*_run_trials(plan.x, dist, plan.s, seeds, cfg.jobs))
+        errors = tuple(est.value for est in ests)
         summaries.append(
             KindSummary(
                 kind=dist.kind,
@@ -307,13 +307,13 @@ def compare_distributions(cfg: ExperimentConfig) -> CompareResult:
                 median_error=float(np.median(errors)),
                 p90_error=float(np.percentile(errors, 90.0)),
                 errors=errors,
-                unconverged_trials=unconverged,
+                unconverged_trials=sum(not est.converged for est in ests),
             )
         )
     return CompareResult(
         s_used=plan.s,
         epsilon_used=plan.request.epsilon,
-        seeds=seeds,  # every kind ran the same seeds
+        seeds=seeds,
         summaries=tuple(summaries),
         wall_times=walls,
     )

@@ -84,14 +84,6 @@ def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> None:
         w -= basis.T @ (basis @ w)
 
 
-def _push(buf: np.ndarray, k: int, row: np.ndarray) -> np.ndarray:
-    """Store row as buf[k], doubling buf's rows when they are full."""
-    if k == buf.shape[0]:
-        buf = np.concatenate((buf, np.empty_like(buf)))
-    buf[k] = row
-    return buf
-
-
 def _top_ritz(alphas: np.ndarray, betas: np.ndarray, beta: float) -> tuple:
     """Top singular value of the upper bidiagonal B_k (diagonal alphas,
     superdiagonal betas) and its residual beta * |p_k|, p the matching left
@@ -128,9 +120,9 @@ def _lanczos_norm(a: np.ndarray) -> SpectralEstimate:
     steps = min(_MAX_STEPS, small)
     start = np.random.Generator(np.random.PCG64(_START_SEED)).standard_normal(small)
     start /= np.sqrt(start @ start)
-    # Krylov buffers: one Lanczos vector per row
-    rows = min(small, 16)
-    vs, us = np.empty((rows, small)), np.empty((rows, big))
+    # Krylov buffers: one Lanczos vector per row. Rows past the step that
+    # stops the solve are never written, so they take no resident memory.
+    vs, us = np.empty((steps, small)), np.empty((steps, big))
     vs[0] = start
     alphas, betas = np.empty(steps), np.empty(steps)
     beta = 0.0
@@ -144,7 +136,7 @@ def _lanczos_norm(a: np.ndarray) -> SpectralEstimate:
         alphas[k - 1] = alpha
         if alpha > 0.0:
             u /= alpha
-        us = _push(us, k - 1, u)
+        us[k - 1] = u
         r = op_t @ u
         r -= alpha * v
         _orthogonalize(r, vs[:k])
@@ -159,7 +151,7 @@ def _lanczos_norm(a: np.ndarray) -> SpectralEstimate:
                 return SpectralEstimate(float(np.ldexp(sigma, e)), k, bool(converged), float(np.ldexp(residual, e)))
         betas[k - 1] = beta
         r /= beta
-        vs = _push(vs, k, r)
+        vs[k] = r
 
 
 def _gram_norm(a: np.ndarray) -> SpectralEstimate:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from elemsparse import (
     BoundRequest,
     DenseMatrix,
     DistributionKind,
+    ElemsparseError,
     ExperimentConfig,
     FileSource,
     GeneratorSpec,
@@ -114,23 +116,28 @@ def test_zero_matrix_rejected(tmp_path):
 def test_seeds_derived_from_base():
     res = run_experiment(_cfg(trials=4, base_seed=100))
     assert res.seeds == (100, 101, 102, 103)
+    wrapped = (2**64 - 2, 2**64 - 1, 0, 1)
+    assert run_experiment(_cfg(trials=4, base_seed=2**64 - 2)).seeds == wrapped
+    assert compare_distributions(_cfg(trials=4, base_seed=2**64 - 2)).seeds == wrapped
 
 
 def test_jobs_do_not_change_results():
     # each wall time is one trial's own: draw, assembly and solve
     runs = [run_experiment(_cfg(trials=8, jobs=jobs)) for jobs in (1, 2, 3)]
     x = generate_matrix(GEN)
-    alone = tuple(sketch_error(x, sparsify(x, 60, seed)).value for seed in runs[0].seeds)
+    sketches = [sparsify(x, 60, seed) for seed in runs[0].seeds]
+    alone = tuple(sketch_error(x, sk).value for sk in sketches)
     for res in runs:
         assert len(res.wall_times) == 8
         assert all(wall > 0.0 for wall in res.wall_times)
         assert res.errors == alone
-        assert res.nnz_ratio == runs[0].nnz_ratio
+        assert res.nnz_ratio == float(np.mean([sk.matrix.nnz / (x.m * x.n) for sk in sketches]))
         assert res.unconverged_trials == 0
 
 
 def test_workers_never_outnumber_trials(monkeypatch):
-    # a pool asked for more workers than there are trials gets one per trial
+    # a pool asked for more workers than there are trials or CPUs gets the
+    # smaller count, and one worker when the CPU count is unknown
     sizes = []
 
     class Recording(experiment.ThreadPoolExecutor):
@@ -138,19 +145,43 @@ def test_workers_never_outnumber_trials(monkeypatch):
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(experiment, "ThreadPoolExecutor", Recording)
-    capped = run_experiment(_cfg(trials=3, jobs=1000))
-    assert sizes == [3]
     one = run_experiment(_cfg(trials=3, jobs=1))
-    assert (capped.errors, capped.nnz_ratio) == (one.errors, one.nnz_ratio)
-    assert len(capped.wall_times) == 3
+    monkeypatch.setattr(experiment, "ThreadPoolExecutor", Recording)
+    for cpus, workers in ((8, 3), (2, 2), (None, 1)):
+        sizes.clear()
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
+        capped = run_experiment(_cfg(trials=3, jobs=1000))
+        assert sizes == [workers]
+        assert (capped.errors, capped.nnz_ratio) == (one.errors, one.nnz_ratio)
+        assert len(capped.wall_times) == 3
+
+
+@pytest.mark.parametrize("run", [run_experiment, compare_distributions])
+def test_a_worker_error_is_raised(monkeypatch, run):
+    # the third solve fails in one of two workers; the run must raise that
+    # error rather than return, or trip over the record it never stored
+    calls = []
+    lock = threading.Lock()
+
+    def failing(a):
+        with lock:
+            calls.append(None)
+            third = len(calls) == 3
+        if third:
+            raise ElemsparseError("solve failed")
+        return solve(a)
+
+    solve = experiment._spectral_norm
+    monkeypatch.setattr(experiment, "_spectral_norm", failing)
+    with pytest.raises(ElemsparseError, match="solve failed"):
+        run(_cfg(trials=6, jobs=2))
 
 
 @pytest.mark.parametrize("kind", ["hybrid", "l1", "l2"])
 def test_trial_difference_is_the_densified_sketch_minus_x(monkeypatch, kind):
     # the harness builds S - X from the drawn counts, never through a COO
-    # sketch; each solved array must be that sketch's, bit for bit, and the
-    # nnz ratio its mean nnz over mn
+    # sketch; each solved array must be that sketch's, bit for bit, and each
+    # record's nnz that sketch's nnz
     operands = []
 
     def capture(a):
@@ -162,13 +193,12 @@ def test_trial_difference_is_the_densified_sketch_minus_x(monkeypatch, kind):
     a = generate_matrix(GeneratorSpec("low-rank-plus-noise", 30, 20, 4)).data.copy()
     a[0, :5] = 0.0  # cells of probability 0 keep S - X = -x = 0
     x = DenseMatrix(a)
-    cfg = ExperimentConfig(FileSource("unused"), dist_kind=kind, epsilon=1.0, s_override=900, trials=10,
-                           base_seed=2**64 - 4)  # the seeds wrap past 2^64
-    seeds, _, _, nnz_ratio, _ = experiment._run_trials(cfg, x, distribution_for_kind(x, kind), 900)
+    seeds = tuple(range(2**64 - 4, 2**64 + 6))  # the draws wrap past 2^64
+    records = experiment._run_trials(x, distribution_for_kind(x, kind), 900, seeds, 1)
     sketches = [sparsify(x, 900, seed, kind).matrix for seed in seeds]
     expected = [_scatter(sk) - x.data for sk in sketches]
     assert np.stack(operands).tobytes() == np.stack(expected).tobytes()
-    assert nnz_ratio == float(np.mean([sk.nnz / (x.m * x.n) for sk in sketches]))
+    assert [nnz for _, nnz, _ in records] == [sk.nnz for sk in sketches]
 
 
 def test_emitted_s_matches_bounds_module():
