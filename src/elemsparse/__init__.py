@@ -4,11 +4,11 @@ Build a sparse, unbiased sketch of a dense matrix by sampling entries from a
 hybrid L1/L2 importance distribution, with matrix-Bernstein sample-size
 calculators, spectral-norm diagnostics, and a Monte-Carlo experiment harness.
 
-The top level exports the documented API. The individual sample-size forms,
-the tail and the second-moment diagnostics stay importable from their
-modules (``elemsparse.bounds``, ``elemsparse.sampler``, ``elemsparse.matrix``,
-``elemsparse.spectral``, ``elemsparse.experiment``, ``elemsparse.io`` and
-``elemsparse.generate``).
+The top level exports the documented API; ``stable_rank`` is spectral's. The
+individual sample-size forms, the tail and the second-moment diagnostics stay
+importable from their modules (``elemsparse.bounds``, ``elemsparse.sampler``,
+``elemsparse.matrix``, ``elemsparse.spectral``, ``elemsparse.experiment``,
+``elemsparse.io`` and ``elemsparse.generate``).
 """
 
 from .bounds import BoundReport, BoundRequest, bound_report
@@ -44,7 +44,7 @@ from .experiment import (
 )
 from .generate import GeneratorSpec, generate_matrix
 from .io import load_matrix, write_csv, write_matrix_market
-from .matrix import DenseMatrix, SparseCOO, frobenius_norm, stable_rank
+from .matrix import DenseMatrix, SparseCOO, frobenius_norm
 from .sampler import (
     SampleSet,
     SparseSketch,
@@ -53,7 +53,7 @@ from .sampler import (
     sampling_operator,
     sparsify,
 )
-from .spectral import SpectralEstimate, sketch_error, spectral_norm
+from .spectral import SpectralEstimate, sketch_error, spectral_norm, stable_rank
 
 __version__ = "0.1.0"
 
@@ -63,7 +63,6 @@ __all__ = [
     "DenseMatrix",
     "SparseCOO",
     "frobenius_norm",
-    "stable_rank",
     # distributions
     "DistributionKind",
     "SamplingDistribution",
@@ -88,6 +87,7 @@ __all__ = [
     "SpectralEstimate",
     "spectral_norm",
     "sketch_error",
+    "stable_rank",
     # experiment harness
     "BoundForm",
     "FileSource",

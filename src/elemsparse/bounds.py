@@ -17,11 +17,10 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import SamplingDistribution
+from .distributions import SamplingDistribution, _check_shape
 from .errors import (
     HypothesisViolatedError,
     InvalidSpecError,
-    ShapeMismatchError,
     ZeroMatrixError,
     ZeroProbabilityError,
 )
@@ -176,10 +175,7 @@ def exact_second_moment(x: DenseMatrix, d: SamplingDistribution) -> DenseMatrix:
     Requires p_ij > 0 wherever x_ij != 0; outside that support condition the
     estimator is biased and the quantity is meaningless, so violations raise.
     """
-    if (x.m, x.n) != (d.m, d.n):
-        raise ShapeMismatchError(
-            f"distribution shape ({d.m}, {d.n}) does not match matrix shape {x.shape}"
-        )
+    _check_shape(x, d)
     p = d.grid()
     nz = x.data != 0.0
     if np.any(nz & (p <= 0.0)):

@@ -16,12 +16,11 @@ solve stopped uncertified).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import asdict
 
 from . import __version__
-from .distributions import _BUILTIN_KINDS, DistributionKind, _shares
+from .distributions import _BUILTIN_KINDS, DistributionKind
 from .errors import ElemsparseError, InvalidSpecError
 from .experiment import (
     BoundForm,
@@ -39,8 +38,9 @@ from .experiment import (
 )
 from .generate import GENERATOR_KINDS, GeneratorSpec
 from .io import FORMATS, write_csv, write_matrix_market
-from .matrix import _stable_rank, coo_to_dense
+from .matrix import coo_to_dense, frobenius_norm
 from .sampler import draw_samples, sampling_operator
+from .spectral import stable_rank
 
 __all__ = ["main", "build_parser"]
 
@@ -221,8 +221,7 @@ def _cmd_bounds(args) -> int:
             flags = "/".join("--" + f.replace("_", "-") for f in given)
             raise InvalidSpecError(f"{flags} apply only without --input/--generate, which give the matrix itself")
         x = resolve_matrix(_source(args))
-        fro = math.sqrt(_shares(x)[0])  # refuses the zero matrix and squares outside float range
-        m, n, sr = x.m, x.n, _stable_rank(x, fro)
+        m, n, fro, sr = x.m, x.n, frobenius_norm(x), stable_rank(x)
     elif args.m is None or args.n is None or args.frobenius is None:
         raise InvalidSpecError("bounds needs --input, --generate or all of --m/--n/--frobenius")
     else:

@@ -10,14 +10,13 @@ a user-supplied beta.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidSpecError, NonFiniteError, ShapeMismatchError, ZeroMatrixError, ZeroProbabilityError
-from .matrix import DenseMatrix, _exact_sum
+from .errors import InvalidSpecError, ShapeMismatchError, ZeroMatrixError, ZeroProbabilityError
+from .matrix import DenseMatrix, _exact_sum, _squares
 
 __all__ = [
     "DistributionKind",
@@ -73,7 +72,7 @@ class SamplingDistribution:
             )
         if np.any(p < 0) or not np.all(np.isfinite(p)):
             raise InvalidSpecError("probabilities must be finite and nonnegative")
-        total = math.fsum(p.tolist())
+        total = _exact_sum(p)
         if abs(total - 1.0) > _SUM_TOL:
             raise InvalidSpecError(f"probabilities must sum to 1 within {_SUM_TOL}, got {total!r}")
         if not 0.0 <= self.beta <= 1.0:
@@ -95,21 +94,19 @@ class SamplingDistribution:
 def _shares(x: DenseMatrix) -> tuple[float, np.ndarray, np.ndarray]:
     """The exact sum of x^2, and the per-cell shares x^2 / sum x^2 (L2) and
     |x| / sum |x| (L1) that every distribution and certificate is built
-    from. Refuses the zero matrix, and a nonzero one whose squares underflow
-    to 0 or overflow to inf, where no share is defined."""
+    from. Refuses the zero matrix, and, through ``_squares``, a nonzero one
+    whose squares leave float range, where no share is defined."""
     flat = x.flat()
-    with np.errstate(over="ignore"):  # an inf square is refused below
-        sq = flat * flat
-    ab = np.abs(flat)
-    sum_sq, abs_sum = _exact_sum(sq), _exact_sum(ab)
-    if abs_sum == 0.0:
+    sq, sum_sq = _squares(flat)
+    if sum_sq == 0.0:
         raise ZeroMatrixError("sampling distributions and bounds are undefined for the zero matrix")
-    if not 0.0 < sum_sq < math.inf:
-        raise NonFiniteError(
-            f"the squared entries sum to {sum_sq!r} (largest |x| is {float(ab.max())!r}), "
-            "outside float range; rescale the matrix"
-        )
-    return sum_sq, sq / sum_sq, ab / abs_sum
+    ab = np.abs(flat)
+    return sum_sq, sq / sum_sq, ab / _exact_sum(ab)
+
+
+def _check_shape(x: DenseMatrix, d: SamplingDistribution) -> None:
+    if (x.m, x.n) != (d.m, d.n):
+        raise ShapeMismatchError(f"distribution shape ({d.m}, {d.n}) does not match matrix shape {x.shape}")
 
 
 def _certificate(flat: np.ndarray, p: np.ndarray, hybrid: np.ndarray) -> float:

@@ -37,9 +37,9 @@ from .distributions import _BUILTIN_KINDS, DistributionKind, _certified_beta, _d
 from .errors import InvalidSpecError
 from .generate import GeneratorSpec, generate_matrix
 from .io import load_matrix
-from .matrix import DenseMatrix, _stable_rank
+from .matrix import DenseMatrix
 from .sampler import _SEED_MASK, _cell_values, _draw_counts
-from .spectral import _spectral_norm
+from .spectral import _spectral_norm, _stable_rank
 
 __all__ = [
     "SCHEMA_VERSION",

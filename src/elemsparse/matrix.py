@@ -2,7 +2,8 @@
 
 All containers are immutable after construction and safe to share across
 threads. Reductions run in fixed row-major order with exactly-rounded
-accumulation (``math.fsum``), so repeated calls are bit-identical.
+accumulation (``math.fsum``), so repeated calls are bit-identical. Every sum of
+squares comes from ``_squares``, which refuses one outside float range.
 """
 
 from __future__ import annotations
@@ -12,14 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeMismatchError, ZeroMatrixError
+from .errors import NonFiniteError, ShapeMismatchError
 
 __all__ = [
     "DenseMatrix",
     "SparseCOO",
     "frobenius_norm",
     "entry_abs_sum",
-    "stable_rank",
     "coo_to_dense",
 ]
 
@@ -127,32 +127,29 @@ def _exact_sum(a: np.ndarray) -> float:
         return math.inf
 
 
+def _squares(flat: np.ndarray) -> tuple[np.ndarray, float]:
+    """The squares of flat and their exact sum, 0.0 when every entry is 0; a
+    nonzero flat whose squares underflow to 0 or overflow raises NonFiniteError."""
+    with np.errstate(over="ignore"):  # an inf square is refused below
+        sq = flat * flat
+    sum_sq = _exact_sum(sq)
+    if sum_sq == math.inf or (sum_sq == 0.0 and flat.any()):
+        raise NonFiniteError(
+            f"the squared entries sum to {sum_sq!r} (largest |x| is {float(np.abs(flat).max())!r}), "
+            "outside float range; rescale the matrix"
+        )
+    return sq, sum_sq
+
+
 def frobenius_norm(x: DenseMatrix) -> float:
-    """sqrt of the exactly-accumulated sum of squared entries."""
-    flat = x.flat()
-    return math.sqrt(_exact_sum(flat * flat))
+    """sqrt of the exactly-accumulated sum of squared entries, 0.0 for the zero
+    matrix; squares outside float range raise NonFiniteError, as in every command."""
+    return math.sqrt(_squares(x.flat())[1])
 
 
 def entry_abs_sum(x: DenseMatrix) -> float:
     """Exactly-accumulated sum of absolute entries."""
     return _exact_sum(np.abs(x.flat()))
-
-
-def stable_rank(x: DenseMatrix) -> float:
-    """Squared Frobenius norm over squared top singular value; in [1, min(m, n)]
-    up to the spectral estimator's tolerance."""
-    f = frobenius_norm(x)
-    if f == 0.0:
-        raise ZeroMatrixError("stable rank is undefined for the zero matrix")
-    return _stable_rank(x, f)
-
-
-def _stable_rank(x: DenseMatrix, frobenius: float) -> float:
-    """Stable rank of x from its known Frobenius norm: one sigma_1 solve."""
-    from .spectral import spectral_norm
-
-    top = spectral_norm(x).value
-    return (frobenius * frobenius) / (top * top)
 
 
 def _scatter(s: SparseCOO) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistributionKind, SamplingDistribution, _certified_beta, _distributions, _shares
+from .distributions import DistributionKind, SamplingDistribution, _certified_beta, _check_shape, _distributions, _shares
 from .errors import InvalidSpecError, ShapeMismatchError, ZeroProbabilityError
 from .matrix import DenseMatrix, SparseCOO
 
@@ -174,8 +174,5 @@ def sparsify(
 def exact_expectation(x: DenseMatrix, d: SamplingDistribution) -> DenseMatrix:
     """Expected sketch: X restricted to the support of d (equals X whenever
     every nonzero cell has positive probability)."""
-    if (x.m, x.n) != (d.m, d.n):
-        raise ShapeMismatchError(
-            f"distribution shape ({d.m}, {d.n}) does not match matrix shape {x.shape}"
-        )
+    _check_shape(x, d)
     return DenseMatrix(np.where(d.grid() > 0.0, x.data, 0.0))

@@ -1,7 +1,7 @@
 """Spectral-norm solves: exact from a Gram eigensolve on small operands, by
 deterministic-seeded Golub–Kahan–Lanczos bidiagonalization on large ones.
 
-Used for the error measurement ``||sketch - X||_2`` and for stable rank.
+Used for the error measurement ``||sketch - X||_2`` and by ``stable_rank``.
 ``_spectral_norm`` takes one dense 2-d array: ``spectral_norm`` hands it a
 copy of its operand, ``sketch_error`` and the experiment harness a trial's
 ``S - X``, densified at the size of X, which the program already holds dense.
@@ -24,10 +24,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeMismatchError
-from .matrix import _scatter
+from .errors import ShapeMismatchError, ZeroMatrixError
+from .matrix import DenseMatrix, _scatter, frobenius_norm
 
-__all__ = ["SpectralEstimate", "spectral_norm", "sketch_error"]
+__all__ = ["SpectralEstimate", "spectral_norm", "sketch_error", "stable_rank"]
 
 # A solve stops once its top Ritz triple (sigma, u, v) has ||A^T u - sigma v||
 # <= _TOL * sigma, or after _MAX_STEPS Lanczos steps; _START_SEED seeds its
@@ -52,18 +52,6 @@ class SpectralEstimate(NamedTuple):
     converged: bool  # the residual test held; always True for a dense solve
     # ||A^T u - value * v|| of the reported Ritz triple; 0.0 for a dense solve
     residual: float
-
-
-def _as_array(a) -> np.ndarray:
-    data = a if isinstance(a, np.ndarray) else getattr(a, "data", a)
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeMismatchError(f"expected a 2-d operand, got ndim={arr.ndim}")
-    if arr.size == 0:
-        raise ShapeMismatchError(f"expected a nonempty operand, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise NonFiniteError("the operand holds a NaN or infinite entry")
-    return arr
 
 
 def _scale_down(a: np.ndarray) -> int:
@@ -185,13 +173,14 @@ def spectral_norm(a) -> SpectralEstimate:
     True exactly when the Lanczos residual test held; after _MAX_STEPS
     (5000) steps, when that is below min(m, n), the last estimate comes back
     with converged=False. A Lanczos estimate never exceeds the true norm.
-    Non-convergence is signaled, not raised. An operand with a NaN or
-    infinite entry raises NonFiniteError, and one with no rows or columns
-    ShapeMismatchError. The solve runs on a copy of a, and 2^k a takes the
-    same path and steps as a; a norm above the float range reads inf, with
-    numpy's overflow warning.
+    Non-convergence is signaled, not raised. The operand is checked as a
+    DenseMatrix is: a NaN or infinite entry raises NonFiniteError, and a
+    1-d or empty one ShapeMismatchError. The solve runs on a copy of a, and
+    2^k a takes the same path and steps as a; a norm above the float range
+    reads inf, with numpy's overflow warning.
     """
-    return _spectral_norm(_as_array(a).copy())
+    a = a if isinstance(a, DenseMatrix) else DenseMatrix(a)
+    return _spectral_norm(a.data.copy())
 
 
 def sketch_error(x, sketch) -> SpectralEstimate:
@@ -204,10 +193,25 @@ def sketch_error(x, sketch) -> SpectralEstimate:
     spectral_norm; a value with converged=False may sit below the true norm.
     """
     coo = getattr(sketch, "matrix", sketch)
-    arr = _as_array(x)
-    if (coo.m, coo.n) != arr.shape:
+    x = x if isinstance(x, DenseMatrix) else DenseMatrix(x)
+    if (coo.m, coo.n) != x.shape:
         raise ShapeMismatchError(
-            f"sketch shape ({coo.m}, {coo.n}) does not match matrix shape {arr.shape}"
+            f"sketch shape ({coo.m}, {coo.n}) does not match matrix shape {x.shape}"
         )
     diff = _scatter(coo)
-    return _spectral_norm(np.subtract(diff, arr, out=diff))
+    return _spectral_norm(np.subtract(diff, x.data, out=diff))
+
+
+def stable_rank(x: DenseMatrix) -> float:
+    """Squared Frobenius norm over squared top singular value, in [1, min(m, n)] up to
+    the solver's tolerance; refuses the zero matrix and what frobenius_norm refuses."""
+    f = frobenius_norm(x)
+    if f == 0.0:
+        raise ZeroMatrixError("stable rank is undefined for the zero matrix")
+    return _stable_rank(x, f)
+
+
+def _stable_rank(x: DenseMatrix, frobenius: float) -> float:
+    """Stable rank of x from its known Frobenius norm: one sigma_1 solve."""
+    top = spectral_norm(x).value
+    return (frobenius * frobenius) / (top * top)

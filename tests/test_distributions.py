@@ -191,6 +191,9 @@ def test_custom_distribution_validation(toy):
         custom_distribution(toy, np.array([0.3, 0.3, 0.3, 0.3]))  # sums to 1.2
     with pytest.raises(ShapeMismatchError):
         custom_distribution(toy, np.array([1.0]))
+    # the exact sum overflows: refused as a sum of inf, not a bare OverflowError
+    with pytest.raises(InvalidSpecError, match="got inf"):
+        custom_distribution(DenseMatrix(np.ones((1, 2))), np.array([1e308, 1e308]))
 
 
 def test_distribution_for_kind(toy):

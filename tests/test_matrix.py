@@ -5,12 +5,14 @@ import pytest
 
 from elemsparse import (
     DenseMatrix,
+    NonFiniteError,
     SparseCOO,
     ZeroMatrixError,
     frobenius_norm,
     spectral_norm,
     stable_rank,
 )
+from elemsparse.bounds import gamma_rho_bounds
 from elemsparse.generate import GeneratorSpec, generate_matrix
 from elemsparse.matrix import coo_to_dense, entry_abs_sum
 
@@ -94,6 +96,19 @@ def test_stable_rank_range():
         x = DenseMatrix(rng.standard_normal((m, n)))
         sr = stable_rank(x)
         assert 1.0 - 1e-9 <= sr <= min(m, n) + 1e-9
+
+
+@pytest.mark.parametrize(
+    "entries", [[[1e-200, 2e-200], [3e-200, 0.0]], [[1e200, 2e200], [3e200, 0.0]]], ids=["tiny", "huge"]
+)
+@pytest.mark.parametrize(
+    "norm", [frobenius_norm, stable_rank, lambda x: gamma_rho_bounds(x, 1.0)], ids=["frobenius", "sr", "gamma-rho"]
+)
+def test_squares_outside_float_range_are_refused(norm, entries):
+    # every command refuses these matrices; before, frobenius_norm read 0.0
+    # for the tiny one and stable_rank nan for the huge one
+    with pytest.raises(NonFiniteError, match="float range"):
+        norm(DenseMatrix(np.array(entries)))
 
 
 def test_sparse_coo_validation():

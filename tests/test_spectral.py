@@ -108,22 +108,24 @@ def test_subnormal_largest_entry_solves_without_warning():
 
 
 @pytest.mark.parametrize(
-    "operand, error",
+    "operand, sketch_shape, error",
     [
-        ([[1.0, np.nan], [2.0, 3.0]], NonFiniteError),
-        ([[1.0, 2.0], [-np.inf, 3.0]], NonFiniteError),
-        (np.zeros((0, 3)), ShapeMismatchError),
-        (np.zeros((3, 0)), ShapeMismatchError),
+        ([[1.0, np.nan], [2.0, 3.0]], (2, 2), NonFiniteError),
+        ([[1.0, 2.0], [-np.inf, 3.0]], (2, 2), NonFiniteError),
+        (np.zeros((0, 3)), (1, 3), ShapeMismatchError),
+        (np.zeros((3, 0)), (3, 1), ShapeMismatchError),
+        ([1.0, 2.0, 3.0], (1, 3), ShapeMismatchError),
     ],
-    ids=["nan", "inf", "no-rows", "no-columns"],
+    ids=["nan", "inf", "no-rows", "no-columns", "1-d"],
 )
-def test_bad_operand_is_refused_with_a_typed_error(operand, error):
+def test_bad_operand_is_refused_with_a_typed_error(operand, sketch_shape, error):
     # unchecked, a nan entry read nan as converged on the dense path (and
     # raised LinAlgError on Lanczos), and an empty operand raised IndexError
+    sketch = SparseCOO(*sketch_shape, [], [], [])
     with pytest.raises(error):
         spectral_norm(operand)
     with pytest.raises(error):
-        sketch_error(operand, SparseCOO(*np.shape(operand), [], [], []))
+        sketch_error(operand, sketch)
 
 
 def test_spectral_norm_leaves_its_argument_unchanged():
