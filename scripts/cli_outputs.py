@@ -78,6 +78,7 @@ COMMANDS = [
      "sketch-subnormal.mtx"),
     ("bounds-both-targets", ["bounds", "--m", "5", "--n", "5", "--frobenius", "1", "--epsilon", "1",
                              "--epsilon-rel", "1"], None),
+    ("bounds-generate-negative-seed", ["bounds", "--generate", "gaussian,3,3,-1", "--epsilon", "1"], None),
 ]
 
 

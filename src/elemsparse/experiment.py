@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -250,14 +251,21 @@ def _run_trials(x: DenseMatrix, dist, s: int, seeds: tuple, jobs: int) -> list:
     xf, sp = x.flat(), s * dist.probs
     records = [None] * len(seeds)
     workers = min(jobs, len(seeds), os.cpu_count() or 1)
+    failed = threading.Event()  # once a trial raises, no worker starts another
 
     def run(first: int) -> None:
         diff = np.empty(x.m * x.n)
         for t in range(first, len(seeds), workers):
-            t0 = time.perf_counter()
-            counts = _draw_counts(dist.probs, s, seeds[t])
-            np.subtract(_cell_values(counts, xf, sp, diff), xf, out=diff)
-            est = _spectral_norm(diff.reshape(x.m, x.n))
+            if failed.is_set():
+                return
+            try:
+                t0 = time.perf_counter()
+                counts = _draw_counts(dist.probs, s, seeds[t])
+                np.subtract(_cell_values(counts, xf, sp, diff), xf, out=diff)
+                est = _spectral_norm(diff.reshape(x.m, x.n))
+            except BaseException:
+                failed.set()
+                raise
             records[t] = (est, np.count_nonzero(counts), time.perf_counter() - t0)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -43,6 +43,8 @@ class GeneratorSpec:
         if self.m < 1 or self.n < 1:
             raise InvalidSpecError("matrix dimensions must be >= 1")
         check_cell_count(self.m, self.n, InvalidSpecError)
+        if self.seed < 0:
+            raise InvalidSpecError("seed must be a nonnegative integer")
         if not self.alpha > 0:
             raise InvalidSpecError("alpha must be positive")
         if self.rank is not None and not 1 <= self.rank <= min(self.m, self.n):

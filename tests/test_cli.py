@@ -389,6 +389,8 @@ _PAST_INT64 = "10000000000"
                  "--generate 'gaussian,3,a,1': invalid literal"),
                 ("past-int64", "sparsify", ["--s", "5"], f"gaussian,{_PAST_INT64},{_PAST_INT64},1",
                  f"a {_PAST_INT64}x{_PAST_INT64} matrix has more than 2**63 - 1 cells"),
+                ("negative-seed", "bounds", ["--epsilon", "1"], "gaussian,3,3,-1",
+                 "--generate 'gaussian,3,3,-1': seed must be a nonnegative integer"),
             )
         ],
         # --m/--n/--frobenius/--stable-rank describe a matrix that --input/--generate already give

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -159,22 +160,29 @@ def test_workers_never_outnumber_trials(monkeypatch):
 @pytest.mark.parametrize("run", [run_experiment, compare_distributions])
 def test_a_worker_error_is_raised(monkeypatch, run):
     # the third solve fails in one of two workers; the run must raise that
-    # error rather than return, or trip over the record it never stored
+    # error rather than return, or trip over the record it never stored. The
+    # other worker may start at most the one solve it may already be past its
+    # check for; without the stop it would run its whole share of 40 trials.
+    # Each later solve sleeps first, so the failing worker gets to set the stop.
     calls = []
     lock = threading.Lock()
 
     def failing(a):
         with lock:
             calls.append(None)
-            third = len(calls) == 3
-        if third:
+            k = len(calls)
+        if k == 3:
             raise ElemsparseError("solve failed")
+        if k > 3:
+            time.sleep(0.002)
         return solve(a)
 
     solve = experiment._spectral_norm
     monkeypatch.setattr(experiment, "_spectral_norm", failing)
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
     with pytest.raises(ElemsparseError, match="solve failed"):
-        run(_cfg(trials=6, jobs=2))
+        run(_cfg(trials=40, jobs=2))
+    assert len(calls) <= 3 + 1
 
 
 @pytest.mark.parametrize("kind", ["hybrid", "l1", "l2"])

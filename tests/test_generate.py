@@ -72,6 +72,8 @@ def test_spec_validation():
         GeneratorSpec("fourier", 3, 3, 0)
     with pytest.raises(InvalidSpecError):
         GeneratorSpec("gaussian", 0, 3, 0)
+    with pytest.raises(InvalidSpecError, match="seed"):
+        GeneratorSpec("gaussian", 3, 3, -1)  # numpy's seeding would raise a bare ValueError
     with pytest.raises(InvalidSpecError):
         GeneratorSpec("power-law", 3, 3, 0, alpha=0.0)
     with pytest.raises(InvalidSpecError):
