@@ -143,7 +143,7 @@ def _squares(flat: np.ndarray) -> tuple[np.ndarray, float]:
 
 def frobenius_norm(x: DenseMatrix) -> float:
     """sqrt of the exactly-accumulated sum of squared entries, 0.0 for the zero
-    matrix; squares outside float range raise NonFiniteError, as in every command."""
+    matrix; a nonzero matrix whose squares leave float range raises NonFiniteError."""
     return math.sqrt(_squares(x.flat())[1])
 
 

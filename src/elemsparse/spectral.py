@@ -179,8 +179,8 @@ def spectral_norm(a) -> SpectralEstimate:
     2^k a takes the same path and steps as a; a norm above the float range
     reads inf, with numpy's overflow warning.
     """
-    a = a if isinstance(a, DenseMatrix) else DenseMatrix(a)
-    return _spectral_norm(a.data.copy())
+    # no name holds the checked DenseMatrix, so a copy made to check a is freed before the solve
+    return _spectral_norm((a if isinstance(a, DenseMatrix) else DenseMatrix(a)).data.copy())
 
 
 def sketch_error(x, sketch) -> SpectralEstimate:
