@@ -33,6 +33,9 @@ PART_CSV = "1e-200,2\n3,0\n"
 # Both shares of the 5e-324 cell underflow to 0, so every certificate is 0.
 SUBNORMAL_CSV = "5e-324,1\n1,0\n"
 
+# The all-zero matrix, which every command refuses with one message.
+ZERO_CSV = "0,0,0\n0,0,0\n"
+
 # (name, argv after "elemsparse", output file or None for stdout)
 COMMANDS = [
     ("experiment-jobs2", ["experiment", "--generate", "gaussian,12,10,4", "--epsilon-rel", "0.6",
@@ -79,6 +82,8 @@ COMMANDS = [
     ("bounds-both-targets", ["bounds", "--m", "5", "--n", "5", "--frobenius", "1", "--epsilon", "1",
                              "--epsilon-rel", "1"], None),
     ("bounds-generate-negative-seed", ["bounds", "--generate", "gaussian,3,3,-1", "--epsilon", "1"], None),
+    ("bounds-zero", ["bounds", "--input", "zero.csv", "--epsilon", "1"], None),
+    ("sparsify-zero", ["sparsify", "--input", "zero.csv", "--s", "5", "--out", "sketch-zero.mtx"], "sketch-zero.mtx"),
 ]
 
 
@@ -107,6 +112,7 @@ def main() -> None:
     (outdir / "input.csv").write_text(INPUT_CSV)
     (outdir / "part.csv").write_text(PART_CSV)
     (outdir / "subnormal.csv").write_text(SUBNORMAL_CSV)
+    (outdir / "zero.csv").write_text(ZERO_CSV)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     for name, argv, out in COMMANDS:
         proc = subprocess.run(

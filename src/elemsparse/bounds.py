@@ -21,10 +21,9 @@ from .distributions import SamplingDistribution, _check_shape
 from .errors import (
     HypothesisViolatedError,
     InvalidSpecError,
-    ZeroMatrixError,
     ZeroProbabilityError,
 )
-from .matrix import DenseMatrix, frobenius_norm
+from .matrix import DenseMatrix, _nonzero_squares
 from .spectral import spectral_norm
 
 __all__ = [
@@ -150,9 +149,7 @@ def gamma_rho_bounds(x: DenseMatrix, beta: float) -> tuple[float, float]:
     sampled under any beta-certified distribution."""
     if not 0 < beta <= 1:
         raise InvalidSpecError("beta must lie in (0, 1]")
-    frob = frobenius_norm(x)
-    if frob == 0.0:
-        raise ZeroMatrixError("bounds are undefined for the zero matrix")
+    frob = math.sqrt(_nonzero_squares(x.flat())[1])
     return _gamma_rho_values(x.m, x.n, frob, beta)
 
 

@@ -15,8 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidSpecError, ShapeMismatchError, ZeroMatrixError, ZeroProbabilityError
-from .matrix import DenseMatrix, _exact_sum, _squares
+from .errors import InvalidSpecError, ShapeMismatchError, ZeroProbabilityError
+from .matrix import DenseMatrix, _exact_sum, _nonzero_squares
 
 __all__ = [
     "DistributionKind",
@@ -65,11 +65,7 @@ class SamplingDistribution:
     beta: float
 
     def __post_init__(self):
-        p = np.array(self.probs, dtype=np.float64).reshape(-1)
-        if p.shape[0] != self.m * self.n:
-            raise ShapeMismatchError(
-                f"expected {self.m * self.n} probabilities, got {p.shape[0]}"
-            )
+        p = _cell_probs(self.probs, self.m, self.n)
         if np.any(p < 0) or not np.all(np.isfinite(p)):
             raise InvalidSpecError("probabilities must be finite and nonnegative")
         total = _exact_sum(p)
@@ -91,15 +87,22 @@ class SamplingDistribution:
         )
 
 
+def _cell_probs(probs, m: int, n: int) -> np.ndarray:
+    """probs as a new flat float64 array of the m*n cell probabilities; any
+    other count raises ShapeMismatchError."""
+    p = np.array(probs, dtype=np.float64).reshape(-1)
+    if p.shape[0] != m * n:
+        raise ShapeMismatchError(f"expected {m * n} probabilities, got {p.shape[0]}")
+    return p
+
+
 def _shares(x: DenseMatrix) -> tuple[float, np.ndarray, np.ndarray]:
     """The exact sum of x^2, and the per-cell shares x^2 / sum x^2 (L2) and
     |x| / sum |x| (L1) that every distribution and certificate is built
-    from. Refuses the zero matrix, and, through ``_squares``, a nonzero one
-    whose squares leave float range, where no share is defined."""
+    from. Refuses, through ``_nonzero_squares``, the zero matrix and a
+    nonzero one whose squares leave float range, where no share is defined."""
     flat = x.flat()
-    sq, sum_sq = _squares(flat)
-    if sum_sq == 0.0:
-        raise ZeroMatrixError("sampling distributions and bounds are undefined for the zero matrix")
+    sq, sum_sq = _nonzero_squares(flat)
     ab = np.abs(flat)
     return sum_sq, sq / sum_sq, ab / _exact_sum(ab)
 
@@ -182,7 +185,5 @@ def beta_certificate(x: DenseMatrix, probs: np.ndarray) -> float:
     impose no constraint and are excluded from the minimum.
     """
     _, l2, l1 = _shares(x)
-    p = np.asarray(probs, dtype=np.float64).reshape(-1)
-    if p.shape[0] != x.m * x.n:
-        raise ShapeMismatchError(f"expected {x.m * x.n} probabilities, got {p.shape[0]}")
+    p = _cell_probs(probs, x.m, x.n)
     return _certificate(x.flat(), p, 0.5 * (l2 + l1))

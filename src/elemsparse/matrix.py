@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeMismatchError
+from .errors import NonFiniteError, ShapeMismatchError, ZeroMatrixError
 
 __all__ = [
     "DenseMatrix",
@@ -138,6 +138,16 @@ def _squares(flat: np.ndarray) -> tuple[np.ndarray, float]:
             f"the squared entries sum to {sum_sq!r} (largest |x| is {float(np.abs(flat).max())!r}), "
             "outside float range; rescale the matrix"
         )
+    return sq, sum_sq
+
+
+def _nonzero_squares(flat: np.ndarray) -> tuple[np.ndarray, float]:
+    """``_squares`` for what the zero matrix leaves undefined: the sampling
+    distributions, the bounds and the stable rank. The one place that
+    refuses the zero matrix, with ZeroMatrixError."""
+    sq, sum_sq = _squares(flat)
+    if sum_sq == 0.0:
+        raise ZeroMatrixError("sampling distributions, bounds and stable rank are undefined for the zero matrix")
     return sq, sum_sq
 
 

@@ -20,12 +20,13 @@ matrix, and ``spectral_norm`` solves a copy.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ShapeMismatchError, ZeroMatrixError
-from .matrix import DenseMatrix, _scatter, frobenius_norm
+from .errors import ShapeMismatchError
+from .matrix import DenseMatrix, _nonzero_squares, _scatter
 
 __all__ = ["SpectralEstimate", "spectral_norm", "sketch_error", "stable_rank"]
 
@@ -164,6 +165,17 @@ def _spectral_norm(a: np.ndarray) -> SpectralEstimate:
     return solve(a)
 
 
+def _values(x) -> np.ndarray:
+    """The entries of x as a float64 array, x checked as a DenseMatrix is.
+    For a plain array the checked copy is freed at once and x's own values,
+    read as float64 as the check reads them, come back: no solve holds that
+    copy beside its working array."""
+    if isinstance(x, DenseMatrix):
+        return x.data
+    DenseMatrix(x)
+    return np.asarray(x, dtype=np.float64)
+
+
 def spectral_norm(a) -> SpectralEstimate:
     """Top singular value of a dense matrix, with its Lanczos step count,
     convergence flag and Ritz residual.
@@ -179,8 +191,7 @@ def spectral_norm(a) -> SpectralEstimate:
     2^k a takes the same path and steps as a; a norm above the float range
     reads inf, with numpy's overflow warning.
     """
-    # no name holds the checked DenseMatrix, so a copy made to check a is freed before the solve
-    return _spectral_norm((a if isinstance(a, DenseMatrix) else DenseMatrix(a)).data.copy())
+    return _spectral_norm(np.array(_values(a), order="C"))
 
 
 def sketch_error(x, sketch) -> SpectralEstimate:
@@ -193,22 +204,17 @@ def sketch_error(x, sketch) -> SpectralEstimate:
     spectral_norm; a value with converged=False may sit below the true norm.
     """
     coo = getattr(sketch, "matrix", sketch)
-    x = x if isinstance(x, DenseMatrix) else DenseMatrix(x)
-    if (coo.m, coo.n) != x.shape:
-        raise ShapeMismatchError(
-            f"sketch shape ({coo.m}, {coo.n}) does not match matrix shape {x.shape}"
-        )
+    values = _values(x)
+    if (coo.m, coo.n) != values.shape:
+        raise ShapeMismatchError(f"sketch shape ({coo.m}, {coo.n}) does not match matrix shape {values.shape}")
     diff = _scatter(coo)
-    return _spectral_norm(np.subtract(diff, x.data, out=diff))
+    return _spectral_norm(np.subtract(diff, values, out=diff))
 
 
 def stable_rank(x: DenseMatrix) -> float:
     """Squared Frobenius norm over squared top singular value, in [1, min(m, n)] up to
     the solver's tolerance; refuses the zero matrix and what frobenius_norm refuses."""
-    f = frobenius_norm(x)
-    if f == 0.0:
-        raise ZeroMatrixError("stable rank is undefined for the zero matrix")
-    return _stable_rank(x, f)
+    return _stable_rank(x, math.sqrt(_nonzero_squares(x.flat())[1]))
 
 
 def _stable_rank(x: DenseMatrix, frobenius: float) -> float:

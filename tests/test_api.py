@@ -1,9 +1,15 @@
 """The public surface: the README's Python examples run as written, the top
-level exports exactly the documented API, and every name the benchmark
-imports from the top level resolves."""
+level exports exactly the documented API, loading each module only when one
+of its names is first used, and every name the benchmark imports from the
+top level resolves."""
 
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import elemsparse
 
@@ -31,6 +37,9 @@ BENCHMARK_NAMES = (
     "sampling_operator", "load_matrix", "generate_matrix", "GeneratorSpec",
 )
 
+# The set-up expression of the benchmark's generated-input workloads.
+GENERATE_SETUP = "elemsparse.generate_matrix(elemsparse.GeneratorSpec('gaussian', 100, 100, 1))"
+
 
 def test_readme_python_blocks_run(capsys):
     blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
@@ -43,8 +52,38 @@ def test_readme_python_blocks_run(capsys):
 def test_top_level_exports_the_documented_api():
     assert len(elemsparse.__all__) == len(set(elemsparse.__all__)) == 46
     assert sorted(elemsparse.__all__) == sorted(DOCUMENTED)
-    for name in elemsparse.__all__:
-        assert hasattr(elemsparse, name), name
+    assert set(DOCUMENTED) <= set(dir(elemsparse))
+    for name in set(elemsparse.__all__) - {"__version__"}:
+        value = getattr(elemsparse, name)
+        assert value.__module__.startswith("elemsparse."), name
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    namespace = {}
+    exec("from elemsparse import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(DOCUMENTED)
+    assert all(namespace[name] is getattr(elemsparse, name) for name in DOCUMENTED)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        elemsparse.no_such_name
+
+
+def test_names_load_their_module_on_first_use():
+    """In a fresh interpreter, ``import elemsparse`` loads no submodule and
+    not the harness's thread pool; the generated-input set-up loads only the
+    generator and what it needs; a submodule resolves after a bare import."""
+    loaded = "sorted(m for m in sys.modules if m.startswith('elemsparse.') or m == 'concurrent.futures')"
+    code = (
+        "import json, sys\n"
+        "import elemsparse\n"
+        f"bare = {loaded}\n"
+        f"x = {GENERATE_SETUP}\n"
+        f"generated = {loaded}\n"
+        "json.dump([bare, generated, elemsparse.bounds.sample_size_theorem1.__module__], sys.stdout)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    bare, generated, bounds = json.loads(res.stdout)
+    assert bare == []
+    assert generated == ["elemsparse.errors", "elemsparse.generate", "elemsparse.matrix"]
+    assert bounds == "elemsparse.bounds"
 
 
 def test_benchmark_names_resolve():

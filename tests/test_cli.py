@@ -393,6 +393,18 @@ _PAST_INT64 = "10000000000"
                  "--generate 'gaussian,3,3,-1': seed must be a nonnegative integer"),
             )
         ],
+        # the zero matrix is refused in the same one line, whichever command reads it
+        *[
+            pytest.param("z.csv", "0,0\n0,0\n", args,
+                         "elemsparse: error: sampling distributions, bounds and stable rank are undefined "
+                         "for the zero matrix\n", id=f"{args[0]}-zero")
+            for args in (
+                ["bounds", "--epsilon", "1"],
+                ["sparsify", "--s", "5"],
+                ["experiment", "--epsilon", "1", "--s", "5", "--trials", "2"],
+                ["compare", "--epsilon-rel", "0.5", "--trials", "2"],
+            )
+        ],
         # --m/--n/--frobenius/--stable-rank describe a matrix that --input/--generate already give
         pytest.param(None, None, ["bounds", "--generate", "gaussian,20,30,2", "--epsilon-rel", "0.5",
                                   "--stable-rank", "3", "--m", "7"], "--m/--stable-rank", id="bounds-generate-m"),

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,28 @@ def test_sketch_error_duplicate_example(toy):
 def test_sketch_error_shape_mismatch(toy):
     with pytest.raises(ShapeMismatchError):
         sketch_error(toy, SparseCOO(3, 3, [], [], []))
+
+
+@pytest.mark.parametrize("shape", [(200, 600), (400, 400)])
+@pytest.mark.parametrize("solve", ["spectral_norm", "sketch_error"])
+def test_plain_array_operand_costs_no_more_memory(solve, shape):
+    """A plain ndarray x gives the value a DenseMatrix x gives, and its
+    traced peak stays within 5% of x's size of the DenseMatrix peak: the
+    copy made to check x is not held beside the solve's working array."""
+    x = DenseMatrix(np.random.default_rng(7).standard_normal(shape))
+    sketch = SparseCOO(*shape, [0, 1, 1], [2, 0, 0], [1.5, -2.0, 0.25])
+    run = {"spectral_norm": spectral_norm, "sketch_error": lambda a: sketch_error(a, sketch)}[solve]
+    size = x.data.nbytes
+    results, peaks = [], []
+    for operand in (x, x.data.copy()):
+        tracemalloc.start()
+        try:
+            results.append(run(operand))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert results[0] == results[1]
+    assert peaks[1] <= peaks[0] + 0.05 * size, [peak / size for peak in peaks]
 
 
 def test_sketch_error_matches_dense_difference():
