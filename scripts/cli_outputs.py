@@ -57,6 +57,9 @@ COMMANDS = [
     # three workers over four trials, each kind on the same seeds
     ("compare-jobs3", ["compare", "--generate", "gaussian,9,8,2", "--epsilon-rel", "0.7", "--trials", "4",
                        "--seed", "6", "--jobs", "3"], None),
+    # three workers over one trial of each kind: the kinds share the pool
+    ("compare-trials1-jobs3", ["compare", "--generate", "gaussian,9,8,2", "--epsilon-rel", "0.7", "--trials", "1",
+                               "--seed", "6", "--jobs", "3"], None),
     ("compare-csv", ["compare", "--generate", "gaussian,7,9,8", "--epsilon-rel", "0.5", "--s", "80",
                      "--trials", "3", "--out-format", "csv", "--out", "compare.csv"], "compare.csv"),
     ("bounds-numbers", ["bounds", "--m", "100", "--n", "80", "--epsilon", "1", "--frobenius", "10"], None),
@@ -84,6 +87,12 @@ COMMANDS = [
     ("bounds-generate-negative-seed", ["bounds", "--generate", "gaussian,3,3,-1", "--epsilon", "1"], None),
     ("bounds-zero", ["bounds", "--input", "zero.csv", "--epsilon", "1"], None),
     ("sparsify-zero", ["sparsify", "--input", "zero.csv", "--s", "5", "--out", "sketch-zero.mtx"], "sketch-zero.mtx"),
+    # the rules on s, delta, the bound form and epsilon_rel, each refused by its one owner
+    ("experiment-s-0", ["experiment", "--generate", "gaussian,4,5,1", "--s", "0", "--epsilon", "1"], None),
+    ("compare-delta-1", ["compare", "--generate", "gaussian,4,5,1", "--delta", "1", "--epsilon", "1"], None),
+    ("experiment-corollary-epsilon", ["experiment", "--generate", "gaussian,4,5,1", "--bound-form", "corollary",
+                                      "--epsilon", "1"], None),
+    ("experiment-epsilon-rel-negative", ["experiment", "--generate", "gaussian,4,5,1", "--epsilon-rel", "-1"], None),
 ]
 
 

@@ -20,7 +20,7 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .distributions import _BUILTIN_KINDS, DistributionKind
+from .distributions import _BUILTIN_KINDS
 from .errors import ElemsparseError, InvalidSpecError
 from .experiment import (
     BoundForm,
@@ -153,15 +153,15 @@ def _source(args):
     return _generator_spec(args.generate)
 
 
-def _experiment_config(args, dist: str | None) -> ExperimentConfig:
+def _experiment_config(args) -> ExperimentConfig:
     return ExperimentConfig(
         source=_source(args),
-        dist_kind=DistributionKind(dist) if dist is not None else DistributionKind.HYBRID,
+        dist_kind=getattr(args, "dist", "hybrid"),  # compare runs every kind
         epsilon=args.epsilon,
         epsilon_rel=args.epsilon_rel,
         delta=args.delta,
         s_override=args.s,
-        bound_form=BoundForm(args.bound_form),
+        bound_form=args.bound_form,
         trials=args.trials,
         base_seed=args.seed,
         jobs=args.jobs,
@@ -201,7 +201,7 @@ def _cmd_sparsify(args) -> int:
     if args.seed < 0:
         raise InvalidSpecError("--seed must be a nonnegative integer")
     plan = make_plan(
-        resolve_matrix(_source(args)), (args.dist,), bound_form=BoundForm(args.bound_form), epsilon=args.epsilon,
+        resolve_matrix(_source(args)), (args.dist,), bound_form=args.bound_form, epsilon=args.epsilon,
         epsilon_rel=args.epsilon_rel, delta=args.delta, s_override=args.s,
     )
     x, dist = plan.x, plan.dists[0]
@@ -238,12 +238,9 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    cfg = _experiment_config(args, args.dist)
+    cfg = _experiment_config(args)
     result = run_experiment(cfg)
-    if args.out_format == "json":
-        text = payload_text(experiment_payload(result, cfg))
-    else:
-        text = _experiment_csv(result)
+    text = payload_text(experiment_payload(result, cfg)) if args.out_format == "json" else _experiment_csv(result)
     _write(text, args.out)
     if args.out is not None:
         print(
@@ -256,12 +253,9 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    cfg = _experiment_config(args, None)
+    cfg = _experiment_config(args)
     result = compare_distributions(cfg)
-    if args.out_format == "json":
-        text = payload_text(compare_payload(result, cfg))
-    else:
-        text = _compare_csv(result)
+    text = payload_text(compare_payload(result, cfg)) if args.out_format == "json" else _compare_csv(result)
     _write(text, args.out)
     if args.out is not None:
         for summ in result.summaries:

@@ -167,9 +167,11 @@ def hybrid_distribution(x: DenseMatrix) -> SamplingDistribution:
 
 
 def custom_distribution(x: DenseMatrix, probs: np.ndarray) -> SamplingDistribution:
-    """Wrap a user-supplied probability table; beta is computed, not trusted."""
-    beta = beta_certificate(x, probs)
-    return SamplingDistribution(x.m, x.n, probs, DistributionKind.CUSTOM, beta)
+    """Wrap a user-supplied probability table; beta is computed, not trusted,
+    on the table as SamplingDistribution copied and checked it."""
+    d = SamplingDistribution(x.m, x.n, probs, DistributionKind.CUSTOM, 0.0)
+    object.__setattr__(d, "beta", _certificate_of(x, d.probs))
+    return d
 
 
 def distribution_for_kind(x: DenseMatrix, kind) -> SamplingDistribution:
@@ -184,6 +186,9 @@ def beta_certificate(x: DenseMatrix, probs: np.ndarray) -> float:
     for every beta > 0). Cells where x_ij = 0 or both shares underflow to 0
     impose no constraint and are excluded from the minimum.
     """
+    return _certificate_of(x, _cell_probs(probs, x.m, x.n))
+
+
+def _certificate_of(x: DenseMatrix, p: np.ndarray) -> float:
     _, l2, l1 = _shares(x)
-    p = _cell_probs(probs, x.m, x.n)
     return _certificate(x.flat(), p, 0.5 * (l2 + l1))

@@ -2,23 +2,25 @@
 sparsification guarantee plus a three-way distribution comparison.
 
 ``make_plan`` is the one path from a matrix to its distributions and sample
-size that every command shares. ``run_experiment`` and
+size that every command shares; with ``BoundRequest`` it owns the rules on
+s, epsilon, epsilon_rel, delta and the bound form. ``run_experiment`` and
 ``compare_distributions`` return results and write nothing; the CLI does.
 ``experiment_payload`` and ``compare_payload`` build each JSON document with
 ``dataclasses.asdict`` from the config and the result, so a field added to a
 result dataclass reaches the JSON with no other change.
 
-Reproducibility contract: trial t draws with seed (base_seed + t) mod 2^64,
-so results are independent of --jobs scheduling. A trial draws only its cell
-counts and builds its S - X from them, never a sketch; that array is the
-densified ``sparsify(x, s, seed, kind)`` sketch minus X, bit for bit, and its
-error is one ``spectral._spectral_norm`` solve (an exact Gram eigensolve
-where min(m, n) <= 300, Lanczos above). Each trial yields one record, stored
-at its index, and the callers aggregate the records. --jobs bounds the
-number of workers; each runs an interleaved share of the trials one at a
-time, and no trial's result depends on which worker ran it. Serialized
-output is deterministic (sorted keys) apart from the wall_times block, which
-is environment noise by nature.
+Reproducibility contract: trial t of every distribution draws with seed
+(base_seed + t) mod 2^64. A trial draws only its cell counts and builds its
+S - X from them, never a sketch; that array is the densified
+``sparsify(x, s, seed, kind)`` sketch minus X, bit for bit, and its error is
+one ``spectral._spectral_norm`` solve (an exact Gram eigensolve where
+min(m, n) <= 300, Lanczos above). Both entry points run every (distribution,
+seed) trial of their plan in one pool, ``_run_trials``: --jobs bounds its
+workers, each runs an interleaved share of the trials one at a time, and
+each trial stores one record at its distribution and seed, so no result
+depends on which worker ran it. ``_trials`` aggregates each distribution's
+records for both callers. Serialized output is deterministic (sorted keys)
+apart from the wall_times block, which is environment noise by nature.
 """
 
 from __future__ import annotations
@@ -96,16 +98,6 @@ class ExperimentConfig:
         object.__setattr__(self, "bound_form", BoundForm(self.bound_form))
         if (self.epsilon is None) == (self.epsilon_rel is None):
             raise InvalidSpecError("exactly one of epsilon and epsilon_rel must be set")
-        if self.epsilon is not None and not 0 < self.epsilon < math.inf:
-            raise InvalidSpecError(f"epsilon must be positive and finite, got {self.epsilon!r}")
-        if self.epsilon_rel is not None and not 0 < self.epsilon_rel < math.inf:
-            raise InvalidSpecError(f"epsilon_rel must be positive and finite, got {self.epsilon_rel!r}")
-        if not 0.0 < self.delta < 1.0:
-            raise InvalidSpecError("delta must lie in (0, 1)")
-        if self.s_override is not None and self.s_override < 1:
-            raise InvalidSpecError("s_override must be a positive integer")
-        if self.bound_form is BoundForm.COROLLARY and self.epsilon_rel is None:
-            raise InvalidSpecError("bound_form=corollary needs epsilon_rel, not an absolute epsilon")
         if self.trials < 1:
             raise InvalidSpecError("trials must be >= 1")
         if self.base_seed < 0:
@@ -188,8 +180,8 @@ def _sizing(m, n, frobenius, stable_rank, bound_form, epsilon, epsilon_rel, delt
     if epsilon is None and epsilon_rel is None:
         unless = "" if bound_form is None else ", unless s is given"  # bounds takes no s
         raise InvalidSpecError(f"one of epsilon and epsilon_rel is required{unless}")
-    if bound_form is BoundForm.COROLLARY and epsilon_rel is None:
-        raise InvalidSpecError("bound_form=corollary needs epsilon_rel, not an absolute epsilon")
+    if epsilon_rel is not None and not 0 < epsilon_rel < math.inf:  # epsilon's own rule is BoundRequest's
+        raise InvalidSpecError(f"epsilon_rel must be positive and finite, got {epsilon_rel!r}")
     if epsilon is None and bound_form is BoundForm.COROLLARY:
         epsilon = epsilon_rel * frobenius / math.sqrt(stable_rank)
     elif epsilon is None:
@@ -216,6 +208,8 @@ def make_plan(
     if s_override is not None and s_override < 1:
         raise InvalidSpecError("s must be a positive integer")
     bound_form = BoundForm(bound_form)
+    if bound_form is BoundForm.COROLLARY and epsilon is not None and epsilon_rel is None:
+        raise InvalidSpecError("bound_form=corollary needs epsilon_rel, not an absolute epsilon")
     sum_sq, l2, l1 = _shares(x)
     dists = _distributions(x, kinds, l2, l1)
     beta = _certified_beta(x, dists[0], l2, l1) if len(dists) == 1 else 1.0
@@ -230,56 +224,64 @@ def make_plan(
     return Plan(x, dists, request, report, s)
 
 
-def _config_plan(cfg: ExperimentConfig, kinds) -> Plan:
-    return make_plan(
-        resolve_matrix(cfg.source), kinds, bound_form=cfg.bound_form, epsilon=cfg.epsilon,
-        epsilon_rel=cfg.epsilon_rel, delta=cfg.delta, s_override=cfg.s_override,
-    )
+def _run_trials(x: DenseMatrix, dists: tuple, s: int, seeds: tuple, jobs: int) -> list:
+    """Every (distribution, seed) trial in one pool. Per distribution, in
+    order, one (estimate, nnz, seconds) record per seed in seed order: the
+    SpectralEstimate of ||S - X||_2, the sketch's count of distinct cells,
+    and the trial's wall time (draw, assembly and solve).
 
-
-def _run_trials(x: DenseMatrix, dist, s: int, seeds: tuple, jobs: int) -> list:
-    """One distribution's trials, one (estimate, nnz, seconds) record per seed
-    in seed order: the SpectralEstimate of ||S - X||_2, the sketch's count of
-    distinct cells, and the trial's wall time (draw, assembly and solve).
-
-    w = min(jobs, trials, CPU count) workers; worker i runs trials i, i + w,
-    ... one at a time. A trial draws its cell counts, writes
+    Trial k runs distribution k // len(seeds) at seed k % len(seeds). Of
+    w = min(jobs, trial count, CPU count) workers, worker i runs trials i,
+    i + w, ... one at a time. A trial draws its cell counts, writes
     S - X = counts * x / (s * p) - x into the worker's one mn buffer (the
-    same array as the densified ``sparsify`` sketch minus X, bit for bit),
-    solves it and stores its record at its own index.
+    densified ``sparsify`` sketch minus X, bit for bit) and solves it.
     """
-    xf, sp = x.flat(), s * dist.probs
-    records = [None] * len(seeds)
-    workers = min(jobs, len(seeds), os.cpu_count() or 1)
+    xf, sps = x.flat(), [s * dist.probs for dist in dists]
+    records = [[None] * len(seeds) for _ in dists]
+    total = len(dists) * len(seeds)
+    workers = min(jobs, total, os.cpu_count() or 1)
     failed = threading.Event()  # once a trial raises, no worker starts another
 
     def run(first: int) -> None:
         diff = np.empty(x.m * x.n)
-        for t in range(first, len(seeds), workers):
+        for k in range(first, total, workers):
             if failed.is_set():
                 return
+            d, t = divmod(k, len(seeds))
             try:
                 t0 = time.perf_counter()
-                counts = _draw_counts(dist.probs, s, seeds[t])
-                np.subtract(_cell_values(counts, xf, sp, diff), xf, out=diff)
+                counts = _draw_counts(dists[d].probs, s, seeds[t])
+                np.subtract(_cell_values(counts, xf, sps[d], diff), xf, out=diff)
                 est = _spectral_norm(diff.reshape(x.m, x.n))
             except BaseException:
                 failed.set()
                 raise
-            records[t] = (est, np.count_nonzero(counts), time.perf_counter() - t0)
+            records[d][t] = (est, np.count_nonzero(counts), time.perf_counter() - t0)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(run, range(workers)))  # reading every result raises a worker's exception
     return records
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    plan = _config_plan(cfg, (cfg.dist_kind,))
+def _trials(cfg: ExperimentConfig, kinds) -> tuple:
+    """The plan of cfg for kinds, its seeds, and per distribution the
+    (errors, unconverged count, mean nnz / mn, wall times) of its trials."""
+    plan = make_plan(
+        resolve_matrix(cfg.source), kinds, bound_form=cfg.bound_form, epsilon=cfg.epsilon,
+        epsilon_rel=cfg.epsilon_rel, delta=cfg.delta, s_override=cfg.s_override,
+    )
     seeds = tuple((cfg.base_seed + t) & _SEED_MASK for t in range(cfg.trials))
-    ests, nnzs, walls = zip(*_run_trials(plan.x, plan.dists[0], plan.s, seeds, cfg.jobs))
-    errors = tuple(est.value for est in ests)
+    runs = []
+    for records in _run_trials(plan.x, plan.dists, plan.s, seeds, cfg.jobs):
+        ests, nnzs, walls = zip(*records)
+        nnz_ratio = float(np.mean([nnz / (plan.x.m * plan.x.n) for nnz in nnzs]))
+        runs.append((tuple(est.value for est in ests), sum(not est.converged for est in ests), nnz_ratio, walls))
+    return plan, seeds, runs
+
+
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    plan, seeds, [(errors, unconverged, nnz_ratio, walls)] = _trials(cfg, (cfg.dist_kind,))
     epsilon = plan.request.epsilon
-    failures = sum(1 for e in errors if e > epsilon)
     return ExperimentResult(
         errors=errors,
         seeds=seeds,
@@ -288,9 +290,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         delta=cfg.delta,
         beta=plan.request.beta,
         dist_kind=cfg.dist_kind,
-        empirical_failure_rate=failures / cfg.trials,
-        unconverged_trials=sum(not est.converged for est in ests),
-        nnz_ratio=float(np.mean([nnz / (plan.x.m * plan.x.n) for nnz in nnzs])),
+        empirical_failure_rate=sum(e > epsilon for e in errors) / cfg.trials,
+        unconverged_trials=unconverged,
+        nnz_ratio=nnz_ratio,
         wall_times=walls,
         bound_report=plan.report,
     )
@@ -301,29 +303,24 @@ def compare_distributions(cfg: ExperimentConfig) -> CompareResult:
     per-trial seeds. s comes from the configured bound form at beta = 1, the
     hybrid's certificate, or from s_override; per-kind certificates are reported
     but deliberately do not change s, so the error columns stay comparable."""
-    plan = _config_plan(cfg, _BUILTIN_KINDS)
-    seeds = tuple((cfg.base_seed + t) & _SEED_MASK for t in range(cfg.trials))
-    summaries = []
-    walls = {}
-    for dist in plan.dists:
-        ests, _, walls[dist.kind.value] = zip(*_run_trials(plan.x, dist, plan.s, seeds, cfg.jobs))
-        errors = tuple(est.value for est in ests)
-        summaries.append(
-            KindSummary(
-                kind=dist.kind,
-                beta_certificate=dist.beta,
-                median_error=float(np.median(errors)),
-                p90_error=float(np.percentile(errors, 90.0)),
-                errors=errors,
-                unconverged_trials=sum(not est.converged for est in ests),
-            )
+    plan, seeds, runs = _trials(cfg, _BUILTIN_KINDS)
+    summaries = tuple(
+        KindSummary(
+            kind=dist.kind,
+            beta_certificate=dist.beta,
+            median_error=float(np.median(errors)),
+            p90_error=float(np.percentile(errors, 90.0)),
+            errors=errors,
+            unconverged_trials=unconverged,
         )
+        for dist, (errors, unconverged, _, _) in zip(plan.dists, runs)
+    )
     return CompareResult(
         s_used=plan.s,
         epsilon_used=plan.request.epsilon,
         seeds=seeds,
-        summaries=tuple(summaries),
-        wall_times=walls,
+        summaries=summaries,
+        wall_times={dist.kind.value: walls for dist, (*_, walls) in zip(plan.dists, runs)},
     )
 
 

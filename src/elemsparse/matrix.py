@@ -34,6 +34,14 @@ def check_cell_count(m: int, n: int, error: type[Exception], **where) -> None:
         raise error(f"a {m}x{n} matrix has more than 2**63 - 1 cells", **where)
 
 
+def _check_entries(m: int, n: int, values: np.ndarray) -> None:
+    """The dimension and finiteness rules that every matrix container shares."""
+    if m < 1 or n < 1:
+        raise ShapeMismatchError(f"matrix dimensions must be >= 1, got ({m}, {n})")
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteError("matrix entries must be finite (no NaN/Inf)")
+
+
 @dataclass(frozen=True, eq=False)
 class DenseMatrix:
     """Immutable m-by-n real matrix with finite entries, row-major storage."""
@@ -44,10 +52,7 @@ class DenseMatrix:
         a = np.array(self.data, dtype=np.float64, order="C")
         if a.ndim != 2:
             raise ShapeMismatchError(f"expected a 2-d array, got ndim={a.ndim}")
-        if a.shape[0] < 1 or a.shape[1] < 1:
-            raise ShapeMismatchError(f"matrix dimensions must be >= 1, got {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise NonFiniteError("matrix entries must be finite (no NaN/Inf)")
+        _check_entries(*a.shape, a)
         a.setflags(write=False)
         object.__setattr__(self, "data", a)
 
@@ -83,12 +88,11 @@ class SparseCOO:
     vals: np.ndarray
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ShapeMismatchError(f"matrix dimensions must be >= 1, got ({self.m}, {self.n})")
+        vals = np.array(self.vals, dtype=np.float64).reshape(-1)
+        _check_entries(self.m, self.n, vals)
         check_cell_count(self.m, self.n, ShapeMismatchError)
         rows = np.array(self.rows, dtype=np.int64).reshape(-1)
         cols = np.array(self.cols, dtype=np.int64).reshape(-1)
-        vals = np.array(self.vals, dtype=np.float64).reshape(-1)
         if not (rows.shape == cols.shape == vals.shape):
             raise ShapeMismatchError("rows, cols and vals must have equal length")
         if rows.size:
@@ -96,8 +100,6 @@ class SparseCOO:
                 raise ShapeMismatchError("row index out of range")
             if cols.min() < 0 or cols.max() >= self.n:
                 raise ShapeMismatchError("column index out of range")
-        if not np.all(np.isfinite(vals)):
-            raise NonFiniteError("matrix entries must be finite (no NaN/Inf)")
         for a in (rows, cols, vals):
             a.setflags(write=False)
         object.__setattr__(self, "rows", rows)

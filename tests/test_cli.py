@@ -308,6 +308,7 @@ _MTX_HEADER = "%%MatrixMarket matrix coordinate real general\n"
 
 
 _BOUNDS_NUMBERS = ["bounds", "--m", "9", "--n", "9", "--frobenius", "3"]
+_SAMPLING = tuple([cmd, "--generate", "gaussian,4,5,1"] for cmd in ("sparsify", "experiment", "compare"))
 _TINY = "1e-200,2e-200\n3e-200,0\n"
 _HUGE = "1e200,2e200\n3e200,0\n"
 # the l2 share of the 1e-200 cell underflows to 0, so its l2 certificate is 0
@@ -404,6 +405,21 @@ _PAST_INT64 = "10000000000"
                 ["experiment", "--epsilon", "1", "--s", "5", "--trials", "2"],
                 ["compare", "--epsilon-rel", "0.5", "--trials", "2"],
             )
+        ],
+        # each rule on s, delta, epsilon_rel and the bound form has one owner, so
+        # every command that takes the flag prints the same line
+        *[
+            pytest.param(None, None, [*where, *args], f"elemsparse: error: {expect}\n", id=f"{where[0]}-{case}")
+            for case, expect, args, wheres in (
+                ("s-0", "s must be a positive integer", ["--s", "0", "--epsilon", "1"], _SAMPLING),
+                ("delta-1", "delta must lie in (0, 1), got 1.0", ["--delta", "1", "--epsilon", "1"],
+                 (*_SAMPLING, _BOUNDS_NUMBERS)),
+                ("corollary-epsilon", "bound_form=corollary needs epsilon_rel, not an absolute epsilon",
+                 ["--bound-form", "corollary", "--epsilon", "1"], _SAMPLING),
+                ("epsilon-rel-negative", "epsilon_rel must be positive and finite, got -1.0", ["--epsilon-rel", "-1"],
+                 (*_SAMPLING, _BOUNDS_NUMBERS)),
+            )
+            for where in wheres
         ],
         # --m/--n/--frobenius/--stable-rank describe a matrix that --input/--generate already give
         pytest.param(None, None, ["bounds", "--generate", "gaussian,20,30,2", "--epsilon-rel", "0.5",

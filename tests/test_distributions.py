@@ -24,6 +24,7 @@ from elemsparse import (
     l2_distribution,
     sparsify,
 )
+from elemsparse import distributions
 
 # exact rationals for X = [[3,4],[0,0]]
 HYBRID_TOY = (69 / 175, 106 / 175, 0.0, 0.0)
@@ -194,6 +195,24 @@ def test_custom_distribution_validation(toy):
     # the exact sum overflows: refused as a sum of inf, not a bare OverflowError
     with pytest.raises(InvalidSpecError, match="got inf"):
         custom_distribution(DenseMatrix(np.ones((1, 2))), np.array([1e308, 1e308]))
+
+
+def test_custom_distribution_copies_and_checks_its_table_once(toy, monkeypatch):
+    # SamplingDistribution copies and checks the table; its probs are then
+    # certified as they stand, so the certificate is beta_certificate's
+    probs = np.array([0.1, 0.2, 0.3, 0.4])
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return cell_probs(*args)
+
+    cell_probs = distributions._cell_probs
+    monkeypatch.setattr(distributions, "_cell_probs", counted)
+    d = custom_distribution(toy, probs)
+    assert len(calls) == 1
+    assert d.beta == beta_certificate(toy, probs)
+    assert not d.probs.flags.writeable and not np.shares_memory(d.probs, probs)
 
 
 def test_distribution_for_kind(toy):

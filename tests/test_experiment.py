@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import re
+import sys
 import threading
 import time
 
@@ -53,12 +55,6 @@ def test_config_validation():
     with pytest.raises(InvalidSpecError):
         _cfg(epsilon_rel=0.5)  # both set
     with pytest.raises(InvalidSpecError):
-        _cfg(epsilon=-1.0)
-    with pytest.raises(InvalidSpecError):
-        _cfg(delta=1.0)
-    with pytest.raises(InvalidSpecError):
-        _cfg(s_override=0)
-    with pytest.raises(InvalidSpecError):
         _cfg(trials=0)
     with pytest.raises(InvalidSpecError):
         _cfg(jobs=0)
@@ -66,8 +62,6 @@ def test_config_validation():
         _cfg(base_seed=-1)
     with pytest.raises(InvalidSpecError):
         _cfg(dist_kind="custom")
-    with pytest.raises(InvalidSpecError):
-        _cfg(bound_form=BoundForm.COROLLARY)  # corollary wants epsilon_rel
     # unknown names are typed errors that list the known ones
     with pytest.raises(InvalidSpecError, match="hybrid, l1, l2"):
         _cfg(dist_kind="bogus")
@@ -75,6 +69,26 @@ def test_config_validation():
         _cfg(bound_form="bogus")
     with pytest.raises(InvalidSpecError, match="hybrid, l2, l1, custom"):
         make_plan(generate_matrix(GEN), ("bogus",))
+
+
+@pytest.mark.parametrize("run", [run_experiment, compare_distributions])
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(s_override=0), "s must be a positive integer"),
+        (dict(epsilon=-1.0), "epsilon must be positive and finite, got -1.0"),
+        (dict(epsilon=None, epsilon_rel=math.inf), "epsilon_rel must be positive and finite, got inf"),
+        (dict(delta=1.0), "delta must lie in (0, 1), got 1.0"),
+        (dict(bound_form=BoundForm.COROLLARY), "bound_form=corollary needs epsilon_rel, not an absolute epsilon"),
+    ],
+    ids=["s", "epsilon", "epsilon_rel", "delta", "corollary"],
+)
+def test_plan_rules_are_checked_on_the_run(run, kwargs, message):
+    # the config takes these values; the run refuses them where every
+    # command does, in make_plan and BoundRequest, with the same message
+    cfg = _cfg(**kwargs)
+    with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
+        run(cfg)
 
 
 def test_config_accepts_plain_strings():
@@ -136,53 +150,111 @@ def test_jobs_do_not_change_results():
         assert res.unconverged_trials == 0
 
 
+def _without_walls(result):
+    return dataclasses.replace(result, wall_times=None)
+
+
+def test_compare_jobs_do_not_change_results(monkeypatch):
+    # each kind's column is what experiment gives for that kind at the same
+    # s and seeds, however many workers share the one pool; eight workers,
+    # more than the cores, switching threads often, lose no record
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [compare_distributions(_cfg(trials=4, jobs=jobs)) for jobs in (1, 2, 3, 8)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(_without_walls(res) == _without_walls(runs[0]) for res in runs[1:])
+    for summ in runs[0].summaries:
+        assert summ.errors == run_experiment(_cfg(trials=4, dist_kind=summ.kind)).errors
+    for res in runs:
+        assert [len(walls) for walls in res.wall_times.values()] == [4, 4, 4]
+
+
 def test_workers_never_outnumber_trials(monkeypatch):
-    # a pool asked for more workers than there are trials or CPUs gets the
-    # smaller count, and one worker when the CPU count is unknown
-    sizes = []
+    # each run starts one pool, in its one _run_trials call, for every
+    # (distribution, seed) trial, and solves nothing outside it; a pool asked
+    # for more workers than there are trials or CPUs gets the smaller count,
+    # and one worker when the CPU count is unknown
+    sizes, calls, solves = [], [], []
 
     class Recording(experiment.ThreadPoolExecutor):
         def __init__(self, max_workers):
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers)
 
+    def counted(*args):
+        calls.append(True)
+        try:
+            return run_trials(*args)
+        finally:
+            calls.append(False)
+
+    def recorded(a):
+        solves.append(calls[-1:] == [True])  # while _run_trials runs
+        return solve(a)
+
+    run_trials, solve = experiment._run_trials, experiment._spectral_norm
     one = run_experiment(_cfg(trials=3, jobs=1))
+    one_each = compare_distributions(_cfg(trials=1, jobs=1))
     monkeypatch.setattr(experiment, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(experiment, "_run_trials", counted)
+    monkeypatch.setattr(experiment, "_spectral_norm", recorded)
     for cpus, workers in ((8, 3), (2, 2), (None, 1)):
-        sizes.clear()
         monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
-        capped = run_experiment(_cfg(trials=3, jobs=1000))
-        assert sizes == [workers]
-        assert (capped.errors, capped.nnz_ratio) == (one.errors, one.nnz_ratio)
-        assert len(capped.wall_times) == 3
+        for run, trials, alone in ((run_experiment, 3, one), (compare_distributions, 1, one_each)):
+            del sizes[:], calls[:], solves[:]
+            capped = run(_cfg(trials=trials, jobs=1000))
+            assert sizes == [workers]
+            assert calls == [True, False]
+            assert solves == [True] * 3
+            assert _without_walls(capped) == _without_walls(alone)
+            assert len(capped.wall_times) == 3
 
 
-@pytest.mark.parametrize("run", [run_experiment, compare_distributions])
-def test_a_worker_error_is_raised(monkeypatch, run):
-    # the third solve fails in one of two workers; the run must raise that
-    # error rather than return, or trip over the record it never stored. The
-    # other worker may start at most the one solve it may already be past its
-    # check for; without the stop it would run its whole share of 40 trials.
-    # Each later solve sleeps first, so the failing worker gets to set the stop.
-    calls = []
+@pytest.mark.parametrize(
+    "run, kind, before",
+    [(run_experiment, "hybrid", 0), (compare_distributions, "hybrid", 0), (compare_distributions, "l1", 20)],
+    ids=["run_experiment", "compare_distributions", "compare_distributions-l1"],
+)
+def test_a_worker_error_is_raised(monkeypatch, run, kind, before):
+    # Two workers run the even and the odd trials. The first solve of kind
+    # once both have started fails; a worker not yet started when the error
+    # comes back is cancelled, which would hide a missing stop, and each
+    # solve sleeps so that both run at once. compare runs every kind's trials
+    # in one pool, so the failing worker runs its 20 of the 40 hybrid trials
+    # before an l1 one. The run must raise that error rather than return, or
+    # trip over the record it never stored, and after it the other worker
+    # may start at most the one trial it may already be past its check for;
+    # without the stop it would run its whole share.
+    probs = distribution_for_kind(generate_matrix(GEN), kind).probs
+    starts, failed_at = [], []  # the worker, by seed parity, of each trial started
+    current = threading.local()
     lock = threading.Lock()
+
+    def draw(p, s, seed):
+        with lock:
+            starts.append(seed % 2)
+        current.fails = np.array_equal(p, probs)
+        return draw_counts(p, s, seed)
 
     def failing(a):
         with lock:
-            calls.append(None)
-            k = len(calls)
-        if k == 3:
-            raise ElemsparseError("solve failed")
-        if k > 3:
-            time.sleep(0.002)
+            if current.fails and not failed_at and len(set(starts)) == 2:
+                failed_at.append(len(starts))
+                raise ElemsparseError("solve failed")
+        time.sleep(0.001)
         return solve(a)
 
-    solve = experiment._spectral_norm
+    draw_counts, solve = experiment._draw_counts, experiment._spectral_norm
+    monkeypatch.setattr(experiment, "_draw_counts", draw)
     monkeypatch.setattr(experiment, "_spectral_norm", failing)
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
     with pytest.raises(ElemsparseError, match="solve failed"):
         run(_cfg(trials=40, jobs=2))
-    assert len(calls) <= 3 + 1
+    assert failed_at[0] > before
+    assert len(starts) <= failed_at[0] + 1
 
 
 @pytest.mark.parametrize("kind", ["hybrid", "l1", "l2"])
@@ -202,7 +274,7 @@ def test_trial_difference_is_the_densified_sketch_minus_x(monkeypatch, kind):
     a[0, :5] = 0.0  # cells of probability 0 keep S - X = -x = 0
     x = DenseMatrix(a)
     seeds = tuple(range(2**64 - 4, 2**64 + 6))  # the draws wrap past 2^64
-    records = experiment._run_trials(x, distribution_for_kind(x, kind), 900, seeds, 1)
+    [records] = experiment._run_trials(x, (distribution_for_kind(x, kind),), 900, seeds, 1)
     sketches = [sparsify(x, 900, seed, kind).matrix for seed in seeds]
     expected = [_scatter(sk) - x.data for sk in sketches]
     assert np.stack(operands).tobytes() == np.stack(expected).tobytes()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from elemsparse import (
     DenseMatrix,
     NonFiniteError,
+    ShapeMismatchError,
     SparseCOO,
     ZeroMatrixError,
     frobenius_norm,
@@ -118,6 +120,23 @@ def test_sparse_coo_validation():
         SparseCOO(2, 2, [0], [-1], [1.0])
     with pytest.raises(ValueError):
         SparseCOO(2, 2, [0, 0], [0], [1.0])  # ragged triples
+
+
+@pytest.mark.parametrize(
+    "dense, coo, error, message",
+    [
+        (np.zeros((0, 3)), (0, 3, [], [], []), ShapeMismatchError, "matrix dimensions must be >= 1, got (0, 3)"),
+        (np.array([[1.0, np.nan]]), (1, 2, [0], [1], [np.nan]), NonFiniteError,
+         "matrix entries must be finite (no NaN/Inf)"),
+        (np.array([[np.inf]]), (1, 1, [0], [0], [-np.inf]), NonFiniteError,
+         "matrix entries must be finite (no NaN/Inf)"),
+    ],
+    ids=["no-rows", "nan", "inf"],
+)
+def test_containers_share_their_rules(dense, coo, error, message):
+    for build in (lambda: DenseMatrix(dense), lambda: SparseCOO(*coo)):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build()
 
 
 def test_coo_to_dense_examples():
