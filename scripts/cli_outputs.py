@@ -57,7 +57,7 @@ COMMANDS = [
     # three workers over four trials, each kind on the same seeds
     ("compare-jobs3", ["compare", "--generate", "gaussian,9,8,2", "--epsilon-rel", "0.7", "--trials", "4",
                        "--seed", "6", "--jobs", "3"], None),
-    # three workers over one trial of each kind: the kinds share the pool
+    # three workers over one trial of each kind: the kinds run side by side
     ("compare-trials1-jobs3", ["compare", "--generate", "gaussian,9,8,2", "--epsilon-rel", "0.7", "--trials", "1",
                                "--seed", "6", "--jobs", "3"], None),
     ("compare-csv", ["compare", "--generate", "gaussian,7,9,8", "--epsilon-rel", "0.5", "--s", "80",

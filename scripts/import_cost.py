@@ -7,7 +7,8 @@ its ``src`` is put first on PYTHONPATH. For every checkout the script runs N
 fresh interpreters (default 20) on each case below, interleaved round by
 round so that drifts in machine speed fall on every checkout alike, and
 times each from spawn to exit. It prints the min and the median of each
-case in ms, and the ``elemsparse`` submodules the case loaded, read from one
+case in ms, and the ``elemsparse`` submodules the case loaded, with
+``numpy.ma`` and ``concurrent.futures`` where it loaded them, read from one
 more, untimed run under ``-v``, whose report, unlike ``-X importtime``'s,
 includes the modules ``importlib.import_module`` loads. Two checkouts are compared by
 naming both:
@@ -16,7 +17,9 @@ naming both:
 
 The cases are a bare import, the two set-up expressions the benchmark times
 (loading a Matrix Market file, here a small one, and generating a 100x100
-gaussian) and ``python -m elemsparse --help``. Whether a checkout holds a
+gaussian), ``python -m elemsparse --help`` and a two-trial ``compare`` of a
+20x20 gaussian that writes its JSON into the script's temporary directory.
+Whether a checkout holds a
 bytecode cache (``src/elemsparse/__pycache__``) is printed beside its name:
 a cache in one checkout alone moves every case by tens of ms.
 """
@@ -33,21 +36,27 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (name, interpreter arguments); {mtx} stands for the input file written below.
+# (name, interpreter arguments); {mtx} stands for the input file written
+# below and {out} for an output file beside it.
 CASES = [
     ("import", ["-c", "import elemsparse"]),
     ("setup-mtx", ["-c", "import elemsparse; elemsparse.load_matrix({mtx!r})"]),
     ("setup-generate",
      ["-c", "import elemsparse; elemsparse.generate_matrix(elemsparse.GeneratorSpec('gaussian', 100, 100, 1))"]),
     ("cli-help", ["-m", "elemsparse", "--help"]),
+    ("cli-compare", ["-m", "elemsparse", "compare", "--generate", "gaussian,20,20,1", "--epsilon-rel", "0.5",
+                     "--trials", "2", "--out", "{out}"]),
 ]
+
+# Modules outside elemsparse that the "loads:" column names when a case loads them.
+WATCHED = ("numpy.ma", "concurrent.futures")
 
 # A 3x4 coordinate file: the set-up code path of the .mtx workload, not its parse time.
 MTX = "%%MatrixMarket matrix coordinate real general\n3 4 4\n1 1 1.5\n2 3 -2\n3 4 0.25\n3 1 4\n"
 
 
 def _command(argv: list, mtx: Path) -> list:
-    return [sys.executable, *(arg.format(mtx=str(mtx)) for arg in argv)]
+    return [sys.executable, *(arg.format(mtx=str(mtx), out=str(mtx.with_name("out.json"))) for arg in argv)]
 
 
 def _env(checkout: Path) -> dict:
@@ -63,11 +72,14 @@ def _wall_s(cmd: list, env: dict) -> float:
 
 
 def _modules(cmd: list, env: dict) -> list:
-    """The elemsparse submodules cmd imports, from the interpreter's -v report."""
+    """The elemsparse submodules cmd imports, then those of WATCHED it
+    imports, from the interpreter's -v report."""
     proc = subprocess.run(
         [cmd[0], "-v", *cmd[1:]], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, check=True
     )
-    return sorted(re.findall(r"^import 'elemsparse\.(\w+)'", proc.stderr, re.M))
+    loaded = set(re.findall(r"^import '([\w.]+)'", proc.stderr, re.M))
+    own = sorted(name.removeprefix("elemsparse.") for name in loaded if name.startswith("elemsparse."))
+    return own + [name for name in WATCHED if name in loaded]
 
 
 def main() -> None:

@@ -16,6 +16,7 @@ solve stopped uncertified).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict
 
@@ -38,9 +39,9 @@ from .experiment import (
 )
 from .generate import GENERATOR_KINDS, GeneratorSpec
 from .io import FORMATS, write_csv, write_matrix_market
-from .matrix import coo_to_dense, frobenius_norm
+from .matrix import _nonzero_squares, coo_to_dense
 from .sampler import draw_samples, sampling_operator
-from .spectral import stable_rank
+from .spectral import _stable_rank
 
 __all__ = ["main", "build_parser"]
 
@@ -221,7 +222,8 @@ def _cmd_bounds(args) -> int:
             flags = "/".join("--" + f.replace("_", "-") for f in given)
             raise InvalidSpecError(f"{flags} apply only without --input/--generate, which give the matrix itself")
         x = resolve_matrix(_source(args))
-        m, n, fro, sr = x.m, x.n, frobenius_norm(x), stable_rank(x)
+        fro = math.sqrt(_nonzero_squares(x.flat())[1])  # refuses the zero matrix, as stable_rank does
+        m, n, sr = x.m, x.n, _stable_rank(x, fro)
     elif args.m is None or args.n is None or args.frobenius is None:
         raise InvalidSpecError("bounds needs --input, --generate or all of --m/--n/--frobenius")
     else:

@@ -15,12 +15,16 @@ S - X from them, never a sketch; that array is the densified
 ``sparsify(x, s, seed, kind)`` sketch minus X, bit for bit, and its error is
 one ``spectral._spectral_norm`` solve (an exact Gram eigensolve where
 min(m, n) <= 300, Lanczos above). Both entry points run every (distribution,
-seed) trial of their plan in one pool, ``_run_trials``: --jobs bounds its
-workers, each runs an interleaved share of the trials one at a time, and
-each trial stores one record at its distribution and seed, so no result
-depends on which worker ran it. ``_trials`` aggregates each distribution's
-records for both callers. Serialized output is deterministic (sorted keys)
-apart from the wall_times block, which is environment noise by nature.
+seed) trial of their plan in one ``_run_trials`` call: --jobs bounds its
+workers, the calling thread is worker 0 and each other worker is a thread of
+its own (so --jobs 1 starts none), each runs an interleaved share of the
+trials one at a time, and each trial stores one record at its distribution
+and seed, so no result depends on which worker ran it. ``_trials``
+aggregates each distribution's records for both callers, and
+``_median_and_p90`` gives compare's two summary figures without numpy's
+median and percentile, which import ``numpy.ma``. Serialized output is
+deterministic (sorted keys) apart from the wall_times block, which is
+environment noise by nature.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -225,42 +228,71 @@ def make_plan(
 
 
 def _run_trials(x: DenseMatrix, dists: tuple, s: int, seeds: tuple, jobs: int) -> list:
-    """Every (distribution, seed) trial in one pool. Per distribution, in
-    order, one (estimate, nnz, seconds) record per seed in seed order: the
-    SpectralEstimate of ||S - X||_2, the sketch's count of distinct cells,
-    and the trial's wall time (draw, assembly and solve).
+    """Every (distribution, seed) trial, run by one set of workers. Per
+    distribution, in order, one (estimate, nnz, seconds) record per seed in
+    seed order: the SpectralEstimate of ||S - X||_2, the sketch's count of
+    distinct cells, and the trial's wall time (draw, assembly and solve).
 
     Trial k runs distribution k // len(seeds) at seed k % len(seeds). Of
     w = min(jobs, trial count, CPU count) workers, worker i runs trials i,
-    i + w, ... one at a time. A trial draws its cell counts, writes
+    i + w, ... one at a time; worker 0 is the calling thread and workers
+    1 .. w-1 are threads started here. A trial draws its cell counts, writes
     S - X = counts * x / (s * p) - x into the worker's one mn buffer (the
-    densified ``sparsify`` sketch minus X, bit for bit) and solves it.
+    densified ``sparsify`` sketch minus X, bit for bit) and solves it. Once a
+    trial raises, no worker starts another; every thread is joined, and the
+    exception of the lowest-numbered worker that raised is raised here.
     """
     xf, sps = x.flat(), [s * dist.probs for dist in dists]
     records = [[None] * len(seeds) for _ in dists]
     total = len(dists) * len(seeds)
     workers = min(jobs, total, os.cpu_count() or 1)
     failed = threading.Event()  # once a trial raises, no worker starts another
+    raised = [None] * workers  # each worker's exception, if it raised one
 
     def run(first: int) -> None:
         diff = np.empty(x.m * x.n)
-        for k in range(first, total, workers):
-            if failed.is_set():
-                return
-            d, t = divmod(k, len(seeds))
-            try:
+        try:
+            for k in range(first, total, workers):
+                if failed.is_set():
+                    return
+                d, t = divmod(k, len(seeds))
                 t0 = time.perf_counter()
                 counts = _draw_counts(dists[d].probs, s, seeds[t])
                 np.subtract(_cell_values(counts, xf, sps[d], diff), xf, out=diff)
                 est = _spectral_norm(diff.reshape(x.m, x.n))
-            except BaseException:
-                failed.set()
-                raise
-            records[d][t] = (est, np.count_nonzero(counts), time.perf_counter() - t0)
+                records[d][t] = (est, np.count_nonzero(counts), time.perf_counter() - t0)
+        except BaseException as exc:
+            raised[first] = exc
+            failed.set()
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run, range(workers)))  # reading every result raises a worker's exception
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for exc in raised:
+        if exc is not None:
+            raise exc
     return records
+
+
+def _median_and_p90(values) -> tuple:
+    """float(np.median(values)) and float(np.percentile(values, 90.0)), bit
+    for bit, for nonempty finite values, from one sorted copy. The median
+    halves the sum of the middle pair, as np.mean does; the p90 takes
+    numpy's linear rule at index (n - 1) * 0.9 and interpolates its
+    neighbours a <= b in the two-sided form of numpy's _lerp."""
+    v = sorted(values)
+    n = len(v)
+    half = n // 2
+    median = v[half] if n % 2 else (v[half - 1] + v[half]) / 2
+    if n == 1:
+        return median, median
+    index = (n - 1) * 0.9
+    i = math.floor(index)  # below n - 1, so v[i + 1] exists
+    a, b, t = v[i], v[i + 1], index - i
+    return median, (b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
 
 
 def _trials(cfg: ExperimentConfig, kinds) -> tuple:
@@ -305,14 +337,7 @@ def compare_distributions(cfg: ExperimentConfig) -> CompareResult:
     but deliberately do not change s, so the error columns stay comparable."""
     plan, seeds, runs = _trials(cfg, _BUILTIN_KINDS)
     summaries = tuple(
-        KindSummary(
-            kind=dist.kind,
-            beta_certificate=dist.beta,
-            median_error=float(np.median(errors)),
-            p90_error=float(np.percentile(errors, 90.0)),
-            errors=errors,
-            unconverged_trials=unconverged,
-        )
+        KindSummary(dist.kind, dist.beta, *_median_and_p90(errors), errors, unconverged)
         for dist, (errors, unconverged, _, _) in zip(plan.dists, runs)
     )
     return CompareResult(

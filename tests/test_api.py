@@ -67,7 +67,7 @@ def test_top_level_exports_the_documented_api():
 
 def test_names_load_their_module_on_first_use():
     """In a fresh interpreter, ``import elemsparse`` loads no submodule and
-    not the harness's thread pool; the generated-input set-up loads only the
+    not ``concurrent.futures``; the generated-input set-up loads only the
     generator and what it needs; a submodule resolves after a bare import."""
     loaded = "sorted(m for m in sys.modules if m.startswith('elemsparse.') or m == 'concurrent.futures')"
     code = (
@@ -84,6 +84,41 @@ def test_names_load_their_module_on_first_use():
     assert bare == []
     assert generated == ["elemsparse.errors", "elemsparse.generate", "elemsparse.matrix"]
     assert bounds == "elemsparse.bounds"
+
+
+def test_monte_carlo_runs_load_no_masked_arrays_and_no_executor(tmp_path):
+    """In a fresh interpreter, ``run_experiment`` and ``compare_distributions``
+    on two worker threads, and ``python -m elemsparse compare``, leave neither
+    ``numpy.ma`` (which numpy's median and percentile import) nor
+    ``concurrent.futures`` in ``sys.modules``."""
+    unused = "('numpy.ma', 'concurrent.futures')"
+    spec = "elemsparse.GeneratorSpec('gaussian', 20, 20, 1)"
+    cfg = f"elemsparse.ExperimentConfig({spec}, epsilon_rel=0.5, trials=2, jobs=2)"
+    code = (
+        "import json, sys\n"
+        "import elemsparse\n"
+        f"elemsparse.run_experiment({cfg})\n"
+        f"elemsparse.compare_distributions({cfg})\n"
+        f"json.dump([m for m in {unused} if m in sys.modules], sys.stdout)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == []
+    code = (
+        "import json, runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('elemsparse', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        f"json.dump([m for m in {unused} if m in sys.modules], sys.stdout)\n"
+    )
+    argv = ["compare", "--generate", "gaussian,20,20,1", "--epsilon-rel", "0.5", "--trials", "2", "--jobs", "2"]
+    res = subprocess.run(
+        [sys.executable, "-c", code, *argv, "--out", str(tmp_path / "compare.json")], capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout.splitlines()[-1]) == []
+    assert json.loads((tmp_path / "compare.json").read_text())["command"] == "compare"
 
 
 def test_benchmark_names_resolve():

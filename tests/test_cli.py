@@ -21,6 +21,7 @@ from elemsparse import (
     sparsify,
     stable_rank,
 )
+from elemsparse import matrix
 from elemsparse.bounds import sample_size_theorem1, sample_size_unsimplified
 from elemsparse.cli import main
 from elemsparse.matrix import coo_to_dense
@@ -157,8 +158,14 @@ def test_bounds_from_file(tmp_path, capsys):
     assert doc["report"]["gamma"] == pytest.approx(30.0, rel=1e-12)
 
 
-def test_bounds_from_generator(capsys):
+def test_bounds_from_generator(capsys, monkeypatch):
+    # one sum of the squares gives both ||X||_F and the stable rank
+    sums = []
+    squares = matrix._squares
+    monkeypatch.setattr(matrix, "_squares", lambda flat: sums.append(flat.size) or squares(flat))
     assert main(["bounds", "--generate", "low-rank-plus-noise,20,30,2", "--epsilon-rel", "0.5"]) == 0
+    monkeypatch.undo()
+    assert sums == [600]
     doc = json.loads(capsys.readouterr().out)
     x = generate_matrix(GeneratorSpec("low-rank-plus-noise", 20, 30, 2))
     assert (doc["request"]["m"], doc["request"]["n"]) == (20, 30)

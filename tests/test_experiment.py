@@ -8,6 +8,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from elemsparse import (
     BoundForm,
@@ -156,7 +158,7 @@ def _without_walls(result):
 
 def test_compare_jobs_do_not_change_results(monkeypatch):
     # each kind's column is what experiment gives for that kind at the same
-    # s and seeds, however many workers share the one pool; eight workers,
+    # s and seeds, however many workers share the trials; eight workers,
     # more than the cores, switching threads often, lose no record
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: 8)
     interval = sys.getswitchinterval()
@@ -173,16 +175,17 @@ def test_compare_jobs_do_not_change_results(monkeypatch):
 
 
 def test_workers_never_outnumber_trials(monkeypatch):
-    # each run starts one pool, in its one _run_trials call, for every
-    # (distribution, seed) trial, and solves nothing outside it; a pool asked
+    # each run starts its workers in its one _run_trials call, for every
+    # (distribution, seed) trial, and solves nothing outside it; a run asked
     # for more workers than there are trials or CPUs gets the smaller count,
-    # and one worker when the CPU count is unknown
-    sizes, calls, solves = [], [], []
+    # and one worker when the CPU count is unknown. The calling thread is
+    # worker 0, so w workers start w - 1 threads.
+    started, calls, solves = [], [], []
 
-    class Recording(experiment.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    class Recording(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
 
     def counted(*args):
         calls.append(True)
@@ -198,19 +201,40 @@ def test_workers_never_outnumber_trials(monkeypatch):
     run_trials, solve = experiment._run_trials, experiment._spectral_norm
     one = run_experiment(_cfg(trials=3, jobs=1))
     one_each = compare_distributions(_cfg(trials=1, jobs=1))
-    monkeypatch.setattr(experiment, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(experiment.threading, "Thread", Recording)
     monkeypatch.setattr(experiment, "_run_trials", counted)
     monkeypatch.setattr(experiment, "_spectral_norm", recorded)
     for cpus, workers in ((8, 3), (2, 2), (None, 1)):
         monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
         for run, trials, alone in ((run_experiment, 3, one), (compare_distributions, 1, one_each)):
-            del sizes[:], calls[:], solves[:]
+            del started[:], calls[:], solves[:]
             capped = run(_cfg(trials=trials, jobs=1000))
-            assert sizes == [workers]
+            assert len(started) == workers - 1
+            assert not any(thread.is_alive() for thread in started)
             assert calls == [True, False]
             assert solves == [True] * 3
             assert _without_walls(capped) == _without_walls(alone)
             assert len(capped.wall_times) == 3
+
+
+@pytest.mark.parametrize("run", [run_experiment, compare_distributions])
+def test_one_job_solves_every_trial_on_the_calling_thread(monkeypatch, run):
+    # worker 0 is the caller, so --jobs 1 starts no thread however many CPUs
+    solved_on = []
+
+    def recorded(a):
+        solved_on.append(threading.current_thread())
+        return solve(a)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a jobs=1 run started a thread")
+
+    solve = experiment._spectral_norm
+    monkeypatch.setattr(experiment, "_spectral_norm", recorded)
+    monkeypatch.setattr(experiment.threading, "Thread", no_thread)
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 8)
+    run(_cfg(trials=4, jobs=1))
+    assert solved_on == [threading.current_thread()] * (4 if run is run_experiment else 12)
 
 
 @pytest.mark.parametrize(
@@ -220,10 +244,9 @@ def test_workers_never_outnumber_trials(monkeypatch):
 )
 def test_a_worker_error_is_raised(monkeypatch, run, kind, before):
     # Two workers run the even and the odd trials. The first solve of kind
-    # once both have started fails; a worker not yet started when the error
-    # comes back is cancelled, which would hide a missing stop, and each
-    # solve sleeps so that both run at once. compare runs every kind's trials
-    # in one pool, so the failing worker runs its 20 of the 40 hybrid trials
+    # once both have started fails, and each solve sleeps so that both run at
+    # once. compare runs every kind's trials in one _run_trials call, so
+    # the failing worker runs its 20 of the 40 hybrid trials
     # before an l1 one. The run must raise that error rather than return, or
     # trip over the record it never stored, and after it the other worker
     # may start at most the one trial it may already be past its check for;
@@ -255,6 +278,31 @@ def test_a_worker_error_is_raised(monkeypatch, run, kind, before):
         run(_cfg(trials=40, jobs=2))
     assert failed_at[0] > before
     assert len(starts) <= failed_at[0] + 1
+
+
+def test_the_lowest_failing_worker_error_is_raised(monkeypatch):
+    # both workers fail their first trial, worker 1 first in time; the run
+    # joins both and raises worker 0's error, as reading the workers'
+    # results in order would
+    barrier = threading.Barrier(2, timeout=10)
+    current = threading.local()
+
+    def draw(p, s, seed):
+        current.worker = (seed - 5) % 2  # the config's base seed is 5
+        return draw_counts(p, s, seed)
+
+    def failing(a):
+        barrier.wait()
+        if current.worker == 0:
+            time.sleep(0.02)
+        raise ElemsparseError(f"worker {current.worker} failed")
+
+    draw_counts = experiment._draw_counts
+    monkeypatch.setattr(experiment, "_draw_counts", draw)
+    monkeypatch.setattr(experiment, "_spectral_norm", failing)
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+    with pytest.raises(ElemsparseError, match="worker 0 failed"):
+        run_experiment(_cfg(trials=4, jobs=2))
 
 
 @pytest.mark.parametrize("kind", ["hybrid", "l1", "l2"])
@@ -482,6 +530,28 @@ def test_compare_counts_unconverged_trials(monkeypatch):
     monkeypatch.undo()
     kinds = compare_payload(compare_distributions(cfg), cfg)["result"]["kinds"]
     assert [k["unconverged_trials"] for k in kinds] == [0, 0, 0]
+
+
+# Nonnegative finite errors: 0, or a magnitude from 1e-300 to 1e300, drawn
+# either as any float in range or with a uniform binary exponent; drawing a
+# list from a pool of them gives ties.
+_ERROR = st.just(0.0) | st.floats(1e-300, 1e300) | st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(-995, 996))
+_ERRORS = st.lists(_ERROR, min_size=1, max_size=300) | st.lists(_ERROR, min_size=1, max_size=8).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=300)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ERRORS)
+@example([1e-300])
+@example([2.0, 1.0])
+@example([1e300, 1e300, 1e-300])
+@example([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1])
+def test_median_and_p90_match_numpy(errors):
+    median, p90 = experiment._median_and_p90(tuple(errors))
+    assert [type(median), type(p90)] == [float, float]
+    assert median.hex() == float(np.median(errors)).hex()
+    assert p90.hex() == float(np.percentile(errors, 90.0)).hex()
 
 
 def test_compare_runs_all_kinds_at_shared_s():
