@@ -36,6 +36,13 @@ SUBNORMAL_CSV = "5e-324,1\n1,0\n"
 # The all-zero matrix, which every command refuses with one message.
 ZERO_CSV = "0,0,0\n0,0,0\n"
 
+# Refused at line 1 for its digit separator (float alone reads 1_000 as
+# 1000), before the short row at line 2 is reached.
+SEPARATOR_CSV = "1_000,2\n3\n"
+
+# A size line declaring no rows and no columns, refused at that line.
+ZERO_ROWS_MTX = "%%MatrixMarket matrix coordinate real general\n0 0 0\n"
+
 # (name, argv after "elemsparse", output file or None for stdout)
 COMMANDS = [
     ("experiment-jobs2", ["experiment", "--generate", "gaussian,12,10,4", "--epsilon-rel", "0.6",
@@ -93,6 +100,14 @@ COMMANDS = [
     ("experiment-corollary-epsilon", ["experiment", "--generate", "gaussian,4,5,1", "--bound-form", "corollary",
                                       "--epsilon", "1"], None),
     ("experiment-epsilon-rel-negative", ["experiment", "--generate", "gaussian,4,5,1", "--epsilon-rel", "-1"], None),
+    # both error targets: every command prints the one line of the sizing step
+    ("experiment-both-targets", ["experiment", "--generate", "gaussian,4,5,1", "--epsilon", "1",
+                                 "--epsilon-rel", "0.5"], None),
+    ("sparsify-both-targets", ["sparsify", "--generate", "gaussian,4,5,1", "--epsilon", "1", "--epsilon-rel", "0.5",
+                               "--out", "sketch-both.mtx"], "sketch-both.mtx"),
+    ("csv-digit-separator", ["bounds", "--input", "separator.csv", "--epsilon", "1"], None),
+    ("mtx-zero-rows", ["sparsify", "--input", "zero-rows.mtx", "--s", "5", "--out", "sketch-zero-rows.mtx"],
+     "sketch-zero-rows.mtx"),
 ]
 
 
@@ -122,6 +137,8 @@ def main() -> None:
     (outdir / "part.csv").write_text(PART_CSV)
     (outdir / "subnormal.csv").write_text(SUBNORMAL_CSV)
     (outdir / "zero.csv").write_text(ZERO_CSV)
+    (outdir / "separator.csv").write_text(SEPARATOR_CSV)
+    (outdir / "zero-rows.mtx").write_text(ZERO_ROWS_MTX)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     for name, argv, out in COMMANDS:
         proc = subprocess.run(

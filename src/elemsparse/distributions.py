@@ -1,11 +1,13 @@
 """Cell-sampling distributions over matrix entries and their beta certificates.
 
-The hybrid builder averages the squared-entry (L2) and absolute-entry (L1)
+The hybrid averages the squared-entry (L2) and absolute-entry (L1)
 distributions, which is the smallest distribution satisfying the per-cell
 lower bound p_ij >= (beta/2) * (x_ij^2/||X||_F^2 + |x_ij|/sum|X|) with
-beta = 1. ``beta_certificate`` computes the largest admissible beta in [0, 1]
-for an arbitrary distribution, so downstream sample-size formulas never trust
-a user-supplied beta.
+beta = 1. Every table and certificate comes from one private builder,
+``_distributions``, which also alone refuses a kind it cannot build.
+``beta_certificate`` computes the largest admissible beta in [0, 1] for an
+arbitrary distribution, so downstream sample-size formulas never trust a
+user-supplied beta.
 """
 
 from __future__ import annotations
@@ -96,17 +98,6 @@ def _cell_probs(probs, m: int, n: int) -> np.ndarray:
     return p
 
 
-def _shares(x: DenseMatrix) -> tuple[float, np.ndarray, np.ndarray]:
-    """The exact sum of x^2, and the per-cell shares x^2 / sum x^2 (L2) and
-    |x| / sum |x| (L1) that every distribution and certificate is built
-    from. Refuses, through ``_nonzero_squares``, the zero matrix and a
-    nonzero one whose squares leave float range, where no share is defined."""
-    flat = x.flat()
-    sq, sum_sq = _nonzero_squares(flat)
-    ab = np.abs(flat)
-    return sum_sq, sq / sum_sq, ab / _exact_sum(ab)
-
-
 def _check_shape(x: DenseMatrix, d: SamplingDistribution) -> None:
     if (x.m, x.n) != (d.m, d.n):
         raise ShapeMismatchError(f"distribution shape ({d.m}, {d.n}) does not match matrix shape {x.shape}")
@@ -121,29 +112,41 @@ def _certificate(flat: np.ndarray, p: np.ndarray, hybrid: np.ndarray) -> float:
     return float((p[low] / hybrid[low]).min(initial=1.0))
 
 
-def _distributions(x: DenseMatrix, kinds, l2: np.ndarray, l1: np.ndarray) -> tuple:
-    """One distribution per kind, in order, from the shares of ``_shares``.
-    The hybrid is their average, and every certificate divides by it: the
-    hybrid's own is 1 wherever its support covers x's."""
+def _distributions(x: DenseMatrix, kinds) -> tuple:
+    """The exact sum of x^2 and, per item of kinds, the kind's distribution or,
+    for a given flat table of mn probabilities, its certificate. The tables
+    are the L2 shares x^2 / sum x^2, the L1 shares |x| / sum |x| and their
+    average, the hybrid, against which everything is certified. Refuses the
+    custom kind and, through ``_nonzero_squares``, the zero matrix and a
+    nonzero one whose squares leave float range, where no share is defined."""
+    flat = x.flat()
+    sq, sum_sq = _nonzero_squares(flat)
+    ab = np.abs(flat)
+    l2, l1 = sq / sum_sq, ab / _exact_sum(ab)
+    del sq, ab  # only the shares are held while the hybrid is built
     hybrid = 0.5 * (l2 + l1)
+    tables = {DistributionKind.HYBRID: hybrid, DistributionKind.PURE_L2: l2, DistributionKind.PURE_L1: l1}
     out = []
-    for kind in map(DistributionKind, kinds):
+    for kind in kinds:
+        if isinstance(kind, np.ndarray):
+            out.append(_certificate(flat, kind, hybrid))
+            continue
+        kind = DistributionKind(kind)
         if kind is DistributionKind.CUSTOM:
             raise InvalidSpecError("custom distributions must be built via custom_distribution")
-        probs = {DistributionKind.HYBRID: hybrid, DistributionKind.PURE_L2: l2, DistributionKind.PURE_L1: l1}[kind]
-        out.append(SamplingDistribution(x.m, x.n, probs, kind, _certificate(x.flat(), probs, hybrid)))
-    return tuple(out)
+        out.append(SamplingDistribution(x.m, x.n, tables[kind], kind, _certificate(flat, tables[kind], hybrid)))
+    return sum_sq, tuple(out)
 
 
-def _certified_beta(x: DenseMatrix, d, l2: np.ndarray, l1: np.ndarray) -> float:
+def _certified_beta(x: DenseMatrix, d) -> float:
     """The certificate of the one distribution d; 0 is refused, naming each
     other distribution that gives the starved cell positive probability."""
     if d.beta > 0.0:
         return d.beta
     cell = int(np.flatnonzero((x.flat() != 0.0) & (d.probs == 0.0))[0])
     i, j = divmod(cell, x.n)
-    shares = zip(_BUILTIN_KINDS, (0.5 * (l2[cell] + l1[cell]), l1[cell], l2[cell]))
-    others = " or ".join(kind.value for kind, share in shares if kind is not d.kind and share > 0.0)
+    reach = [e.kind.value for e in _distributions(x, _BUILTIN_KINDS)[1] if e.kind is not d.kind and e.probs[cell] > 0.0]
+    others = " or ".join(reach)
     use = f"; use the {others} distribution" if others else ""
     raise ZeroProbabilityError(
         f"the {d.kind.value} distribution gives the nonzero entry x[{i}, {j}] = {float(x.flat()[cell])!r} "
@@ -170,13 +173,12 @@ def custom_distribution(x: DenseMatrix, probs: np.ndarray) -> SamplingDistributi
     """Wrap a user-supplied probability table; beta is computed, not trusted,
     on the table as SamplingDistribution copied and checked it."""
     d = SamplingDistribution(x.m, x.n, probs, DistributionKind.CUSTOM, 0.0)
-    object.__setattr__(d, "beta", _certificate_of(x, d.probs))
+    object.__setattr__(d, "beta", _distributions(x, (d.probs,))[1][0])
     return d
 
 
 def distribution_for_kind(x: DenseMatrix, kind) -> SamplingDistribution:
-    _, l2, l1 = _shares(x)
-    return _distributions(x, (kind,), l2, l1)[0]
+    return _distributions(x, (kind,))[1][0]
 
 
 def beta_certificate(x: DenseMatrix, probs: np.ndarray) -> float:
@@ -186,9 +188,4 @@ def beta_certificate(x: DenseMatrix, probs: np.ndarray) -> float:
     for every beta > 0). Cells where x_ij = 0 or both shares underflow to 0
     impose no constraint and are excluded from the minimum.
     """
-    return _certificate_of(x, _cell_probs(probs, x.m, x.n))
-
-
-def _certificate_of(x: DenseMatrix, p: np.ndarray) -> float:
-    _, l2, l1 = _shares(x)
-    return _certificate(x.flat(), p, 0.5 * (l2 + l1))
+    return _distributions(x, (_cell_probs(probs, x.m, x.n),))[1][0]

@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bounds import BoundReport, BoundRequest, bound_report, sample_size_corollary
-from .distributions import _BUILTIN_KINDS, DistributionKind, _certified_beta, _distributions, _Named, _shares
+from .distributions import _BUILTIN_KINDS, DistributionKind, _certified_beta, _distributions, _Named
 from .errors import InvalidSpecError
 from .generate import GeneratorSpec, generate_matrix
 from .io import load_matrix
@@ -95,12 +95,10 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.dist_kind not in _BUILTIN_KINDS:
-            raise InvalidSpecError("dist_kind must be one of hybrid, l1, l2")
         object.__setattr__(self, "dist_kind", DistributionKind(self.dist_kind))
         object.__setattr__(self, "bound_form", BoundForm(self.bound_form))
-        if (self.epsilon is None) == (self.epsilon_rel is None):
-            raise InvalidSpecError("exactly one of epsilon and epsilon_rel must be set")
+        if self.epsilon is None and self.epsilon_rel is None:  # a run reports its error against one, even at a given s
+            raise InvalidSpecError("one of epsilon and epsilon_rel is required")
         if self.trials < 1:
             raise InvalidSpecError("trials must be >= 1")
         if self.base_seed < 0:
@@ -213,9 +211,8 @@ def make_plan(
     bound_form = BoundForm(bound_form)
     if bound_form is BoundForm.COROLLARY and epsilon is not None and epsilon_rel is None:
         raise InvalidSpecError("bound_form=corollary needs epsilon_rel, not an absolute epsilon")
-    sum_sq, l2, l1 = _shares(x)
-    dists = _distributions(x, kinds, l2, l1)
-    beta = _certified_beta(x, dists[0], l2, l1) if len(dists) == 1 else 1.0
+    sum_sq, dists = _distributions(x, kinds)
+    beta = _certified_beta(x, dists[0]) if len(dists) == 1 else 1.0
     request = report = None
     if s_override is None or epsilon is not None or epsilon_rel is not None:
         fro = math.sqrt(sum_sq)

@@ -1,7 +1,8 @@
 """Matrix file I/O: Matrix Market (coordinate real general, 1-indexed) and CSV.
 
-CSV files are one matrix row per line, comma-separated decimals. Matrix
-Market entries not listed are zero; duplicate coordinates accumulate.
+CSV files are one matrix row per line, comma-separated decimals with no
+digit separators. Matrix Market entries not listed are zero; duplicate
+coordinates accumulate.
 """
 
 from __future__ import annotations
@@ -108,16 +109,24 @@ def _mm_content(raw: str) -> str:
     return raw.split("%", 1)[0].strip()
 
 
+def _unseparated(text: str) -> str:
+    """text, or ValueError if it holds '_': int and float read '1_0' as 10, but
+    neither file grammar has digit separators, nor has np.loadtxt."""
+    if "_" in text:
+        raise ValueError(f"digit separator in {text!r}")
+    return text
+
+
 def _parse_size_line(path, lineno: int, raw: str) -> tuple[int, int, int]:
     text = _mm_content(raw)
     try:
-        if "_" in text:
-            raise ValueError
-        m, n, nnz = (int(w) for w in text.split())
+        m, n, nnz = (int(w) for w in _unseparated(text).split())
     except ValueError:
         raise ParseError(
             f"size line must be 'rows cols nnz', got {raw.strip()!r}", path=path, line=lineno
         ) from None
+    if m < 1 or n < 1:
+        raise ParseError(f"matrix dimensions must be >= 1, got ({m}, {n})", path=path, line=lineno)
     check_cell_count(m, n, ParseError, path=path, line=lineno)
     return m, n, nnz
 
@@ -141,10 +150,8 @@ def _refuse_matrix_market_body(path, size_lineno: int, m: int, n: int, nnz: int,
         if len(words) != 3:
             raise ParseError(f"expected 'i j value', got {raw.strip()!r}", path=path, line=lineno)
         try:
-            if "_" in text:
-                raise ValueError
-            i, j = int(words[0]), int(words[1])
-            float(words[2])
+            _unseparated(text)
+            i, j, _ = int(words[0]), int(words[1]), float(words[2])
         except ValueError:
             raise ParseError(f"malformed entry {raw.strip()!r}", path=path, line=lineno) from None
         if not (1 <= i <= m and 1 <= j <= n):
@@ -167,9 +174,8 @@ def _load_csv(path) -> DenseMatrix:
             stripped = raw.strip()
             if not stripped:
                 continue
-            words = stripped.split(",")
             try:
-                row = [float(w) for w in words]
+                row = [float(w) for w in _unseparated(stripped).split(",")]
             except ValueError:
                 raise ParseError(f"malformed number in {stripped!r}", path=path, line=lineno) from None
             if width is None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistributionKind, SamplingDistribution, _certified_beta, _check_shape, _distributions, _shares
+from .distributions import DistributionKind, SamplingDistribution, _certified_beta, _check_shape, distribution_for_kind
 from .errors import InvalidSpecError, ShapeMismatchError, ZeroProbabilityError
 from .matrix import DenseMatrix, SparseCOO
 
@@ -165,9 +165,8 @@ def sparsify(
     is refused with ZeroProbabilityError: that entry is never drawn, so the
     sketch would be biased.
     """
-    _, l2, l1 = _shares(x)
-    d = _distributions(x, (kind,), l2, l1)[0]
-    _certified_beta(x, d, l2, l1)
+    d = distribution_for_kind(x, kind)
+    _certified_beta(x, d)
     return sampling_operator(x, d, draw_samples(d, s, seed))
 
 

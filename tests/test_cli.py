@@ -350,7 +350,8 @@ _PAST_INT64 = "10000000000"
         # a certificate of 0 is refused whether s is sized or given
         *[
             pytest.param("x.csv", _TINY_CELL, [cmd, "--dist", "l2", *target],
-                         "l2 distribution gives the nonzero entry x[0, 0] = 1e-200 probability 0", id=case)
+                         "l2 distribution gives the nonzero entry x[0, 0] = 1e-200 probability 0 (its share "
+                         "underflows), so no beta certifies it; use the hybrid or l1 distribution\n", id=case)
             for case, cmd, target in (
                 ("sparsify-l2-underflow", "sparsify", ["--epsilon-rel", "0.5"]),
                 ("experiment-l2-underflow", "experiment", ["--epsilon-rel", "0.5"]),
@@ -427,6 +428,21 @@ _PAST_INT64 = "10000000000"
                  (*_SAMPLING, _BOUNDS_NUMBERS)),
             )
             for where in wheres
+        ],
+        # a harness run needs an error target even at a given s; "not both" is
+        # refused when the run plans, with the line sparsify and bounds print
+        *[
+            pytest.param(None, None, [*where, *args], f"elemsparse: error: {expect}\n", id=case)
+            for case, where, args, expect in (
+                ("experiment-both-targets", _SAMPLING[1], ["--epsilon", "1", "--epsilon-rel", "0.5"],
+                 "give one of epsilon and epsilon_rel, not both"),
+                ("compare-both-targets", _SAMPLING[2], ["--epsilon", "1", "--epsilon-rel", "0.5"],
+                 "give one of epsilon and epsilon_rel, not both"),
+                ("experiment-s-without-target", _SAMPLING[1], ["--s", "10"],
+                 "one of epsilon and epsilon_rel is required"),
+                ("bounds-no-matrix", ["bounds"], ["--m", "10", "--epsilon-rel", "0.5"],
+                 "bounds needs --input, --generate or all of --m/--n/--frobenius"),
+            )
         ],
         # --m/--n/--frobenius/--stable-rank describe a matrix that --input/--generate already give
         pytest.param(None, None, ["bounds", "--generate", "gaussian,20,30,2", "--epsilon-rel", "0.5",

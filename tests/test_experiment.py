@@ -52,25 +52,29 @@ def _cfg(**kwargs):
 
 
 def test_config_validation():
-    with pytest.raises(InvalidSpecError):
-        _cfg(epsilon=None)  # neither epsilon nor epsilon_rel
-    with pytest.raises(InvalidSpecError):
-        _cfg(epsilon_rel=0.5)  # both set
+    # a run needs an error target even when s is given (s_override is 60 here)
+    with pytest.raises(InvalidSpecError, match="^one of epsilon and epsilon_rel is required$"):
+        _cfg(epsilon=None)
     with pytest.raises(InvalidSpecError):
         _cfg(trials=0)
     with pytest.raises(InvalidSpecError):
         _cfg(jobs=0)
     with pytest.raises(InvalidSpecError):
         _cfg(base_seed=-1)
-    with pytest.raises(InvalidSpecError):
-        _cfg(dist_kind="custom")
     # unknown names are typed errors that list the known ones
-    with pytest.raises(InvalidSpecError, match="hybrid, l1, l2"):
+    with pytest.raises(InvalidSpecError, match="hybrid, l2, l1, custom"):
         _cfg(dist_kind="bogus")
     with pytest.raises(InvalidSpecError, match="theorem1, unsimplified, corollary"):
         _cfg(bound_form="bogus")
     with pytest.raises(InvalidSpecError, match="hybrid, l2, l1, custom"):
         make_plan(generate_matrix(GEN), ("bogus",))
+    # the custom kind is a kind, refused by the builder when the run plans, as
+    # sparsify and distribution_for_kind refuse it
+    with pytest.raises(InvalidSpecError, match="^custom distributions must be built via custom_distribution$"):
+        run_experiment(_cfg(dist_kind="custom"))
+    # a plain path string is not a FileSource
+    with pytest.raises(InvalidSpecError, match="^unsupported matrix source str$"):
+        run_experiment(_cfg(source="x.csv"))
 
 
 @pytest.mark.parametrize("run", [run_experiment, compare_distributions])
@@ -82,8 +86,9 @@ def test_config_validation():
         (dict(epsilon=None, epsilon_rel=math.inf), "epsilon_rel must be positive and finite, got inf"),
         (dict(delta=1.0), "delta must lie in (0, 1), got 1.0"),
         (dict(bound_form=BoundForm.COROLLARY), "bound_form=corollary needs epsilon_rel, not an absolute epsilon"),
+        (dict(epsilon_rel=0.5), "give one of epsilon and epsilon_rel, not both"),
     ],
-    ids=["s", "epsilon", "epsilon_rel", "delta", "corollary"],
+    ids=["s", "epsilon", "epsilon_rel", "delta", "corollary", "both-targets"],
 )
 def test_plan_rules_are_checked_on_the_run(run, kwargs, message):
     # the config takes these values; the run refuses them where every

@@ -130,6 +130,12 @@ def test_matrix_market_size_line_edges(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_matrix(_write(tmp_path, "big.mtx", f"{MM_HEADER}\n{10**10} {10**10} 1\n1 1 3\n"))
     assert exc.value.line == 2 and "more than 2**63 - 1 cells" in str(exc.value)
+    # rows and cols below 1 are refused at the size line, not by the matrix built from it
+    for size, shape in (("0 0 0", "(0, 0)"), ("-3 3 0", "(-3, 3)")):
+        path = _write(tmp_path, "empty.mtx", f"{MM_HEADER}\n{size}\n")
+        with pytest.raises(ParseError) as exc:
+            load_matrix(path)
+        assert str(exc.value) == f"{path}:2: matrix dimensions must be >= 1, got {shape}"
     with pytest.raises(ParseError) as exc:
         load_matrix(_write(tmp_path, "none.mtx", f"{MM_HEADER}\n% no size line\n"))
     assert exc.value.line == 2
@@ -166,6 +172,11 @@ def test_csv_errors(tmp_path):
     assert exc.value.line == 2
     with pytest.raises(ParseError):
         load_matrix(_write(tmp_path, "empty.csv", ""))
+    # float() reads '1_0' as 10, but a CSV field is a plain decimal, as a .mtx field is
+    path = _write(tmp_path, "sep.csv", "1,2\n1_0,2\n")
+    with pytest.raises(ParseError) as exc:
+        load_matrix(path)
+    assert str(exc.value) == f"{path}:2: malformed number in '1_0,2'"
 
 
 def test_csv_blank_lines_skipped(tmp_path):
