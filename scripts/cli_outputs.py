@@ -43,6 +43,9 @@ SEPARATOR_CSV = "1_000,2\n3\n"
 # A size line declaring no rows and no columns, refused at that line.
 ZERO_ROWS_MTX = "%%MatrixMarket matrix coordinate real general\n0 0 0\n"
 
+# A size line declaring -1 entries, refused at that line.
+NEGATIVE_NNZ_MTX = "%%MatrixMarket matrix coordinate real general\n2 2 -1\n"
+
 # (name, argv after "elemsparse", output file or None for stdout)
 COMMANDS = [
     ("experiment-jobs2", ["experiment", "--generate", "gaussian,12,10,4", "--epsilon-rel", "0.6",
@@ -108,6 +111,8 @@ COMMANDS = [
     ("csv-digit-separator", ["bounds", "--input", "separator.csv", "--epsilon", "1"], None),
     ("mtx-zero-rows", ["sparsify", "--input", "zero-rows.mtx", "--s", "5", "--out", "sketch-zero-rows.mtx"],
      "sketch-zero-rows.mtx"),
+    ("mtx-negative-nnz", ["sparsify", "--input", "negative-nnz.mtx", "--s", "5", "--out", "sketch-negative-nnz.mtx"],
+     "sketch-negative-nnz.mtx"),
 ]
 
 
@@ -139,6 +144,7 @@ def main() -> None:
     (outdir / "zero.csv").write_text(ZERO_CSV)
     (outdir / "separator.csv").write_text(SEPARATOR_CSV)
     (outdir / "zero-rows.mtx").write_text(ZERO_ROWS_MTX)
+    (outdir / "negative-nnz.mtx").write_text(NEGATIVE_NNZ_MTX)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     for name, argv, out in COMMANDS:
         proc = subprocess.run(

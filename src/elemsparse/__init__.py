@@ -40,7 +40,6 @@ _EXPORTS = {
         "FileSource",
         "ExperimentConfig",
         "ExperimentResult",
-        "CompareResult",
         "run_experiment",
         "compare_distributions",
     ),

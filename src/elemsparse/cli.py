@@ -185,16 +185,14 @@ def _experiment_csv(result) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _compare_csv(result) -> str:
+def _compare_csv(results) -> str:
     # per-kind summary columns repeat on each row so the table stays flat:
     # exactly 3 * trials data rows below one header.
     lines = ["kind,trial,seed,error,beta_certificate,median_error,p90_error"]
-    for summ in result.summaries:
-        for t, (seed, err) in enumerate(zip(result.seeds, summ.errors)):
-            lines.append(
-                f"{summ.kind.value},{t},{seed},{err!r},"
-                f"{summ.beta_certificate!r},{summ.median_error!r},{summ.p90_error!r}"
-            )
+    for r in results:
+        summary = f"{r.beta!r},{r.median_error!r},{r.p90_error!r}"
+        for t, (seed, err) in enumerate(zip(r.seeds, r.errors)):
+            lines.append(f"{r.dist_kind.value},{t},{seed},{err!r},{summary}")
     return "\n".join(lines) + "\n"
 
 
@@ -256,16 +254,13 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = _experiment_config(args)
-    result = compare_distributions(cfg)
-    text = payload_text(compare_payload(result, cfg)) if args.out_format == "json" else _compare_csv(result)
+    results = compare_distributions(cfg)
+    text = payload_text(compare_payload(results, cfg)) if args.out_format == "json" else _compare_csv(results)
     _write(text, args.out)
     if args.out is not None:
-        for summ in result.summaries:
-            print(
-                f"{summ.kind.value}: beta={summ.beta_certificate:.6g} "
-                f"median={summ.median_error:.6g} p90={summ.p90_error:.6g}"
-            )
-        print(f"wrote {args.out} (s={result.s_used})")
+        for r in results:
+            print(f"{r.dist_kind.value}: beta={r.beta:.6g} median={r.median_error:.6g} p90={r.p90_error:.6g}")
+        print(f"wrote {args.out} (s={results[0].s_used})")
     return 0
 
 

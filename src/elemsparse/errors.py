@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import operator
+
 
 class ElemsparseError(Exception):
     """Base class for all package-specific errors."""
@@ -50,3 +52,12 @@ class DimensionError(ParseError):
 class InvalidSpecError(ElemsparseError, ValueError):
     """Raised for an argument outside its domain: a generator, experiment or
     bound spec, a solver setting, or a malformed distribution or sample set."""
+
+
+def _integer(value, name: str) -> int:
+    """value as an int by operator.index, which takes Python and numpy
+    integers; a float (even 3.0) or any other type is an InvalidSpecError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidSpecError(f"{name} must be an integer, got {value!r}") from None

@@ -4,27 +4,27 @@ sparsification guarantee plus a three-way distribution comparison.
 ``make_plan`` is the one path from a matrix to its distributions and sample
 size that every command shares; with ``BoundRequest`` it owns the rules on
 s, epsilon, epsilon_rel, delta and the bound form. ``run_experiment`` and
-``compare_distributions`` return results and write nothing; the CLI does.
-``experiment_payload`` and ``compare_payload`` build each JSON document with
-``dataclasses.asdict`` from the config and the result, so a field added to a
-result dataclass reaches the JSON with no other change.
+``compare_distributions`` return one ``ExperimentResult`` per distribution
+and write nothing; the CLI does. Each JSON document holds
+``dataclasses.asdict`` of the config; ``experiment_payload`` adds that of
+the result, so a field added to ``ExperimentResult`` reaches the experiment
+JSON with no other change, and ``compare_payload`` writes the shared s,
+epsilon and seeds once and each kind's own figures beside them.
 
 Reproducibility contract: trial t of every distribution draws with seed
 (base_seed + t) mod 2^64. A trial draws only its cell counts and builds its
 S - X from them, never a sketch; that array is the densified
 ``sparsify(x, s, seed, kind)`` sketch minus X, bit for bit, and its error is
 one ``spectral._spectral_norm`` solve (an exact Gram eigensolve where
-min(m, n) <= 300, Lanczos above). Both entry points run every (distribution,
-seed) trial of their plan in one ``_run_trials`` call: --jobs bounds its
-workers, the calling thread is worker 0 and each other worker is a thread of
-its own (so --jobs 1 starts none), each runs an interleaved share of the
-trials one at a time, and each trial stores one record at its distribution
-and seed, so no result depends on which worker ran it. ``_trials``
-aggregates each distribution's records for both callers, and
-``_median_and_p90`` gives compare's two summary figures without numpy's
-median and percentile, which import ``numpy.ma``. Serialized output is
-deterministic (sorted keys) apart from the wall_times block, which is
-environment noise by nature.
+min(m, n) <= 300, Lanczos above). Both entry points build their results in
+``_results``, which runs every (distribution, seed) trial of the plan in one
+``_run_trials`` call: --jobs bounds its workers, the calling thread is worker
+0 and each other worker is a thread of its own (so --jobs 1 starts none),
+each runs an interleaved share of the trials one at a time, and each trial
+stores one record at its distribution and seed, so no result depends on
+which worker ran it. ``_median_and_p90`` gives a result's median and p90
+error without numpy's median and percentile, which import ``numpy.ma``. Serialized output is deterministic (sorted keys) apart from
+the wall_times block, which is environment noise by nature.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 
 from .bounds import BoundReport, BoundRequest, bound_report, sample_size_corollary
 from .distributions import _BUILTIN_KINDS, DistributionKind, _certified_beta, _distributions, _Named
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, _integer
 from .generate import GeneratorSpec, generate_matrix
 from .io import load_matrix
 from .matrix import DenseMatrix
@@ -53,8 +53,6 @@ __all__ = [
     "FileSource",
     "ExperimentConfig",
     "ExperimentResult",
-    "CompareResult",
-    "KindSummary",
     "Plan",
     "resolve_matrix",
     "make_plan",
@@ -99,6 +97,8 @@ class ExperimentConfig:
         object.__setattr__(self, "bound_form", BoundForm(self.bound_form))
         if self.epsilon is None and self.epsilon_rel is None:  # a run reports its error against one, even at a given s
             raise InvalidSpecError("one of epsilon and epsilon_rel is required")
+        for name in ("trials", "base_seed", "jobs"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.trials < 1:
             raise InvalidSpecError("trials must be >= 1")
         if self.base_seed < 0:
@@ -128,24 +128,13 @@ class ExperimentResult:
         certified; an unconverged solve may under-report, so it never passes."""
         return self.empirical_failure_rate <= self.delta and self.unconverged_trials == 0
 
+    @property
+    def median_error(self) -> float:
+        return _median_and_p90(self.errors)[0]
 
-@dataclass(frozen=True)
-class KindSummary:
-    kind: DistributionKind
-    beta_certificate: float
-    median_error: float
-    p90_error: float
-    errors: tuple
-    unconverged_trials: int
-
-
-@dataclass(frozen=True)
-class CompareResult:
-    s_used: int
-    epsilon_used: float
-    seeds: tuple
-    summaries: tuple  # one KindSummary per kind, hybrid/l1/l2 order
-    wall_times: dict  # kind value -> tuple of per-trial durations
+    @property
+    def p90_error(self) -> float:
+        return _median_and_p90(self.errors)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,8 +195,10 @@ def make_plan(
     corollary form, whose unmet hypothesis sr >= epsilon_rel^2 raises
     HypothesisViolatedError.
     """
-    if s_override is not None and s_override < 1:
-        raise InvalidSpecError("s must be a positive integer")
+    if s_override is not None:
+        s_override = _integer(s_override, "s")  # a fractional s would scale every sketch by floor(s) / s
+        if s_override < 1:
+            raise InvalidSpecError("s must be a positive integer")
     bound_form = BoundForm(bound_form)
     if bound_form is BoundForm.COROLLARY and epsilon is not None and epsilon_rel is None:
         raise InvalidSpecError("bound_form=corollary needs epsilon_rel, not an absolute epsilon")
@@ -292,58 +283,42 @@ def _median_and_p90(values) -> tuple:
     return median, (b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
 
 
-def _trials(cfg: ExperimentConfig, kinds) -> tuple:
-    """The plan of cfg for kinds, its seeds, and per distribution the
-    (errors, unconverged count, mean nnz / mn, wall times) of its trials."""
+def _results(cfg: ExperimentConfig, kinds) -> tuple:
+    """One ExperimentResult per distribution of cfg's plan for kinds, in plan
+    order, from one _run_trials call. Each result's beta is its
+    distribution's certificate; s, epsilon, the seeds and bound_report are
+    the plan's, shared by every result."""
     plan = make_plan(
         resolve_matrix(cfg.source), kinds, bound_form=cfg.bound_form, epsilon=cfg.epsilon,
         epsilon_rel=cfg.epsilon_rel, delta=cfg.delta, s_override=cfg.s_override,
     )
     seeds = tuple((cfg.base_seed + t) & _SEED_MASK for t in range(cfg.trials))
-    runs = []
-    for records in _run_trials(plan.x, plan.dists, plan.s, seeds, cfg.jobs):
+    epsilon, cells = plan.request.epsilon, plan.x.m * plan.x.n
+    results = []
+    for dist, records in zip(plan.dists, _run_trials(plan.x, plan.dists, plan.s, seeds, cfg.jobs)):
         ests, nnzs, walls = zip(*records)
-        nnz_ratio = float(np.mean([nnz / (plan.x.m * plan.x.n) for nnz in nnzs]))
-        runs.append((tuple(est.value for est in ests), sum(not est.converged for est in ests), nnz_ratio, walls))
-    return plan, seeds, runs
+        errors = tuple(est.value for est in ests)
+        results.append(ExperimentResult(
+            errors=errors, seeds=seeds, s_used=plan.s, epsilon_used=epsilon, delta=cfg.delta, beta=dist.beta,
+            dist_kind=dist.kind, empirical_failure_rate=sum(e > epsilon for e in errors) / cfg.trials,
+            unconverged_trials=sum(not est.converged for est in ests),
+            nnz_ratio=float(np.mean([nnz / cells for nnz in nnzs])), wall_times=walls, bound_report=plan.report,
+        ))
+    return tuple(results)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    plan, seeds, [(errors, unconverged, nnz_ratio, walls)] = _trials(cfg, (cfg.dist_kind,))
-    epsilon = plan.request.epsilon
-    return ExperimentResult(
-        errors=errors,
-        seeds=seeds,
-        s_used=plan.s,
-        epsilon_used=epsilon,
-        delta=cfg.delta,
-        beta=plan.request.beta,
-        dist_kind=cfg.dist_kind,
-        empirical_failure_rate=sum(e > epsilon for e in errors) / cfg.trials,
-        unconverged_trials=unconverged,
-        nnz_ratio=nnz_ratio,
-        wall_times=walls,
-        bound_report=plan.report,
-    )
+    return _results(cfg, (cfg.dist_kind,))[0]
 
 
-def compare_distributions(cfg: ExperimentConfig) -> CompareResult:
+def compare_distributions(cfg: ExperimentConfig) -> tuple:
     """Hybrid, l1 and l2 head to head at one shared sample size and identical
-    per-trial seeds. s comes from the configured bound form at beta = 1, the
-    hybrid's certificate, or from s_override; per-kind certificates are reported
-    but deliberately do not change s, so the error columns stay comparable."""
-    plan, seeds, runs = _trials(cfg, _BUILTIN_KINDS)
-    summaries = tuple(
-        KindSummary(dist.kind, dist.beta, *_median_and_p90(errors), errors, unconverged)
-        for dist, (errors, unconverged, _, _) in zip(plan.dists, runs)
-    )
-    return CompareResult(
-        s_used=plan.s,
-        epsilon_used=plan.request.epsilon,
-        seeds=seeds,
-        summaries=summaries,
-        wall_times={dist.kind.value: walls for dist, (*_, walls) in zip(plan.dists, runs)},
-    )
+    per-trial seeds: one ExperimentResult per kind, in that order. s comes
+    from the configured bound form at beta = 1, the hybrid's certificate, or
+    from s_override; each result's beta is its kind's certificate, which
+    deliberately does not change s, so the error columns stay comparable.
+    Every result carries the shared plan's bound_report, sized at beta = 1."""
+    return _results(cfg, _BUILTIN_KINDS)
 
 
 def _source_payload(source) -> dict:
@@ -352,32 +327,41 @@ def _source_payload(source) -> dict:
     return {**asdict(source), "kind": "generator", "generator": source.kind}
 
 
-def _payload(command: str, result, cfg: ExperimentConfig) -> dict:
+def _payload(command: str, cfg: ExperimentConfig, result: dict, wall_times) -> dict:
     """A run's document: config is asdict(cfg) with source in _source_payload's
     form, dist_kind renamed dist and no jobs (how trials were scheduled is not
-    the experiment; without it two runs stay byte-identical), and result is
-    asdict(result) with wall_times lifted to the top level. Sequences stay
-    tuples; an enum member equals its string, which is what json writes."""
+    the experiment; without it two runs stay byte-identical), and wall_times
+    sits at the top level beside result. Sequences stay tuples; an enum
+    member equals its string, which is what json writes."""
     config = asdict(cfg)
     del config["jobs"]
     config["source"] = _source_payload(cfg.source)
     config["dist"] = config.pop("dist_kind")
-    doc = asdict(result)
-    walls = doc.pop("wall_times")
-    return dict(schema_version=SCHEMA_VERSION, command=command, config=config, result=doc, wall_times=walls)
+    return dict(schema_version=SCHEMA_VERSION, command=command, config=config, result=result, wall_times=wall_times)
 
 
 def experiment_payload(result: ExperimentResult, cfg: ExperimentConfig) -> dict:
-    doc = _payload("experiment", result, cfg)
-    del doc["result"]["dist_kind"]  # the config's dist
-    doc["result"]["passed"] = result.passed
-    return doc
+    """result is asdict(result) without wall_times and dist_kind (the
+    config's dist), plus passed."""
+    doc = asdict(result)
+    walls = doc.pop("wall_times")
+    del doc["dist_kind"]
+    doc["passed"] = result.passed
+    return _payload("experiment", cfg, doc, walls)
 
 
-def compare_payload(result: CompareResult, cfg: ExperimentConfig) -> dict:
-    doc = _payload("compare", result, cfg)
+def compare_payload(results: tuple, cfg: ExperimentConfig) -> dict:
+    """result holds the shared s_used, epsilon_used and seeds once and, per
+    kind, its certificate, errors, median, p90 and unconverged count; the
+    top-level wall_times maps each kind to its trials' wall times."""
+    kinds = tuple(
+        dict(kind=r.dist_kind, beta_certificate=r.beta, median_error=r.median_error, p90_error=r.p90_error,
+             errors=r.errors, unconverged_trials=r.unconverged_trials)
+        for r in results
+    )
+    shared = dict(s_used=results[0].s_used, epsilon_used=results[0].epsilon_used, seeds=results[0].seeds)
+    doc = _payload("compare", cfg, {**shared, "kinds": kinds}, {r.dist_kind.value: r.wall_times for r in results})
     del doc["config"]["dist"]  # every kind runs
-    doc["result"]["kinds"] = doc["result"].pop("summaries")
     return doc
 
 

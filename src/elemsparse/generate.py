@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, _integer
 from .matrix import DenseMatrix, check_cell_count
 
 __all__ = ["GENERATOR_KINDS", "GeneratorSpec", "generate_matrix"]
@@ -40,6 +40,8 @@ class GeneratorSpec:
             raise InvalidSpecError(
                 f"unknown generator kind {self.kind!r}; expected one of {GENERATOR_KINDS}"
             )
+        for name in ("m", "n", "seed") if self.rank is None else ("m", "n", "seed", "rank"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.m < 1 or self.n < 1:
             raise InvalidSpecError("matrix dimensions must be >= 1")
         check_cell_count(self.m, self.n, InvalidSpecError)

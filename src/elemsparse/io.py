@@ -127,6 +127,8 @@ def _parse_size_line(path, lineno: int, raw: str) -> tuple[int, int, int]:
         ) from None
     if m < 1 or n < 1:
         raise ParseError(f"matrix dimensions must be >= 1, got ({m}, {n})", path=path, line=lineno)
+    if nnz < 0:
+        raise ParseError(f"entry count must be >= 0, got {nnz}", path=path, line=lineno)
     check_cell_count(m, n, ParseError, path=path, line=lineno)
     return m, n, nnz
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DistributionKind, SamplingDistribution, _certified_beta, _check_shape, distribution_for_kind
-from .errors import InvalidSpecError, ShapeMismatchError, ZeroProbabilityError
+from .errors import InvalidSpecError, ShapeMismatchError, ZeroProbabilityError, _integer
 from .matrix import DenseMatrix, SparseCOO
 
 __all__ = [
@@ -84,8 +84,9 @@ class SparseSketch:
 def _draw_counts(probs: np.ndarray, s: int, seed: int) -> np.ndarray:
     """How many of s i.i.d. draws from probs hit each cell: one
     Multinomial(s, probs) draw from PCG64(seed mod 2^64), an int64 array as
-    long as probs. s above 2^63 - 1 (the most int64 counts hold) or below 1
-    is refused, and so are probs numpy will not draw from.
+    long as probs. An s or seed that is not an integer, s above 2^63 - 1
+    (the most int64 counts hold) or below 1, and probs numpy will not draw
+    from are refused.
 
     numpy gives the last category whatever the others leave, float rounding
     of the running remainder included, so the draw ends at the last cell of
@@ -98,11 +99,12 @@ def _draw_counts(probs: np.ndarray, s: int, seed: int) -> np.ndarray:
     sketch is unbiased only to about 1e-16 relative. The counts still sum to
     s exactly.
     """
+    s = _integer(s, "sample count")
     if s > (1 << 63) - 1:
         raise InvalidSpecError(f"sample count {s} is more than 2**63 - 1, the most int64 counts hold")
     if s < 1:
         raise InvalidSpecError(f"sample count must be >= 1, got {s}")
-    seed = operator.index(seed) & _SEED_MASK  # index(): a numpy integer & 2^64 - 1 overflows
+    seed = _integer(seed, "seed") & _SEED_MASK  # index(): a numpy integer & 2^64 - 1 overflows
     end = probs.size if probs[-1] > 0.0 else int(np.flatnonzero(probs)[-1]) + 1
     counts = np.zeros(probs.size, dtype=np.int64)
     try:

@@ -61,6 +61,16 @@ def test_config_validation():
         _cfg(jobs=0)
     with pytest.raises(InvalidSpecError):
         _cfg(base_seed=-1)
+    # the counts and the seed are integers: a float is refused here, not by
+    # a TypeError once the run starts; numpy integers pass and are kept as ints
+    for name, value in (("trials", 2.5), ("jobs", 1.5), ("base_seed", 1.5), ("trials", 2.0)):
+        with pytest.raises(InvalidSpecError, match=f"^{name} must be an integer, got {value}$"):
+            _cfg(**{name: value})
+    cfg = _cfg(trials=np.int64(2), jobs=np.int8(1), base_seed=np.uint64(5))
+    assert [type(v) for v in (cfg.trials, cfg.jobs, cfg.base_seed)] == [int] * 3
+    assert run_experiment(cfg).seeds == (5, 6)
+    s = make_plan(generate_matrix(GEN), ("hybrid",), epsilon=1.0, s_override=np.int64(7)).s
+    assert type(s) is int and s == 7
     # unknown names are typed errors that list the known ones
     with pytest.raises(InvalidSpecError, match="hybrid, l2, l1, custom"):
         _cfg(dist_kind="bogus")
@@ -82,13 +92,15 @@ def test_config_validation():
     "kwargs, message",
     [
         (dict(s_override=0), "s must be a positive integer"),
+        # s draws floor(s) cells, so a fractional s would scale every sketch
+        (dict(s_override=10.5), "s must be an integer, got 10.5"),
         (dict(epsilon=-1.0), "epsilon must be positive and finite, got -1.0"),
         (dict(epsilon=None, epsilon_rel=math.inf), "epsilon_rel must be positive and finite, got inf"),
         (dict(delta=1.0), "delta must lie in (0, 1), got 1.0"),
         (dict(bound_form=BoundForm.COROLLARY), "bound_form=corollary needs epsilon_rel, not an absolute epsilon"),
         (dict(epsilon_rel=0.5), "give one of epsilon and epsilon_rel, not both"),
     ],
-    ids=["s", "epsilon", "epsilon_rel", "delta", "corollary", "both-targets"],
+    ids=["s", "s-fractional", "epsilon", "epsilon_rel", "delta", "corollary", "both-targets"],
 )
 def test_plan_rules_are_checked_on_the_run(run, kwargs, message):
     # the config takes these values; the run refuses them where every
@@ -140,7 +152,7 @@ def test_seeds_derived_from_base():
     assert res.seeds == (100, 101, 102, 103)
     wrapped = (2**64 - 2, 2**64 - 1, 0, 1)
     assert run_experiment(_cfg(trials=4, base_seed=2**64 - 2)).seeds == wrapped
-    assert compare_distributions(_cfg(trials=4, base_seed=2**64 - 2)).seeds == wrapped
+    assert all(r.seeds == wrapped for r in compare_distributions(_cfg(trials=4, base_seed=2**64 - 2)))
 
 
 def test_jobs_do_not_change_results():
@@ -157,8 +169,11 @@ def test_jobs_do_not_change_results():
         assert res.unconverged_trials == 0
 
 
-def _without_walls(result):
-    return dataclasses.replace(result, wall_times=None)
+def _without_walls(results):
+    # one result or a tuple of them, each with wall_times set to None
+    if isinstance(results, tuple):
+        return tuple(_without_walls(r) for r in results)
+    return dataclasses.replace(results, wall_times=None)
 
 
 def test_compare_jobs_do_not_change_results(monkeypatch):
@@ -173,10 +188,27 @@ def test_compare_jobs_do_not_change_results(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert all(_without_walls(res) == _without_walls(runs[0]) for res in runs[1:])
-    for summ in runs[0].summaries:
-        assert summ.errors == run_experiment(_cfg(trials=4, dist_kind=summ.kind)).errors
+    for r in runs[0]:
+        assert r.errors == run_experiment(_cfg(trials=4, dist_kind=r.dist_kind)).errors
     for res in runs:
-        assert [len(walls) for walls in res.wall_times.values()] == [4, 4, 4]
+        assert [len(r.wall_times) for r in res] == [4, 4, 4]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("form", list(BoundForm))
+def test_compare_is_experiment_over_every_kind(form, jobs):
+    # each compare result is the experiment of its kind at compare's s, apart
+    # from the wall times and, for l1 and l2, the bound report: compare's is
+    # the shared plan's, sized at the hybrid's beta = 1
+    cfg = _cfg(epsilon=None, epsilon_rel=0.9, s_override=None, bound_form=form, trials=4, jobs=jobs)
+    results = compare_distributions(cfg)
+    assert [r.dist_kind for r in results] == ["hybrid", "l1", "l2"]
+    for r in results:
+        alone = run_experiment(dataclasses.replace(cfg, dist_kind=r.dist_kind, s_override=r.s_used))
+        ignored = {"wall_times"} if r.dist_kind == "hybrid" else {"wall_times", "bound_report"}
+        mine, its = dataclasses.asdict(r), dataclasses.asdict(alone)
+        assert {k: v for k, v in mine.items() if k not in ignored} == {k: v for k, v in its.items() if k not in ignored}
+        assert r.bound_report == results[0].bound_report
 
 
 def test_workers_never_outnumber_trials(monkeypatch):
@@ -219,7 +251,7 @@ def test_workers_never_outnumber_trials(monkeypatch):
             assert calls == [True, False]
             assert solves == [True] * 3
             assert _without_walls(capped) == _without_walls(alone)
-            assert len(capped.wall_times) == 3
+            assert len(capped.wall_times if run is run_experiment else capped) == 3
 
 
 @pytest.mark.parametrize("run", [run_experiment, compare_distributions])
@@ -425,7 +457,8 @@ def test_beta_defaults_to_certificate():
     assert res.s_used == sample_size_unsimplified(BoundRequest(x.m, x.n, 0.5 * fro, 0.5, cert, fro))
     # compare shares one s across kinds, sized at the hybrid's certificate
     shared = BoundRequest(x.m, x.n, 0.5 * fro, 0.5, 1.0, fro)
-    assert compare_distributions(sized).s_used == sample_size_unsimplified(shared) < res.s_used
+    assert [r.s_used for r in compare_distributions(sized)] == [sample_size_unsimplified(shared)] * 3
+    assert sample_size_unsimplified(shared) < res.s_used
 
 
 def test_payload_deterministic_excluding_wall_times():
@@ -437,11 +470,14 @@ def test_payload_deterministic_excluding_wall_times():
     assert payload_text(a) == payload_text(b)
 
 
-# The documents' key trees. Every key is a field of ExperimentConfig,
-# ExperimentResult, CompareResult, KindSummary or BoundReport, apart from
-# what the payload builder renames or adds: config "dist", result "passed"
-# and "kinds", and the source's keys. A field added to a result dataclass
-# reaches the JSON, and must be added here.
+# The documents' key trees. Every key of the experiment document is a field
+# of ExperimentConfig, ExperimentResult or BoundReport, apart from what the
+# payload builder renames or adds: config "dist", result "passed", and the
+# source's keys. A field added to ExperimentResult reaches that JSON, and
+# must be added here. The compare document writes the shared s_used,
+# epsilon_used and seeds once and, under "kinds", each ExperimentResult's
+# dist_kind as "kind", beta as "beta_certificate", the median_error and
+# p90_error properties, errors and unconverged_trials.
 _CONFIG_KEYS = {
     "base_seed": None, "bound_form": None, "delta": None, "epsilon": None, "epsilon_rel": None,
     "s_override": None, "trials": None,
@@ -529,7 +565,7 @@ def test_compare_counts_unconverged_trials(monkeypatch):
     monkeypatch.setattr(spectral, "_DENSE_MAX_DIM", 0)
     monkeypatch.setattr(spectral, "_MAX_STEPS", 1)
     res = compare_distributions(cfg)
-    assert [summ.unconverged_trials for summ in res.summaries] == [2, 2, 2]
+    assert [r.unconverged_trials for r in res] == [2, 2, 2]
     kinds = compare_payload(res, cfg)["result"]["kinds"]
     assert [k["unconverged_trials"] for k in kinds] == [2, 2, 2]
     monkeypatch.undo()
@@ -562,16 +598,17 @@ def test_median_and_p90_match_numpy(errors):
 def test_compare_runs_all_kinds_at_shared_s():
     cfg = _cfg(trials=3)
     res = compare_distributions(cfg)
-    assert [s.kind for s in res.summaries] == [
+    assert [r.dist_kind for r in res] == [
         DistributionKind.HYBRID,
         DistributionKind.PURE_L1,
         DistributionKind.PURE_L2,
     ]
-    assert res.s_used == 60
-    assert res.seeds == (5, 6, 7)
-    for summ in res.summaries:
-        assert len(summ.errors) == 3
-        assert summ.median_error == float(np.median(summ.errors))
+    for r in res:
+        assert r.s_used == 60
+        assert r.seeds == (5, 6, 7)
+        assert len(r.errors) == 3
+        assert r.median_error == float(np.median(r.errors))
+        assert r.p90_error == float(np.percentile(r.errors, 90.0))
 
 
 def test_compare_identical_errors_when_distributions_coincide(tmp_path):
@@ -579,9 +616,8 @@ def test_compare_identical_errors_when_distributions_coincide(tmp_path):
     path.write_text("2,2\n2,2\n")  # all three distributions are uniform here
     cfg = ExperimentConfig(source=FileSource(str(path)), epsilon=1.0, s_override=25, trials=4)
     res = compare_distributions(cfg)
-    base = res.summaries[0].errors
-    for summ in res.summaries[1:]:
-        assert summ.errors == base
+    for r in res[1:]:
+        assert r.errors == res[0].errors
 
 
 def test_compare_reports_toy_certificates(tmp_path):
@@ -589,7 +625,7 @@ def test_compare_reports_toy_certificates(tmp_path):
     path.write_text("3,4\n0,0\n")
     cfg = ExperimentConfig(source=FileSource(str(path)), epsilon=1.0, s_override=10, trials=2)
     res = compare_distributions(cfg)
-    certs = {s.kind.value: s.beta_certificate for s in res.summaries}
+    certs = {r.dist_kind.value: r.beta for r in res}
     assert certs["hybrid"] == 1.0
     assert certs["l1"] == pytest.approx(50 / 53, rel=1e-12)
     assert certs["l2"] == pytest.approx(21 / 23, rel=1e-12)
@@ -601,12 +637,12 @@ def test_zero_certificate_refused_alone_reported_in_compare(tmp_path):
     cfg = ExperimentConfig(source=FileSource(str(path)), epsilon_rel=0.5, dist_kind="l2", trials=2)
     with pytest.raises(ZeroProbabilityError, match=r"x\[0, 0\] = 1e-200 .* hybrid or l1"):
         run_experiment(cfg)
-    certs = [summ.beta_certificate for summ in compare_distributions(cfg).summaries]
+    certs = [r.beta for r in compare_distributions(cfg)]
     assert certs[0] == 1.0 and certs[1] > 0.0 and certs[2] == 0.0
     path.write_text("5e-324,1\n1,0\n")  # both shares of the subnormal cell underflow
     with pytest.raises(ZeroProbabilityError, match=r"x\[0, 0\] = 5e-324 .* certifies it$"):
         run_experiment(dataclasses.replace(cfg, dist_kind="hybrid"))
-    assert [summ.beta_certificate for summ in compare_distributions(cfg).summaries] == [0.0] * 3
+    assert [r.beta for r in compare_distributions(cfg)] == [0.0] * 3
 
 
 def test_compare_csv_row_count(tmp_path):

@@ -80,3 +80,15 @@ def test_spec_validation():
         GeneratorSpec("low-rank-plus-noise", 3, 3, 0, rank=4)
     with pytest.raises(InvalidSpecError):
         GeneratorSpec("low-rank-plus-noise", 3, 3, 0, noise=-0.1)
+    # counts and seeds are integers: a float is refused at the spec, not by
+    # numpy inside generate_matrix; numpy integers pass and are kept as ints
+    for args, kwargs, name in (
+        ((2.5, 3, 1), {}, "m"), ((3, 3.0, 1), {}, "n"), ((3, 3, 1.5), {}, "seed"), ((3, 3, 1), {"rank": 1.5}, "rank"),
+    ):
+        with pytest.raises(InvalidSpecError, match=f"^{name} must be an integer, got "):
+            GeneratorSpec("low-rank-plus-noise", *args, **kwargs)
+    spec = GeneratorSpec("low-rank-plus-noise", np.int64(3), np.int32(4), np.uint64(1), rank=np.int8(2))
+    assert [type(v) for v in (spec.m, spec.n, spec.seed, spec.rank)] == [int] * 4
+    np.testing.assert_array_equal(
+        generate_matrix(spec).data, generate_matrix(GeneratorSpec("low-rank-plus-noise", 3, 4, 1, rank=2)).data
+    )

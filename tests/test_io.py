@@ -136,6 +136,12 @@ def test_matrix_market_size_line_edges(tmp_path):
         with pytest.raises(ParseError) as exc:
             load_matrix(path)
         assert str(exc.value) == f"{path}:2: matrix dimensions must be >= 1, got {shape}"
+    # so is a negative nnz, at its own line rather than as a count mismatch at the last
+    for body in ("", "1 1 3\n"):
+        path = _write(tmp_path, "negative-nnz.mtx", f"{MM_HEADER}\n2 2 -1\n{body}")
+        with pytest.raises(ParseError) as exc:
+            load_matrix(path)
+        assert str(exc.value) == f"{path}:2: entry count must be >= 0, got -1"
     with pytest.raises(ParseError) as exc:
         load_matrix(_write(tmp_path, "none.mtx", f"{MM_HEADER}\n% no size line\n"))
     assert exc.value.line == 2

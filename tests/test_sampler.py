@@ -106,6 +106,15 @@ def test_draw_validation(toy):
     d = hybrid_distribution(toy)
     with pytest.raises(ElemsparseError):
         draw_samples(d, 0, seed=1)
+    # a fractional s would draw floor(s) cells while the sketch divides by s,
+    # so it is refused before the draw, and so is a fractional seed
+    with pytest.raises(InvalidSpecError, match=r"^sample count must be an integer, got 10\.5$"):
+        _draw_counts(d.probs, 10.5, 0)
+    with pytest.raises(InvalidSpecError, match=r"^sample count must be an integer, got 10\.0$"):
+        draw_samples(d, 10.0, seed=1)
+    with pytest.raises(InvalidSpecError, match=r"^seed must be an integer, got 1\.5$"):
+        draw_samples(d, 10, 1.5)
+    assert _same_sample(draw_samples(d, np.int64(10), np.uint64(1)), draw_samples(d, 10, 1))
     # counts are int64: a larger s is refused before any draw, not drawn for ages
     for s in (2**63, 10**300):
         with pytest.raises(InvalidSpecError, match=r"more than 2\*\*63 - 1"):
