@@ -6,8 +6,12 @@ are written with their top-level ``wall_times`` key dropped and the
 ``experiment`` CSV without its ``wall_time`` column, so everything left is
 deterministic. Each command's exit code, stdout and stderr go beside its
 output in ``<name>.log``; the last commands are refused, so only their logs
-are written. Two checkouts are compared by running their copies
-of this script and diffing the two directories:
+are written. The rows that ask for two or more workers run a second time as
+``<name>-forked``, with the BLAS on the calling thread, so that on Linux
+their workers are forked children rather than threads; each such output and
+log must equal its twin's, apart from a printed output file name, and the
+script stops if one does not. Two checkouts are compared by running their
+copies of this script and diffing the two directories:
 
     python3 scripts/cli_outputs.py /tmp/before   # in one checkout
     python3 scripts/cli_outputs.py /tmp/after    # in the other
@@ -116,6 +120,22 @@ COMMANDS = [
 ]
 
 
+# Rows with --jobs above 1, run again as <name>-forked under FORKED_ENV.
+JOBS_ROWS = ("experiment-jobs2", "experiment-jobs-above-trials", "compare-jobs3", "compare-trials1-jobs3")
+# One BLAS thread, so the process holds only its own thread and may fork.
+FORKED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def _forked_twin(name: str, argv: list, out) -> tuple:
+    """The row's forked twin: named <name>-forked, writing its --out file
+    (if any) under that name too."""
+    twin = f"{name}-forked"
+    if out is None:
+        return twin, argv, None
+    twin_out = out.replace(name, twin)
+    return twin, [twin_out if arg == out else arg for arg in argv], twin_out
+
+
 def _without_wall_times(text: str) -> str:
     """The JSON document without its top-level wall_times key, in the
     package's own layout; refuses text not already in that layout, so no
@@ -146,9 +166,11 @@ def main() -> None:
     (outdir / "zero-rows.mtx").write_text(ZERO_ROWS_MTX)
     (outdir / "negative-nnz.mtx").write_text(NEGATIVE_NNZ_MTX)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    for name, argv, out in COMMANDS:
+    twins = [(row, _forked_twin(*row)) for row in COMMANDS if row[0] in JOBS_ROWS]
+    rows = [(*row, env) for row in COMMANDS] + [(*twin, {**env, **FORKED_ENV}) for _, twin in twins]
+    for name, argv, out, row_env in rows:
         proc = subprocess.run(
-            [sys.executable, "-m", "elemsparse", *argv], cwd=outdir, env=env, capture_output=True, text=True
+            [sys.executable, "-m", "elemsparse", *argv], cwd=outdir, env=row_env, capture_output=True, text=True
         )
         log = f"exit {proc.returncode}\n--- stdout\n{'' if out is None else proc.stdout}--- stderr\n{proc.stderr}"
         (outdir / f"{name}.log").write_text(log)
@@ -161,6 +183,10 @@ def main() -> None:
         elif argv[0] == "experiment":
             text = _without_column(text, "wall_time")
         path.write_text(text)
+    for (name, _, out), (twin, _, twin_out) in twins:
+        for mine, its in ((f"{name}.log", f"{twin}.log"), (out or f"{name}.json", twin_out or f"{twin}.json")):
+            if (outdir / mine).read_text() != (outdir / its).read_text().replace(twin, name):  # a printed --out path
+                raise SystemExit(f"{its} differs from {mine}")
 
 
 if __name__ == "__main__":

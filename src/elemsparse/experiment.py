@@ -16,15 +16,15 @@ Reproducibility contract: trial t of every distribution draws with seed
 S - X from them, never a sketch; that array is the densified
 ``sparsify(x, s, seed, kind)`` sketch minus X, bit for bit, and its error is
 one ``spectral._spectral_norm`` solve (an exact Gram eigensolve where
-min(m, n) <= 300, Lanczos above). Both entry points build their results in
-``_results``, which runs every (distribution, seed) trial of the plan in one
-``_run_trials`` call: --jobs bounds its workers, the calling thread is worker
-0 and each other worker is a thread of its own (so --jobs 1 starts none),
-each runs an interleaved share of the trials one at a time, and each trial
-stores one record at its distribution and seed, so no result depends on
-which worker ran it. ``_median_and_p90`` gives a result's median and p90
-error without numpy's median and percentile, which import ``numpy.ma``. Serialized output is deterministic (sorted keys) apart from
-the wall_times block, which is environment noise by nature.
+min(m, n) <= 300, Lanczos above). Both entry points run every (distribution,
+seed) trial of the plan in one ``_run_trials`` call from ``_results``: --jobs
+bounds its workers, the calling thread is worker 0, each other worker is a
+forked child where ``_fork_safe`` holds and a thread elsewhere (so --jobs 1
+starts neither), and each trial stores one record at its distribution and
+seed, so no result depends on which worker ran it. ``_median_and_p90`` gives
+a result's median and p90 error without numpy's median and percentile, which
+import ``numpy.ma``. Serialized output is deterministic (sorted keys) apart
+from the wall_times block, which is environment noise by nature.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
+import sys
 import threading
 import time
 from dataclasses import asdict, dataclass
@@ -215,6 +217,13 @@ def make_plan(
     return Plan(x, dists, request, report, s)
 
 
+def _fork_safe() -> bool:
+    """Fork only on Linux from one OS thread (the count CPython 3.12 checks to
+    warn about fork): a child would keep any lock another thread, say a BLAS
+    pool's, held. macOS's libraries are not fork-safe; Windows has no fork."""
+    return sys.platform == "linux" and len(os.listdir("/proc/self/task")) == 1
+
+
 def _run_trials(x: DenseMatrix, dists: tuple, s: int, seeds: tuple, jobs: int) -> list:
     """Every (distribution, seed) trial, run by one set of workers. Per
     distribution, in order, one (estimate, nnz, seconds) record per seed in
@@ -223,46 +232,81 @@ def _run_trials(x: DenseMatrix, dists: tuple, s: int, seeds: tuple, jobs: int) -
 
     Trial k runs distribution k // len(seeds) at seed k % len(seeds). Of
     w = min(jobs, trial count, CPU count) workers, worker i runs trials i,
-    i + w, ... one at a time; worker 0 is the calling thread and workers
-    1 .. w-1 are threads started here. A trial draws its cell counts, writes
-    S - X = counts * x / (s * p) - x into the worker's one mn buffer (the
-    densified ``sparsify`` sketch minus X, bit for bit) and solves it. Once a
-    trial raises, no worker starts another; every thread is joined, and the
-    exception of the lowest-numbered worker that raised is raised here.
+    i + w, ... one at a time; worker 0 is the calling thread. Workers 1 .. w-1
+    are forked children where _fork_safe holds (threads calling LAPACK at
+    once contend), each pickling (its records, its exception or None) to a
+    pipe that is read to EOF before it is reaped, and threads elsewhere. A
+    trial draws its cell counts, writes S - X = counts * x / (s * p) - x into
+    the worker's one mn buffer (the densified ``sparsify`` sketch minus X,
+    bit for bit) and solves it. Once a trial raises, it sets the stop byte
+    and no worker starts another; every worker ends before this returns, and
+    the exception of the lowest-numbered worker that raised is raised here.
     """
     xf, sps = x.flat(), [s * dist.probs for dist in dists]
-    records = [[None] * len(seeds) for _ in dists]
-    total = len(dists) * len(seeds)
-    workers = min(jobs, total, os.cpu_count() or 1)
-    failed = threading.Event()  # once a trial raises, no worker starts another
+    records = [None] * (len(dists) * len(seeds))  # by trial k
+    workers = min(jobs, len(records), os.cpu_count() or 1)
+    stop = bytearray(1)  # nonzero once a trial has raised
+    if workers > 1:
+        import mmap
+        stop = mmap.mmap(-1, 1)  # anonymous and shared, so every worker, forked or not, reads one byte
     raised = [None] * workers  # each worker's exception, if it raised one
 
     def run(first: int) -> None:
         diff = np.empty(x.m * x.n)
         try:
-            for k in range(first, total, workers):
-                if failed.is_set():
+            for k in range(first, len(records), workers):
+                if stop[0]:
                     return
                 d, t = divmod(k, len(seeds))
                 t0 = time.perf_counter()
                 counts = _draw_counts(dists[d].probs, s, seeds[t])
                 np.subtract(_cell_values(counts, xf, sps[d], diff), xf, out=diff)
                 est = _spectral_norm(diff.reshape(x.m, x.n))
-                records[d][t] = (est, np.count_nonzero(counts), time.perf_counter() - t0)
+                records[k] = (est, np.count_nonzero(counts), time.perf_counter() - t0)
         except BaseException as exc:
             raised[first] = exc
-            failed.set()
+            stop[0] = 1
 
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
+    if workers > 1 and _fork_safe():
+        children, replies = [], []  # (pid, pipe read end) and the pickled reply of each child
+        try:
+            for i in range(1, workers):
+                read, write = os.pipe()
+                pid = os.fork()
+                if pid == 0:  # the child: os._exit runs no atexit handler, flushes no inherited buffer
+                    try:
+                        run(i)
+                        with open(write, "wb") as pipe:
+                            pipe.write(pickle.dumps((records[i::workers], raised[i])))
+                    finally:
+                        os._exit(0)
+                os.close(write)  # before the next fork, or that child would hold it and EOF never come
+                children.append((pid, read))
+            run(0)
+        except BaseException:  # a failed fork or an interrupt: stop the children already started
+            stop[0] = 1
+            raise
+        finally:
+            for pid, read in children:
+                with open(read, "rb") as pipe:
+                    replies.append(pipe.read())
+                os.waitpid(pid, 0)
+        for i, reply in enumerate(replies, 1):
+            if reply:
+                records[i::workers], raised[i] = pickle.loads(reply)
+            else:  # killed, or its exception would not pickle
+                raised[i] = ChildProcessError(f"trial worker {i} ended without a result")
+    else:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(1, workers)]
+        for thread in threads:
+            thread.start()
+        run(0)
+        for thread in threads:
+            thread.join()
     for exc in raised:
         if exc is not None:
             raise exc
-    return records
+    return [records[d * len(seeds) : (d + 1) * len(seeds)] for d in range(len(dists))]
 
 
 def _median_and_p90(values) -> tuple:
@@ -366,4 +410,5 @@ def compare_payload(results: tuple, cfg: ExperimentConfig) -> dict:
 
 
 def payload_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """payload as JSON; a numpy scalar a config holds, such as s_override=np.int64(10), is its Python number."""
+    return json.dumps(payload, sort_keys=True, indent=2, default=np.generic.item) + "\n"

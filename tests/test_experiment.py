@@ -1,10 +1,15 @@
 import dataclasses
 import json
 import math
+import mmap
+import os
 import re
+import signal
+import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +37,7 @@ from elemsparse import (
     sparsify,
     stable_rank,
 )
-from elemsparse import experiment, spectral
+from elemsparse import errors, experiment, spectral
 from elemsparse.bounds import sample_size_corollary, sample_size_unsimplified
 from elemsparse.matrix import _scatter
 from elemsparse.experiment import (
@@ -147,6 +152,25 @@ def test_zero_matrix_rejected(tmp_path):
         run_experiment(ExperimentConfig(source=FileSource(str(path)), epsilon=1.0, s_override=3))
 
 
+def _launcher(monkeypatch, forked: bool) -> None:
+    # pin the launcher of workers 1 .. w-1: whether fork is safe depends on
+    # the process (a BLAS pool thread or none), which no test may leave to
+    # the machine it runs on. CPython 3.12 and later warn when a process
+    # with a second thread (a BLAS pool's) forks; a pinned fork is meant.
+    monkeypatch.setattr(experiment, "_fork_safe", lambda: forked)
+    warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
+
+
+def _worker(parent: int) -> int:
+    # in a two-worker forked run, worker 0 is the parent and worker 1 a child
+    return int(os.getpid() != parent)
+
+
+def _nothing_to_reap() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_seeds_derived_from_base():
     res = run_experiment(_cfg(trials=4, base_seed=100))
     assert res.seeds == (100, 101, 102, 103)
@@ -155,9 +179,14 @@ def test_seeds_derived_from_base():
     assert all(r.seeds == wrapped for r in compare_distributions(_cfg(trials=4, base_seed=2**64 - 2)))
 
 
-def test_jobs_do_not_change_results():
-    # each wall time is one trial's own: draw, assembly and solve
-    runs = [run_experiment(_cfg(trials=8, jobs=jobs)) for jobs in (1, 2, 3)]
+def test_jobs_do_not_change_results(monkeypatch):
+    # each wall time is one trial's own: draw, assembly and solve, on either
+    # launcher
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 4)
+    runs = []
+    for forked in (False, True):
+        _launcher(monkeypatch, forked)
+        runs += [run_experiment(_cfg(trials=8, jobs=jobs)) for jobs in (1, 2, 3)]
     x = generate_matrix(GEN)
     sketches = [sparsify(x, 60, seed) for seed in runs[0].seeds]
     alone = tuple(sketch_error(x, sk).value for sk in sketches)
@@ -179,12 +208,15 @@ def _without_walls(results):
 def test_compare_jobs_do_not_change_results(monkeypatch):
     # each kind's column is what experiment gives for that kind at the same
     # s and seeds, however many workers share the trials; eight workers,
-    # more than the cores, switching threads often, lose no record
+    # more than the cores, switching threads often or forked, lose no record
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
+    runs = []
     try:
-        runs = [compare_distributions(_cfg(trials=4, jobs=jobs)) for jobs in (1, 2, 3, 8)]
+        for forked in (False, True):
+            _launcher(monkeypatch, forked)
+            runs += [compare_distributions(_cfg(trials=4, jobs=jobs)) for jobs in (1, 2, 3, 8)]
     finally:
         sys.setswitchinterval(interval)
     assert all(_without_walls(res) == _without_walls(runs[0]) for res in runs[1:])
@@ -196,19 +228,24 @@ def test_compare_jobs_do_not_change_results(monkeypatch):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("form", list(BoundForm))
-def test_compare_is_experiment_over_every_kind(form, jobs):
+def test_compare_is_experiment_over_every_kind(monkeypatch, form, jobs):
     # each compare result is the experiment of its kind at compare's s, apart
     # from the wall times and, for l1 and l2, the bound report: compare's is
-    # the shared plan's, sized at the hybrid's beta = 1
+    # the shared plan's, sized at the hybrid's beta = 1; on either launcher
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
     cfg = _cfg(epsilon=None, epsilon_rel=0.9, s_override=None, bound_form=form, trials=4, jobs=jobs)
-    results = compare_distributions(cfg)
-    assert [r.dist_kind for r in results] == ["hybrid", "l1", "l2"]
-    for r in results:
-        alone = run_experiment(dataclasses.replace(cfg, dist_kind=r.dist_kind, s_override=r.s_used))
-        ignored = {"wall_times"} if r.dist_kind == "hybrid" else {"wall_times", "bound_report"}
-        mine, its = dataclasses.asdict(r), dataclasses.asdict(alone)
-        assert {k: v for k, v in mine.items() if k not in ignored} == {k: v for k, v in its.items() if k not in ignored}
-        assert r.bound_report == results[0].bound_report
+    for forked in (False, True):
+        _launcher(monkeypatch, forked)
+        results = compare_distributions(cfg)
+        assert [r.dist_kind for r in results] == ["hybrid", "l1", "l2"]
+        for r in results:
+            alone = run_experiment(dataclasses.replace(cfg, dist_kind=r.dist_kind, s_override=r.s_used))
+            ignored = {"wall_times"} if r.dist_kind == "hybrid" else {"wall_times", "bound_report"}
+            mine, its = dataclasses.asdict(r), dataclasses.asdict(alone)
+            assert {k: v for k, v in mine.items() if k not in ignored} == {
+                k: v for k, v in its.items() if k not in ignored
+            }
+            assert r.bound_report == results[0].bound_report
 
 
 def test_workers_never_outnumber_trials(monkeypatch):
@@ -216,7 +253,7 @@ def test_workers_never_outnumber_trials(monkeypatch):
     # (distribution, seed) trial, and solves nothing outside it; a run asked
     # for more workers than there are trials or CPUs gets the smaller count,
     # and one worker when the CPU count is unknown. The calling thread is
-    # worker 0, so w workers start w - 1 threads.
+    # worker 0, so w workers start w - 1 threads on the thread launcher.
     started, calls, solves = [], [], []
 
     class Recording(threading.Thread):
@@ -238,6 +275,7 @@ def test_workers_never_outnumber_trials(monkeypatch):
     run_trials, solve = experiment._run_trials, experiment._spectral_norm
     one = run_experiment(_cfg(trials=3, jobs=1))
     one_each = compare_distributions(_cfg(trials=1, jobs=1))
+    _launcher(monkeypatch, False)
     monkeypatch.setattr(experiment.threading, "Thread", Recording)
     monkeypatch.setattr(experiment, "_run_trials", counted)
     monkeypatch.setattr(experiment, "_spectral_norm", recorded)
@@ -256,7 +294,8 @@ def test_workers_never_outnumber_trials(monkeypatch):
 
 @pytest.mark.parametrize("run", [run_experiment, compare_distributions])
 def test_one_job_solves_every_trial_on_the_calling_thread(monkeypatch, run):
-    # worker 0 is the caller, so --jobs 1 starts no thread however many CPUs
+    # worker 0 is the caller, so --jobs 1 starts no thread and forks no child
+    # however many CPUs, even where forking is safe
     solved_on = []
 
     def recorded(a):
@@ -264,11 +303,13 @@ def test_one_job_solves_every_trial_on_the_calling_thread(monkeypatch, run):
         return solve(a)
 
     def no_thread(*args, **kwargs):
-        raise AssertionError("a jobs=1 run started a thread")
+        raise AssertionError("a jobs=1 run started a thread or forked")
 
     solve = experiment._spectral_norm
     monkeypatch.setattr(experiment, "_spectral_norm", recorded)
+    _launcher(monkeypatch, True)
     monkeypatch.setattr(experiment.threading, "Thread", no_thread)
+    monkeypatch.setattr(experiment.os, "fork", no_thread)
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: 8)
     run(_cfg(trials=4, jobs=1))
     assert solved_on == [threading.current_thread()] * (4 if run is run_experiment else 12)
@@ -308,6 +349,7 @@ def test_a_worker_error_is_raised(monkeypatch, run, kind, before):
         return solve(a)
 
     draw_counts, solve = experiment._draw_counts, experiment._spectral_norm
+    _launcher(monkeypatch, False)
     monkeypatch.setattr(experiment, "_draw_counts", draw)
     monkeypatch.setattr(experiment, "_spectral_norm", failing)
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
@@ -335,11 +377,225 @@ def test_the_lowest_failing_worker_error_is_raised(monkeypatch):
         raise ElemsparseError(f"worker {current.worker} failed")
 
     draw_counts = experiment._draw_counts
+    _launcher(monkeypatch, False)
     monkeypatch.setattr(experiment, "_draw_counts", draw)
     monkeypatch.setattr(experiment, "_spectral_norm", failing)
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
     with pytest.raises(ElemsparseError, match="worker 0 failed"):
         run_experiment(_cfg(trials=4, jobs=2))
+
+
+def test_workers_never_outnumber_trials_forked(monkeypatch):
+    # the fork launcher's count: w workers fork w - 1 children and start no
+    # thread, and every child is reaped before the run returns
+    forked = []
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("the fork launcher started a thread")
+
+    fork = os.fork
+    one = run_experiment(_cfg(trials=3, jobs=1))
+    one_each = compare_distributions(_cfg(trials=1, jobs=1))
+    _launcher(monkeypatch, True)
+    monkeypatch.setattr(experiment.os, "fork", recording_fork)
+    monkeypatch.setattr(experiment.threading, "Thread", no_thread)
+    for cpus, workers in ((8, 3), (2, 2), (None, 1)):
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
+        for run, trials, alone in ((run_experiment, 3, one), (compare_distributions, 1, one_each)):
+            del forked[:]
+            capped = run(_cfg(trials=trials, jobs=1000))
+            assert len(forked) == workers - 1
+            _nothing_to_reap()
+            assert _without_walls(capped) == _without_walls(alone)
+            assert len(capped.wall_times if run is run_experiment else capped) == 3
+
+
+@pytest.mark.parametrize(
+    "run, kind, before",
+    [(run_experiment, "hybrid", 0), (compare_distributions, "hybrid", 0), (compare_distributions, "l1", 20)],
+    ids=["run_experiment", "compare_distributions", "compare_distributions-l1"],
+)
+def test_a_worker_error_is_raised_forked(monkeypatch, run, kind, before):
+    # The fork launcher's stop. Worker 1, a child, fails its first solve of
+    # kind once worker 0, the parent, has started a trial; each solve sleeps
+    # so that both run at once. The parent must raise the child's error, and
+    # after the child sets the stop byte worker 0 may start at most the one
+    # trial it may already be past its check for. Each worker counts its
+    # starts in its own slot of a shared map, as a child's memory is its own.
+    probs = distribution_for_kind(generate_matrix(GEN), kind).probs
+    starts = np.frombuffer(mmap.mmap(-1, 24), dtype=np.int64)  # worker 0's, worker 1's, and the sum at the failure
+    parent, current = os.getpid(), {}
+
+    def draw(p, s, seed):
+        starts[_worker(parent)] += 1
+        current["fails"] = np.array_equal(p, probs)
+        return draw_counts(p, s, seed)
+
+    def failing(a):
+        if _worker(parent) == 1 and current["fails"] and starts[0] > 0:
+            starts[2] = starts[0] + starts[1]
+            raise ElemsparseError("solve failed")
+        time.sleep(0.001)
+        return solve(a)
+
+    draw_counts, solve = experiment._draw_counts, experiment._spectral_norm
+    _launcher(monkeypatch, True)
+    monkeypatch.setattr(experiment, "_draw_counts", draw)
+    monkeypatch.setattr(experiment, "_spectral_norm", failing)
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+    with pytest.raises(ElemsparseError, match="solve failed"):
+        run(_cfg(trials=40, jobs=2))
+    _nothing_to_reap()
+    assert starts[2] > before
+    assert starts[0] + starts[1] <= starts[2] + 1
+
+
+def test_the_lowest_failing_worker_error_is_raised_forked(monkeypatch):
+    # both workers fail their first trial, worker 1 (the child) first in
+    # time; the parent reads and reaps the child and raises worker 0's error
+    arrived = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)  # each worker's, in a shared map
+    parent = os.getpid()
+
+    def failing(a):
+        worker = _worker(parent)
+        arrived[worker] = 1
+        deadline = time.monotonic() + 10
+        while not arrived.all() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        if worker == 0:
+            time.sleep(0.02)
+        raise ElemsparseError(f"worker {worker} failed")
+
+    _launcher(monkeypatch, True)
+    monkeypatch.setattr(experiment, "_spectral_norm", failing)
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+    with pytest.raises(ElemsparseError, match="worker 0 failed"):
+        run_experiment(_cfg(trials=4, jobs=2))
+    _nothing_to_reap()
+    assert arrived.all()
+
+
+_PACKAGE_ERRORS = [e for e in vars(errors).values() if isinstance(e, type) and issubclass(e, ElemsparseError)]
+
+
+@pytest.mark.parametrize("error", [*_PACKAGE_ERRORS, MemoryError], ids=lambda e: e.__name__)
+def test_a_forked_worker_error_keeps_its_type_and_message(monkeypatch, error):
+    # a child's exception reaches the parent pickled: every package error,
+    # and MemoryError, which the CLI reports as a typed failure, arrives
+    # with its own type and message
+    parent = os.getpid()
+
+    def failing(a):
+        if _worker(parent) == 1:
+            raise error("worker 1 failed")
+        return solve(a)
+
+    solve = experiment._spectral_norm
+    _launcher(monkeypatch, True)
+    monkeypatch.setattr(experiment, "_spectral_norm", failing)
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+    with pytest.raises(error) as info:
+        run_experiment(_cfg(trials=4, jobs=2))
+    assert type(info.value) is error
+    assert str(info.value) == "worker 1 failed"
+    _nothing_to_reap()
+
+
+def test_a_forked_worker_that_dies_is_an_error(monkeypatch):
+    # a child killed mid-run writes no reply; the run must raise, not return
+    # a result without that worker's trials, and still reap the child
+    parent = os.getpid()
+
+    def dying(a):
+        if _worker(parent) == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return solve(a)
+
+    solve = experiment._spectral_norm
+    _launcher(monkeypatch, True)
+    monkeypatch.setattr(experiment, "_spectral_norm", dying)
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+    with pytest.raises(ChildProcessError, match="trial worker 1 ended without a result"):
+        run_experiment(_cfg(trials=4, jobs=2))
+    _nothing_to_reap()
+
+
+def test_forked_workers_are_reaped(monkeypatch):
+    # after a passing and a failing forked run, nothing is left to reap
+    forked = []
+
+    def recording_fork():
+        pid = fork()
+        forked.append(pid)
+        return pid
+
+    def failing(a):
+        raise ElemsparseError("solve failed")
+
+    fork = os.fork
+    _launcher(monkeypatch, True)
+    monkeypatch.setattr(experiment.os, "fork", recording_fork)
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+    run_experiment(_cfg(trials=4, jobs=2))
+    _nothing_to_reap()
+    monkeypatch.setattr(experiment, "_spectral_norm", failing)
+    with pytest.raises(ElemsparseError, match="solve failed"):
+        run_experiment(_cfg(trials=4, jobs=2))
+    _nothing_to_reap()
+    assert len(forked) == 2
+
+
+def test_a_forked_run_writes_buffered_output_once():
+    # stdout to a pipe is block-buffered, so a line printed before the run is
+    # still in the buffer when the children fork; each leaves by os._exit,
+    # which flushes nothing, so the line is written once, by the parent
+    code = (
+        "import os\n"
+        "import elemsparse\n"
+        "from elemsparse import experiment\n"
+        "forks, fork = [], os.fork\n"
+        "def recording_fork():\n"
+        "    forks.append(1)\n"
+        "    return fork()\n"
+        "experiment._fork_safe = lambda: True\n"
+        "experiment.os.cpu_count = lambda: 2\n"
+        "experiment.os.fork = recording_fork\n"
+        "print('before the run')\n"
+        "spec = elemsparse.GeneratorSpec('gaussian', 8, 10, 21)\n"
+        "elemsparse.run_experiment(elemsparse.ExperimentConfig(spec, epsilon=4.0, s_override=60, trials=4, jobs=2))\n"
+        "print(len(forks))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "before the run\n1\n"
+
+
+def test_fork_is_safe_on_linux_with_one_thread(monkeypatch):
+    # a fresh interpreter whose BLAS runs on the calling thread, as the
+    # benchmark's, may fork on Linux; a second thread, or another platform,
+    # keeps the thread launcher
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    code = "import numpy\nfrom elemsparse import experiment\nprint(experiment._fork_safe())\n"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == f"{sys.platform == 'linux'}\n"
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(10,))
+    thread.start()
+    try:
+        assert not experiment._fork_safe()
+    finally:
+        release.set()
+        thread.join(10)
+    assert not thread.is_alive()
+    monkeypatch.setattr(experiment.sys, "platform", "darwin")
+    assert not experiment._fork_safe()
 
 
 @pytest.mark.parametrize("kind", ["hybrid", "l1", "l2"])
@@ -468,6 +724,26 @@ def test_payload_deterministic_excluding_wall_times():
     a.pop("wall_times")
     b.pop("wall_times")
     assert payload_text(a) == payload_text(b)
+
+
+def test_payload_writes_numpy_scalars():
+    # a config may hold numpy scalars: an np.int64 s_override writes the
+    # documents of the plain int, and np.float32 targets are written as the
+    # Python floats they hold
+    def texts(cfg):
+        docs = [experiment_payload(run_experiment(cfg), cfg), compare_payload(compare_distributions(cfg), cfg)]
+        for doc in docs:
+            doc.pop("wall_times")
+        return [payload_text(doc) for doc in docs]
+
+    assert texts(_cfg(s_override=np.int64(60))) == texts(_cfg(s_override=60))
+    for field, cfg in (
+        ("epsilon", _cfg(epsilon=np.float32(4.0))),
+        ("epsilon_rel", _cfg(epsilon=None, epsilon_rel=np.float32(0.5))),
+        ("delta", _cfg(delta=np.float32(0.25))),
+    ):
+        for text in texts(cfg):
+            assert json.loads(text)["config"][field] == float(getattr(cfg, field))
 
 
 # The documents' key trees. Every key of the experiment document is a field
