@@ -8,9 +8,10 @@ deterministic. Each command's exit code, stdout and stderr go beside its
 output in ``<name>.log``; the last commands are refused, so only their logs
 are written. The rows that ask for two or more workers run a second time as
 ``<name>-forked``, with the BLAS on the calling thread, so that on Linux
-their workers are forked children rather than threads; each such output and
-log must equal its twin's, apart from a printed output file name, and the
-script stops if one does not. Two checkouts are compared by running their
+their workers are forked children, while the first run, whose BLAS pool
+thread makes fork unsafe, takes one worker; each such output and log must
+equal its twin's, apart from a printed output file name, and the script
+stops if one does not. Two checkouts are compared by running their
 copies of this script and diffing the two directories:
 
     python3 scripts/cli_outputs.py /tmp/before   # in one checkout

@@ -18,13 +18,13 @@ S - X from them, never a sketch; that array is the densified
 one ``spectral._spectral_norm`` solve (an exact Gram eigensolve where
 min(m, n) <= 300, Lanczos above). Both entry points run every (distribution,
 seed) trial of the plan in one ``_run_trials`` call from ``_results``: --jobs
-bounds its workers, the calling thread is worker 0, each other worker is a
-forked child where ``_fork_safe`` holds and a thread elsewhere (so --jobs 1
-starts neither), and each trial stores one record at its distribution and
-seed, so no result depends on which worker ran it. ``_median_and_p90`` gives
-a result's median and p90 error without numpy's median and percentile, which
-import ``numpy.ma``. Serialized output is deterministic (sorted keys) apart
-from the wall_times block, which is environment noise by nature.
+bounds its workers, which are the calling thread and forked children, or the
+calling thread alone where ``_fork_safe`` fails; each trial stores one record
+at its distribution and seed, so no result depends on which worker ran it.
+``_median_and_p90`` gives a result's median and p90 error without numpy's
+median and percentile, which import ``numpy.ma``. Serialized output is
+deterministic (sorted keys) apart from the wall_times block, which is
+environment noise by nature.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import math
 import os
 import pickle
 import sys
-import threading
 import time
 from dataclasses import asdict, dataclass
 
@@ -101,6 +100,10 @@ class ExperimentConfig:
             raise InvalidSpecError("one of epsilon and epsilon_rel is required")
         for name in ("trials", "base_seed", "jobs"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
+        try:  # an integer s, such as True or np.int64(60), as the int the run uses
+            object.__setattr__(self, "s_override", _integer(self.s_override, "s"))
+        except InvalidSpecError:  # None, or an s that make_plan refuses with this message, as for every command
+            pass
         if self.trials < 1:
             raise InvalidSpecError("trials must be >= 1")
         if self.base_seed < 0:
@@ -221,7 +224,10 @@ def _fork_safe() -> bool:
     """Fork only on Linux from one OS thread (the count CPython 3.12 checks to
     warn about fork): a child would keep any lock another thread, say a BLAS
     pool's, held. macOS's libraries are not fork-safe; Windows has no fork."""
-    return sys.platform == "linux" and len(os.listdir("/proc/self/task")) == 1
+    try:
+        return sys.platform == "linux" and len(os.listdir("/proc/self/task")) == 1
+    except OSError:  # no /proc to count threads in, as in a bare chroot
+        return False
 
 
 def _run_trials(x: DenseMatrix, dists: tuple, s: int, seeds: tuple, jobs: int) -> list:
@@ -231,24 +237,25 @@ def _run_trials(x: DenseMatrix, dists: tuple, s: int, seeds: tuple, jobs: int) -
     distinct cells, and the trial's wall time (draw, assembly and solve).
 
     Trial k runs distribution k // len(seeds) at seed k % len(seeds). Of
-    w = min(jobs, trial count, CPU count) workers, worker i runs trials i,
-    i + w, ... one at a time; worker 0 is the calling thread. Workers 1 .. w-1
-    are forked children where _fork_safe holds (threads calling LAPACK at
-    once contend), each pickling (its records, its exception or None) to a
-    pipe that is read to EOF before it is reaped, and threads elsewhere. A
-    trial draws its cell counts, writes S - X = counts * x / (s * p) - x into
-    the worker's one mn buffer (the densified ``sparsify`` sketch minus X,
-    bit for bit) and solves it. Once a trial raises, it sets the stop byte
-    and no worker starts another; every worker ends before this returns, and
-    the exception of the lowest-numbered worker that raised is raised here.
+    w = min(jobs, trial count, CPU count) workers, or 1 where _fork_safe
+    fails (threads calling LAPACK at once contend, so none is started),
+    worker i runs trials i, i + w, ... one at a time. Worker 0 is the
+    calling thread; workers 1 .. w-1 are forked children, each pickling (its
+    records, its exception or None) to a pipe that is read to EOF before it
+    is reaped. A trial draws its cell counts, writes S - X = counts * x /
+    (s * p) - x into the worker's one mn buffer (the densified ``sparsify``
+    sketch minus X, bit for bit) and solves it. Once a trial raises, it sets
+    the stop byte and no worker starts another; every worker ends before
+    this returns, and the exception of the lowest-numbered worker that
+    raised is raised here.
     """
     xf, sps = x.flat(), [s * dist.probs for dist in dists]
     records = [None] * (len(dists) * len(seeds))  # by trial k
-    workers = min(jobs, len(records), os.cpu_count() or 1)
+    workers = min(jobs, len(records), os.cpu_count() or 1) if jobs > 1 and _fork_safe() else 1
     stop = bytearray(1)  # nonzero once a trial has raised
     if workers > 1:
         import mmap
-        stop = mmap.mmap(-1, 1)  # anonymous and shared, so every worker, forked or not, reads one byte
+        stop = mmap.mmap(-1, 1)  # anonymous and shared, so every forked worker reads one byte
     raised = [None] * workers  # each worker's exception, if it raised one
 
     def run(first: int) -> None:
@@ -267,42 +274,34 @@ def _run_trials(x: DenseMatrix, dists: tuple, s: int, seeds: tuple, jobs: int) -
             raised[first] = exc
             stop[0] = 1
 
-    if workers > 1 and _fork_safe():
-        children, replies = [], []  # (pid, pipe read end) and the pickled reply of each child
-        try:
-            for i in range(1, workers):
-                read, write = os.pipe()
-                pid = os.fork()
-                if pid == 0:  # the child: os._exit runs no atexit handler, flushes no inherited buffer
-                    try:
-                        run(i)
-                        with open(write, "wb") as pipe:
-                            pipe.write(pickle.dumps((records[i::workers], raised[i])))
-                    finally:
-                        os._exit(0)
-                os.close(write)  # before the next fork, or that child would hold it and EOF never come
-                children.append((pid, read))
-            run(0)
-        except BaseException:  # a failed fork or an interrupt: stop the children already started
-            stop[0] = 1
-            raise
-        finally:
-            for pid, read in children:
-                with open(read, "rb") as pipe:
-                    replies.append(pipe.read())
-                os.waitpid(pid, 0)
-        for i, reply in enumerate(replies, 1):
-            if reply:
-                records[i::workers], raised[i] = pickle.loads(reply)
-            else:  # killed, or its exception would not pickle
-                raised[i] = ChildProcessError(f"trial worker {i} ended without a result")
-    else:
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(1, workers)]
-        for thread in threads:
-            thread.start()
+    children, replies = [], []  # (pid, pipe read end) and the pickled reply of each child
+    try:
+        for i in range(1, workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: os._exit runs no atexit handler, flushes no inherited buffer
+                try:
+                    run(i)
+                    with open(write, "wb") as pipe:
+                        pipe.write(pickle.dumps((records[i::workers], raised[i])))
+                finally:
+                    os._exit(0)
+            os.close(write)  # before the next fork, or that child would hold it and EOF never come
+            children.append((pid, read))
         run(0)
-        for thread in threads:
-            thread.join()
+    except BaseException:  # a failed fork or an interrupt: stop the children already started
+        stop[0] = 1
+        raise
+    finally:
+        for pid, read in children:
+            with open(read, "rb") as pipe:
+                replies.append(pipe.read())
+            os.waitpid(pid, 0)
+    for i, reply in enumerate(replies, 1):
+        if reply:
+            records[i::workers], raised[i] = pickle.loads(reply)
+        else:  # killed, or its exception would not pickle
+            raised[i] = ChildProcessError(f"trial worker {i} ended without a result")
     for exc in raised:
         if exc is not None:
             raise exc

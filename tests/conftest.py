@@ -1,7 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
-from elemsparse import DenseMatrix
+from elemsparse import DenseMatrix, experiment
 
 
 @pytest.fixture
@@ -13,3 +15,19 @@ def toy() -> DenseMatrix:
 @pytest.fixture
 def single_cell() -> DenseMatrix:
     return DenseMatrix(np.array([[2.5]]))
+
+
+@pytest.fixture
+def solves(monkeypatch) -> list:
+    # each trial solve this process runs appends whether it ran on the calling
+    # thread with no Python thread started since set-up; a run on one worker
+    # leaves [True] * its trial count, and a forked child's solves are not seen
+    caller, threads, solve = threading.get_ident(), threading.active_count(), experiment._spectral_norm
+    seen = []
+
+    def recorded(a):
+        seen.append(threading.get_ident() == caller and threading.active_count() == threads)
+        return solve(a)
+
+    monkeypatch.setattr(experiment, "_spectral_norm", recorded)
+    return seen

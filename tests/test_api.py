@@ -88,11 +88,12 @@ def test_names_load_their_module_on_first_use():
 
 def test_monte_carlo_runs_load_no_masked_arrays_and_no_executor(tmp_path):
     """In a fresh interpreter, ``run_experiment`` and ``compare_distributions``
-    on two workers, forked and then threads, and ``python -m elemsparse
-    compare``, leave neither ``numpy.ma`` (which numpy's median and
-    percentile import) nor ``concurrent.futures`` nor ``multiprocessing`` in
-    ``sys.modules``; the same runs on one worker load no ``mmap`` either,
-    which only the stop byte shared by two or more workers uses."""
+    on two forked workers, and ``python -m elemsparse compare``, leave
+    neither ``numpy.ma`` (which numpy's median and percentile import) nor
+    ``concurrent.futures`` nor ``multiprocessing`` in ``sys.modules``; the
+    same runs on one worker, at --jobs 1 and at --jobs 2 where fork is
+    unsafe, load no ``mmap`` either, which only the stop byte shared by two
+    or more workers uses."""
     unused = "('numpy.ma', 'concurrent.futures', 'multiprocessing')"
     spec = "elemsparse.GeneratorSpec('gaussian', 20, 20, 1)"
     cfg = f"elemsparse.ExperimentConfig({spec}, epsilon_rel=0.5, trials=2, jobs={{jobs}})"
@@ -101,13 +102,14 @@ def test_monte_carlo_runs_load_no_masked_arrays_and_no_executor(tmp_path):
         "import elemsparse\n"
         "from elemsparse import experiment\n"
         "experiment.os.cpu_count = lambda: 2\n"
-        f"elemsparse.run_experiment({cfg.format(jobs=1)})\n"
-        f"elemsparse.compare_distributions({cfg.format(jobs=1)})\n"
-        "one_worker = [m for m in ('mmap', *" + unused + ") if m in sys.modules]\n"
-        "for forked in (True, False):\n"
+        "for forked, jobs in ((True, 1), (False, 2)):\n"
         "    experiment._fork_safe = lambda: forked\n"
-        f"    elemsparse.run_experiment({cfg.format(jobs=2)})\n"
-        f"    elemsparse.compare_distributions({cfg.format(jobs=2)})\n"
+        f"    elemsparse.run_experiment({cfg.format(jobs='jobs')})\n"
+        f"    elemsparse.compare_distributions({cfg.format(jobs='jobs')})\n"
+        "one_worker = [m for m in ('mmap', *" + unused + ") if m in sys.modules]\n"
+        "experiment._fork_safe = lambda: True\n"
+        f"elemsparse.run_experiment({cfg.format(jobs=2)})\n"
+        f"elemsparse.compare_distributions({cfg.format(jobs=2)})\n"
         f"json.dump([one_worker, [m for m in {unused} if m in sys.modules]], sys.stdout)\n"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -220,11 +220,12 @@ def test_experiment_violation_exits_two(capsys):
     assert rc == 2
 
 
-def _jobs_outputs(tmp_path, monkeypatch, args) -> list:
+def _jobs_outputs(tmp_path, monkeypatch, solves, args) -> list:
     """The command's JSON at --jobs 1, 2 and 3 without wall_times, which
-    hold one positive time per trial (per kind for compare), on the thread
-    launcher and then on the fork launcher (CPython 3.12 and later warn when
-    a process with a BLAS pool thread forks; a pinned fork is meant)."""
+    hold one positive time per trial (per kind for compare), where fork is
+    unsafe, so that every --jobs runs one worker, and then on forked workers
+    (CPython 3.12 and later warn when a process with a BLAS pool thread
+    forks; a pinned fork is meant)."""
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: 4)
     warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
     texts = []
@@ -232,26 +233,30 @@ def _jobs_outputs(tmp_path, monkeypatch, args) -> list:
         monkeypatch.setattr(experiment, "_fork_safe", lambda: forked)
         for jobs in ("1", "2", "3"):
             out = tmp_path / f"{args[0]}-{jobs}-{forked}.json"
+            del solves[:]
             assert main(args + ["--trials", "8", "--jobs", jobs, "--out", str(out)]) in (0, 2)
             doc = json.loads(out.read_text())
             walls = doc.pop("wall_times")
-            for kind_walls in walls.values() if isinstance(walls, dict) else [walls]:
+            per_kind = walls.values() if isinstance(walls, dict) else [walls]
+            for kind_walls in per_kind:
                 assert len(kind_walls) == 8
                 assert all(wall > 0.0 for wall in kind_walls)
+            if not forked:  # one worker, whatever --jobs
+                assert solves == [True] * 8 * len(per_kind)
             texts.append(json.dumps(doc, sort_keys=True))
     return texts
 
 
-def test_experiment_jobs_byte_identical(tmp_path, capsys, monkeypatch):
-    texts = _jobs_outputs(tmp_path, monkeypatch, [
+def test_experiment_jobs_byte_identical(tmp_path, capsys, monkeypatch, solves):
+    texts = _jobs_outputs(tmp_path, monkeypatch, solves, [
         "experiment", "--generate", "gaussian,10,12,5", "--dist", "l1",
         "--epsilon-rel", "0.7", "--delta", "0.4", "--s", "120", "--seed", "31",
     ])
     assert len(texts) == 6 and len(set(texts)) == 1
 
 
-def test_compare_jobs_byte_identical(tmp_path, capsys, monkeypatch):
-    texts = _jobs_outputs(tmp_path, monkeypatch, [
+def test_compare_jobs_byte_identical(tmp_path, capsys, monkeypatch, solves):
+    texts = _jobs_outputs(tmp_path, monkeypatch, solves, [
         "compare", "--generate", "gaussian,10,12,6", "--epsilon-rel", "0.7", "--s", "120", "--seed", "17",
     ])
     assert len(texts) == 6 and len(set(texts)) == 1

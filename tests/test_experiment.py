@@ -153,10 +153,11 @@ def test_zero_matrix_rejected(tmp_path):
 
 
 def _launcher(monkeypatch, forked: bool) -> None:
-    # pin the launcher of workers 1 .. w-1: whether fork is safe depends on
-    # the process (a BLAS pool thread or none), which no test may leave to
-    # the machine it runs on. CPython 3.12 and later warn when a process
-    # with a second thread (a BLAS pool's) forks; a pinned fork is meant.
+    # pin whether workers 1 .. w-1 fork or the run takes one worker: whether
+    # fork is safe depends on the process (a BLAS pool thread or none),
+    # which no test may leave to the machine it runs on. CPython 3.12 and
+    # later warn when a process with a second thread (a BLAS pool's) forks;
+    # a pinned fork is meant.
     monkeypatch.setattr(experiment, "_fork_safe", lambda: forked)
     warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
 
@@ -179,14 +180,18 @@ def test_seeds_derived_from_base():
     assert all(r.seeds == wrapped for r in compare_distributions(_cfg(trials=4, base_seed=2**64 - 2)))
 
 
-def test_jobs_do_not_change_results(monkeypatch):
-    # each wall time is one trial's own: draw, assembly and solve, on either
-    # launcher
+def test_jobs_do_not_change_results(monkeypatch, solves):
+    # each wall time is one trial's own: draw, assembly and solve, forked or
+    # not; where fork is unsafe every --jobs runs one worker
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: 4)
     runs = []
     for forked in (False, True):
         _launcher(monkeypatch, forked)
-        runs += [run_experiment(_cfg(trials=8, jobs=jobs)) for jobs in (1, 2, 3)]
+        for jobs in (1, 2, 3):
+            del solves[:]
+            runs.append(run_experiment(_cfg(trials=8, jobs=jobs)))
+            if not forked:  # one worker, whatever --jobs
+                assert solves == [True] * 8
     x = generate_matrix(GEN)
     sketches = [sparsify(x, 60, seed) for seed in runs[0].seeds]
     alone = tuple(sketch_error(x, sk).value for sk in sketches)
@@ -205,20 +210,20 @@ def _without_walls(results):
     return dataclasses.replace(results, wall_times=None)
 
 
-def test_compare_jobs_do_not_change_results(monkeypatch):
+def test_compare_jobs_do_not_change_results(monkeypatch, solves):
     # each kind's column is what experiment gives for that kind at the same
-    # s and seeds, however many workers share the trials; eight workers,
-    # more than the cores, switching threads often or forked, lose no record
+    # s and seeds, however many workers share the trials; eight forked
+    # workers, more than the cores, lose no record, and where fork is unsafe
+    # every --jobs runs one worker
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
     runs = []
-    try:
-        for forked in (False, True):
-            _launcher(monkeypatch, forked)
-            runs += [compare_distributions(_cfg(trials=4, jobs=jobs)) for jobs in (1, 2, 3, 8)]
-    finally:
-        sys.setswitchinterval(interval)
+    for forked in (False, True):
+        _launcher(monkeypatch, forked)
+        for jobs in (1, 2, 3, 8):
+            del solves[:]
+            runs.append(compare_distributions(_cfg(trials=4, jobs=jobs)))
+            if not forked:  # one worker, whatever --jobs
+                assert solves == [True] * 12
     assert all(_without_walls(res) == _without_walls(runs[0]) for res in runs[1:])
     for r in runs[0]:
         assert r.errors == run_experiment(_cfg(trials=4, dist_kind=r.dist_kind)).errors
@@ -228,15 +233,19 @@ def test_compare_jobs_do_not_change_results(monkeypatch):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("form", list(BoundForm))
-def test_compare_is_experiment_over_every_kind(monkeypatch, form, jobs):
+def test_compare_is_experiment_over_every_kind(monkeypatch, solves, form, jobs):
     # each compare result is the experiment of its kind at compare's s, apart
     # from the wall times and, for l1 and l2, the bound report: compare's is
-    # the shared plan's, sized at the hybrid's beta = 1; on either launcher
+    # the shared plan's, sized at the hybrid's beta = 1; forked or, where
+    # fork is unsafe, on one worker
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
     cfg = _cfg(epsilon=None, epsilon_rel=0.9, s_override=None, bound_form=form, trials=4, jobs=jobs)
     for forked in (False, True):
         _launcher(monkeypatch, forked)
+        del solves[:]
         results = compare_distributions(cfg)
+        if not forked:  # one worker, whatever --jobs
+            assert solves == [True] * 12
         assert [r.dist_kind for r in results] == ["hybrid", "l1", "l2"]
         for r in results:
             alone = run_experiment(dataclasses.replace(cfg, dist_kind=r.dist_kind, s_override=r.s_used))
@@ -248,147 +257,34 @@ def test_compare_is_experiment_over_every_kind(monkeypatch, form, jobs):
             assert r.bound_report == results[0].bound_report
 
 
-def test_workers_never_outnumber_trials(monkeypatch):
+@pytest.mark.parametrize(
+    "run, jobs, forked",
+    [(run_experiment, 1, True), (compare_distributions, 1, True),
+     (run_experiment, 8, False), (compare_distributions, 8, False)],
+    ids=["run_experiment", "compare_distributions", "run_experiment-fork-unsafe", "compare_distributions-fork-unsafe"],
+)
+def test_one_job_solves_every_trial_on_the_calling_thread(monkeypatch, solves, run, jobs, forked):
+    # worker 0 is the caller, so --jobs 1, even where forking is safe, and
+    # any --jobs where it is not, start no thread and fork no child however
+    # many CPUs
+    def no_fork():
+        raise AssertionError("a one-worker run forked")
+
+    _launcher(monkeypatch, forked)
+    monkeypatch.setattr(experiment.os, "fork", no_fork)
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 8)
+    run(_cfg(trials=4, jobs=jobs))
+    assert solves == [True] * (4 if run is run_experiment else 12)
+
+
+def test_workers_never_outnumber_trials_forked(monkeypatch, solves):
     # each run starts its workers in its one _run_trials call, for every
     # (distribution, seed) trial, and solves nothing outside it; a run asked
     # for more workers than there are trials or CPUs gets the smaller count,
     # and one worker when the CPU count is unknown. The calling thread is
-    # worker 0, so w workers start w - 1 threads on the thread launcher.
-    started, calls, solves = [], [], []
-
-    class Recording(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    def counted(*args):
-        calls.append(True)
-        try:
-            return run_trials(*args)
-        finally:
-            calls.append(False)
-
-    def recorded(a):
-        solves.append(calls[-1:] == [True])  # while _run_trials runs
-        return solve(a)
-
-    run_trials, solve = experiment._run_trials, experiment._spectral_norm
-    one = run_experiment(_cfg(trials=3, jobs=1))
-    one_each = compare_distributions(_cfg(trials=1, jobs=1))
-    _launcher(monkeypatch, False)
-    monkeypatch.setattr(experiment.threading, "Thread", Recording)
-    monkeypatch.setattr(experiment, "_run_trials", counted)
-    monkeypatch.setattr(experiment, "_spectral_norm", recorded)
-    for cpus, workers in ((8, 3), (2, 2), (None, 1)):
-        monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
-        for run, trials, alone in ((run_experiment, 3, one), (compare_distributions, 1, one_each)):
-            del started[:], calls[:], solves[:]
-            capped = run(_cfg(trials=trials, jobs=1000))
-            assert len(started) == workers - 1
-            assert not any(thread.is_alive() for thread in started)
-            assert calls == [True, False]
-            assert solves == [True] * 3
-            assert _without_walls(capped) == _without_walls(alone)
-            assert len(capped.wall_times if run is run_experiment else capped) == 3
-
-
-@pytest.mark.parametrize("run", [run_experiment, compare_distributions])
-def test_one_job_solves_every_trial_on_the_calling_thread(monkeypatch, run):
-    # worker 0 is the caller, so --jobs 1 starts no thread and forks no child
-    # however many CPUs, even where forking is safe
-    solved_on = []
-
-    def recorded(a):
-        solved_on.append(threading.current_thread())
-        return solve(a)
-
-    def no_thread(*args, **kwargs):
-        raise AssertionError("a jobs=1 run started a thread or forked")
-
-    solve = experiment._spectral_norm
-    monkeypatch.setattr(experiment, "_spectral_norm", recorded)
-    _launcher(monkeypatch, True)
-    monkeypatch.setattr(experiment.threading, "Thread", no_thread)
-    monkeypatch.setattr(experiment.os, "fork", no_thread)
-    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 8)
-    run(_cfg(trials=4, jobs=1))
-    assert solved_on == [threading.current_thread()] * (4 if run is run_experiment else 12)
-
-
-@pytest.mark.parametrize(
-    "run, kind, before",
-    [(run_experiment, "hybrid", 0), (compare_distributions, "hybrid", 0), (compare_distributions, "l1", 20)],
-    ids=["run_experiment", "compare_distributions", "compare_distributions-l1"],
-)
-def test_a_worker_error_is_raised(monkeypatch, run, kind, before):
-    # Two workers run the even and the odd trials. The first solve of kind
-    # once both have started fails, and each solve sleeps so that both run at
-    # once. compare runs every kind's trials in one _run_trials call, so
-    # the failing worker runs its 20 of the 40 hybrid trials
-    # before an l1 one. The run must raise that error rather than return, or
-    # trip over the record it never stored, and after it the other worker
-    # may start at most the one trial it may already be past its check for;
-    # without the stop it would run its whole share.
-    probs = distribution_for_kind(generate_matrix(GEN), kind).probs
-    starts, failed_at = [], []  # the worker, by seed parity, of each trial started
-    current = threading.local()
-    lock = threading.Lock()
-
-    def draw(p, s, seed):
-        with lock:
-            starts.append(seed % 2)
-        current.fails = np.array_equal(p, probs)
-        return draw_counts(p, s, seed)
-
-    def failing(a):
-        with lock:
-            if current.fails and not failed_at and len(set(starts)) == 2:
-                failed_at.append(len(starts))
-                raise ElemsparseError("solve failed")
-        time.sleep(0.001)
-        return solve(a)
-
-    draw_counts, solve = experiment._draw_counts, experiment._spectral_norm
-    _launcher(monkeypatch, False)
-    monkeypatch.setattr(experiment, "_draw_counts", draw)
-    monkeypatch.setattr(experiment, "_spectral_norm", failing)
-    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
-    with pytest.raises(ElemsparseError, match="solve failed"):
-        run(_cfg(trials=40, jobs=2))
-    assert failed_at[0] > before
-    assert len(starts) <= failed_at[0] + 1
-
-
-def test_the_lowest_failing_worker_error_is_raised(monkeypatch):
-    # both workers fail their first trial, worker 1 first in time; the run
-    # joins both and raises worker 0's error, as reading the workers'
-    # results in order would
-    barrier = threading.Barrier(2, timeout=10)
-    current = threading.local()
-
-    def draw(p, s, seed):
-        current.worker = (seed - 5) % 2  # the config's base seed is 5
-        return draw_counts(p, s, seed)
-
-    def failing(a):
-        barrier.wait()
-        if current.worker == 0:
-            time.sleep(0.02)
-        raise ElemsparseError(f"worker {current.worker} failed")
-
-    draw_counts = experiment._draw_counts
-    _launcher(monkeypatch, False)
-    monkeypatch.setattr(experiment, "_draw_counts", draw)
-    monkeypatch.setattr(experiment, "_spectral_norm", failing)
-    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
-    with pytest.raises(ElemsparseError, match="worker 0 failed"):
-        run_experiment(_cfg(trials=4, jobs=2))
-
-
-def test_workers_never_outnumber_trials_forked(monkeypatch):
-    # the fork launcher's count: w workers fork w - 1 children and start no
-    # thread, and every child is reaped before the run returns
-    forked = []
+    # worker 0 and solves trials 0, w, ...; w workers fork w - 1 children
+    # and start no thread, and every child is reaped before the run returns
+    forked, calls = [], []  # each fork's pid, and the solves seen as each _run_trials call starts and ends
 
     def recording_fork():
         pid = fork()
@@ -396,22 +292,28 @@ def test_workers_never_outnumber_trials_forked(monkeypatch):
             forked.append(pid)
         return pid
 
-    def no_thread(*args, **kwargs):
-        raise AssertionError("the fork launcher started a thread")
+    def counted(*args):
+        calls.append(len(solves))
+        try:
+            return run_trials(*args)
+        finally:
+            calls.append(len(solves))
 
-    fork = os.fork
+    fork, run_trials = os.fork, experiment._run_trials
     one = run_experiment(_cfg(trials=3, jobs=1))
     one_each = compare_distributions(_cfg(trials=1, jobs=1))
     _launcher(monkeypatch, True)
     monkeypatch.setattr(experiment.os, "fork", recording_fork)
-    monkeypatch.setattr(experiment.threading, "Thread", no_thread)
+    monkeypatch.setattr(experiment, "_run_trials", counted)
     for cpus, workers in ((8, 3), (2, 2), (None, 1)):
         monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
         for run, trials, alone in ((run_experiment, 3, one), (compare_distributions, 1, one_each)):
-            del forked[:]
+            del forked[:], calls[:], solves[:]
             capped = run(_cfg(trials=trials, jobs=1000))
             assert len(forked) == workers - 1
             _nothing_to_reap()
+            assert solves == [True] * len(range(0, 3, workers))
+            assert calls == [0, len(solves)]
             assert _without_walls(capped) == _without_walls(alone)
             assert len(capped.wall_times if run is run_experiment else capped) == 3
 
@@ -576,10 +478,11 @@ def test_a_forked_run_writes_buffered_output_once():
     assert res.stdout == "before the run\n1\n"
 
 
-def test_fork_is_safe_on_linux_with_one_thread(monkeypatch):
+def test_fork_is_safe_on_linux_with_one_thread(monkeypatch, solves):
     # a fresh interpreter whose BLAS runs on the calling thread, as the
-    # benchmark's, may fork on Linux; a second thread, or another platform,
-    # keeps the thread launcher
+    # benchmark's, may fork on Linux; a second thread, a /proc that cannot
+    # be read (a bare chroot) or another platform takes one worker, whose
+    # run equals that of --jobs 1
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     code = "import numpy\nfrom elemsparse import experiment\nprint(experiment._fork_safe())\n"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
@@ -594,6 +497,21 @@ def test_fork_is_safe_on_linux_with_one_thread(monkeypatch):
         release.set()
         thread.join(10)
     assert not thread.is_alive()
+
+    def no_proc(path):
+        if str(path).startswith("/proc"):
+            raise FileNotFoundError(2, "No such file or directory", path)
+        return listdir(path)
+
+    listdir = os.listdir
+    monkeypatch.setattr(experiment.os, "listdir", no_proc)
+    monkeypatch.setattr(experiment.sys, "platform", "linux")
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+    assert not experiment._fork_safe()
+    one = run_experiment(_cfg(trials=4, jobs=1))
+    del solves[:]
+    assert _without_walls(run_experiment(_cfg(trials=4, jobs=2))) == _without_walls(one)
+    assert solves == [True] * 4
     monkeypatch.setattr(experiment.sys, "platform", "darwin")
     assert not experiment._fork_safe()
 
@@ -727,8 +645,8 @@ def test_payload_deterministic_excluding_wall_times():
 
 
 def test_payload_writes_numpy_scalars():
-    # a config may hold numpy scalars: an np.int64 s_override writes the
-    # documents of the plain int, and np.float32 targets are written as the
+    # a config may hold numpy scalars: an np.int64 s_override, or True,
+    # writes the documents of the plain int, and np.float32 targets are written as the
     # Python floats they hold
     def texts(cfg):
         docs = [experiment_payload(run_experiment(cfg), cfg), compare_payload(compare_distributions(cfg), cfg)]
@@ -737,6 +655,7 @@ def test_payload_writes_numpy_scalars():
         return [payload_text(doc) for doc in docs]
 
     assert texts(_cfg(s_override=np.int64(60))) == texts(_cfg(s_override=60))
+    assert texts(_cfg(s_override=True)) == texts(_cfg(s_override=1))  # the s the run used, not true
     for field, cfg in (
         ("epsilon", _cfg(epsilon=np.float32(4.0))),
         ("epsilon_rel", _cfg(epsilon=None, epsilon_rel=np.float32(0.5))),
