@@ -22,6 +22,7 @@ from .errors import (
     HypothesisViolatedError,
     InvalidSpecError,
     ZeroProbabilityError,
+    _integer,
 )
 from .matrix import DenseMatrix, _nonzero_squares
 from .spectral import spectral_norm
@@ -155,8 +156,12 @@ def gamma_rho_bounds(x: DenseMatrix, beta: float) -> tuple[float, float]:
 
 def mt_spectral_norm(x: DenseMatrix, d: SamplingDistribution, cell: tuple[int, int]) -> float:
     """Spectral norm of the centered single-outcome matrix
-    ``(x_ij / p_ij) e_i e_j^T - X`` for the given cell."""
-    i, j = cell
+    ``(x_ij / p_ij) e_i e_j^T - X`` for the given cell, whose indices must
+    lie in [0, m) x [0, n)."""
+    _check_shape(x, d)
+    i, j = (_integer(k, "cell index") for k in cell)
+    if not (0 <= i < x.m and 0 <= j < x.n):
+        raise InvalidSpecError(f"cell ({i}, {j}) is outside the {x.m}x{x.n} matrix")
     p = d.probs[i * d.n + j]
     if p <= 0.0:
         raise ZeroProbabilityError(f"cell ({i}, {j}) has zero probability")

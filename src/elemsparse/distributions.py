@@ -4,10 +4,11 @@ The hybrid averages the squared-entry (L2) and absolute-entry (L1)
 distributions, which is the smallest distribution satisfying the per-cell
 lower bound p_ij >= (beta/2) * (x_ij^2/||X||_F^2 + |x_ij|/sum|X|) with
 beta = 1. Every table and certificate comes from one private builder,
-``_distributions``, which also alone refuses a kind it cannot build.
-``beta_certificate`` computes the largest admissible beta in [0, 1] for an
-arbitrary distribution, so downstream sample-size formulas never trust a
-user-supplied beta.
+``_distributions``, which also alone refuses a kind it cannot build; it
+wraps its own tables without ``SamplingDistribution``'s checks, which every
+user table passes. ``beta_certificate`` computes the largest admissible beta
+in [0, 1] for any table ``custom_distribution`` accepts, and refuses what it
+refuses, so downstream sample-size formulas never trust a user-supplied beta.
 """
 
 from __future__ import annotations
@@ -98,6 +99,16 @@ def _cell_probs(probs, m: int, n: int) -> np.ndarray:
     return p
 
 
+def _built(m: int, n: int, probs: np.ndarray, kind: DistributionKind, beta: float) -> SamplingDistribution:
+    """A table of _distributions as a SamplingDistribution, made read-only in
+    place: shares of a checked nonzero matrix are finite, nonnegative and sum
+    to 1 within rounding, so __post_init__'s copy, scans and sum are skipped."""
+    probs.setflags(write=False)
+    d = object.__new__(SamplingDistribution)
+    vars(d).update(m=m, n=n, probs=probs, kind=kind, beta=beta)
+    return d
+
+
 def _check_shape(x: DenseMatrix, d: SamplingDistribution) -> None:
     if (x.m, x.n) != (d.m, d.n):
         raise ShapeMismatchError(f"distribution shape ({d.m}, {d.n}) does not match matrix shape {x.shape}")
@@ -121,10 +132,11 @@ def _distributions(x: DenseMatrix, kinds) -> tuple:
     nonzero one whose squares leave float range, where no share is defined."""
     flat = x.flat()
     sq, sum_sq = _nonzero_squares(flat)
-    ab = np.abs(flat)
-    l2, l1 = sq / sum_sq, ab / _exact_sum(ab)
-    del sq, ab  # only the shares are held while the hybrid is built
-    hybrid = 0.5 * (l2 + l1)
+    l2 = np.divide(sq, sum_sq, out=sq)
+    l1 = np.abs(flat)
+    l1 /= _exact_sum(l1)
+    hybrid = l2 + l1
+    hybrid *= 0.5
     tables = {DistributionKind.HYBRID: hybrid, DistributionKind.PURE_L2: l2, DistributionKind.PURE_L1: l1}
     out = []
     for kind in kinds:
@@ -134,7 +146,7 @@ def _distributions(x: DenseMatrix, kinds) -> tuple:
         kind = DistributionKind(kind)
         if kind is DistributionKind.CUSTOM:
             raise InvalidSpecError("custom distributions must be built via custom_distribution")
-        out.append(SamplingDistribution(x.m, x.n, tables[kind], kind, _certificate(flat, tables[kind], hybrid)))
+        out.append(_built(x.m, x.n, tables[kind], kind, _certificate(flat, tables[kind], hybrid)))
     return sum_sq, tuple(out)
 
 
@@ -186,6 +198,8 @@ def beta_certificate(x: DenseMatrix, probs: np.ndarray) -> float:
 
     Returns 0.0 when some nonzero cell has zero probability (the bound fails
     for every beta > 0). Cells where x_ij = 0 or both shares underflow to 0
-    impose no constraint and are excluded from the minimum.
+    impose no constraint and are excluded from the minimum. A table that
+    custom_distribution refuses (wrong length, negative, non-finite, or not
+    summing to 1) raises as it does.
     """
-    return _distributions(x, (_cell_probs(probs, x.m, x.n),))[1][0]
+    return custom_distribution(x, probs).beta

@@ -244,12 +244,15 @@ def _run_trials(x: DenseMatrix, dists: tuple, s: int, seeds: tuple, jobs: int) -
     records, its exception or None) to a pipe that is read to EOF before it
     is reaped. A trial draws its cell counts, writes S - X = counts * x /
     (s * p) - x into the worker's one mn buffer (the densified ``sparsify``
-    sketch minus X, bit for bit) and solves it. Once a trial raises, it sets
-    the stop byte and no worker starts another; every worker ends before
-    this returns, and the exception of the lowest-numbered worker that
-    raised is raised here.
+    sketch minus X, bit for bit) and solves it. s * p sits in one more mn
+    buffer, filled for the first distribution before any fork, so workers
+    that stay on it only read it, and written again in place when a worker
+    moves to another distribution. Once a trial raises, it sets the stop
+    byte and no worker starts another; every worker ends before this
+    returns, and the exception of the lowest-numbered worker that raised is
+    raised here.
     """
-    xf, sps = x.flat(), [s * dist.probs for dist in dists]
+    xf, sp, sp_of = x.flat(), s * dists[0].probs, 0  # sp is s * p of distribution sp_of
     records = [None] * (len(dists) * len(seeds))  # by trial k
     workers = min(jobs, len(records), os.cpu_count() or 1) if jobs > 1 and _fork_safe() else 1
     stop = bytearray(1)  # nonzero once a trial has raised
@@ -259,6 +262,7 @@ def _run_trials(x: DenseMatrix, dists: tuple, s: int, seeds: tuple, jobs: int) -
     raised = [None] * workers  # each worker's exception, if it raised one
 
     def run(first: int) -> None:
+        nonlocal sp_of
         diff = np.empty(x.m * x.n)
         try:
             for k in range(first, len(records), workers):
@@ -267,7 +271,10 @@ def _run_trials(x: DenseMatrix, dists: tuple, s: int, seeds: tuple, jobs: int) -
                 d, t = divmod(k, len(seeds))
                 t0 = time.perf_counter()
                 counts = _draw_counts(dists[d].probs, s, seeds[t])
-                np.subtract(_cell_values(counts, xf, sps[d], diff), xf, out=diff)
+                if sp_of != d:
+                    np.multiply(s, dists[d].probs, out=sp)
+                    sp_of = d
+                np.subtract(_cell_values(counts, xf, sp, diff), xf, out=diff)
                 est = _spectral_norm(diff.reshape(x.m, x.n))
                 records[k] = (est, np.count_nonzero(counts), time.perf_counter() - t0)
         except BaseException as exc:

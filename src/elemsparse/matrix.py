@@ -1,9 +1,11 @@
 """Dense and sparse (COO) matrix containers plus the elementary reductions.
 
 All containers are immutable after construction and safe to share across
-threads. Reductions run in fixed row-major order with exactly-rounded
-accumulation (``math.fsum``), so repeated calls are bit-identical. Every sum of
-squares comes from ``_squares``, which refuses one outside float range.
+threads. Sums are exactly rounded by ``_exact_sum``, which adds the entries
+per binary exponent with ``np.bincount`` in chunks and needs no Python list
+of them, so they do not depend on order and repeated calls are bit-identical.
+Every sum of squares comes from ``_squares``, which refuses one outside float
+range.
 """
 
 from __future__ import annotations
@@ -121,10 +123,42 @@ class SparseCOO:
         return SparseCOO(self.m, self.n, uniq // self.n, uniq % self.n, vals)
 
 
+_CHUNK = 4096  # values per numpy pass, so the temporaries stay small
+_BLOCK = 1 << 26  # values whose per-exponent float sums stay exact: each below 2^53
+_EMIN = -1073  # np.frexp's exponent of the least subnormal; the largest double's is 1024
+_BINS = 1024 - _EMIN + 1
+
+
 def _exact_sum(a: np.ndarray) -> float:
-    """Exactly rounded sum of a's entries; inf when it overflows."""
+    """Exactly rounded sum of a's entries, the float math.fsum(a.tolist())
+    returns, built without that list; inf when it leaves float range.
+
+    np.frexp splits each value into m * 2^e with 2^27 m = h + l, h an integer
+    of at most 27 bits and l in [0, 1) a multiple of 2^-26. Per exponent,
+    np.bincount sums the h and the l of up to 2^26 values, which is exact,
+    and math.fsum adds the exactly scaled sums. Where a running sum of
+    mixed-sign values leaves float range but the total does not, this returns
+    that total, where math.fsum raises OverflowError. Non-finite entries sum as
+    math.fsum sums them.
+    """
+    flat = a.reshape(-1)
+    partials = []
+    for block in range(0, flat.size, _BLOCK):
+        hi, lo = np.zeros(_BINS), np.zeros(_BINS)
+        with np.errstate(invalid="ignore"):  # inf - inf, for an infinite entry, is caught below
+            for start in range(block, min(block + _BLOCK, flat.size), _CHUNK):
+                mant, exp = np.frexp(flat[start : start + _CHUNK])
+                exp -= _EMIN
+                mant *= 1 << 27
+                whole = np.floor(mant)
+                hi += np.bincount(exp, whole, _BINS)
+                lo += np.bincount(exp, np.subtract(mant, whole, out=mant), _BINS)
+        if not np.isfinite(lo).all():
+            return math.fsum(flat[~np.isfinite(flat)].tolist())
+        bins = np.flatnonzero((hi != 0.0) | (lo != 0.0))
+        partials += zip(np.concatenate((hi[bins], lo[bins])).tolist(), 2 * (bins + _EMIN - 27).tolist())
     try:
-        return math.fsum(a.tolist())
+        return math.fsum(math.ldexp(v, e) for v, e in partials)
     except OverflowError:
         return math.inf
 

@@ -106,11 +106,12 @@ def _draw_counts(probs: np.ndarray, s: int, seed: int) -> np.ndarray:
         raise InvalidSpecError(f"sample count must be >= 1, got {s}")
     seed = _integer(seed, "seed") & _SEED_MASK  # index(): a numpy integer & 2^64 - 1 overflows
     end = probs.size if probs[-1] > 0.0 else int(np.flatnonzero(probs)[-1]) + 1
-    counts = np.zeros(probs.size, dtype=np.int64)
     try:
-        counts[:end] = np.random.Generator(np.random.PCG64(seed)).multinomial(s, probs[:end])
+        counts = np.random.Generator(np.random.PCG64(seed)).multinomial(s, probs[:end])
     except ValueError as exc:  # numpy refuses p whose leading sum is above 1 + 1e-12
         raise InvalidSpecError(f"cannot draw from these probabilities: {exc}") from None
+    if end < probs.size:  # the trailing cells of probability 0, never drawn
+        counts = np.concatenate((counts, np.zeros(probs.size - end, dtype=np.int64)))
     return counts
 
 

@@ -8,6 +8,7 @@ from elemsparse import (
     DenseMatrix,
     ElemsparseError,
     HypothesisViolatedError,
+    InvalidSpecError,
     ShapeMismatchError,
     ZeroMatrixError,
     ZeroProbabilityError,
@@ -167,6 +168,19 @@ def test_mt_norm_zero_probability(toy):
     d = custom_distribution(toy, np.array([1.0, 0.0, 0.0, 0.0]))
     with pytest.raises(ZeroProbabilityError):
         mt_spectral_norm(toy, d, (0, 1))
+
+
+def test_mt_norm_checks_shape_and_cell():
+    x = DenseMatrix(np.arange(1.0, 7.0).reshape(2, 3))
+    d = hybrid_distribution(x)
+    assert mt_spectral_norm(x, d, (1, 2)) == pytest.approx(13.360365275578657, rel=1e-9)
+    for cell in ((-1, -1), (5, 0), (0, 3), (2, 0)):
+        with pytest.raises(InvalidSpecError, match="outside the 2x3 matrix"):
+            mt_spectral_norm(x, d, cell)
+    with pytest.raises(InvalidSpecError, match="cell index must be an integer"):
+        mt_spectral_norm(x, d, (0.0, 1))
+    with pytest.raises(ShapeMismatchError):
+        mt_spectral_norm(x.transpose(), d, (0, 0))
 
 
 def test_exact_second_moment_toy(toy):

@@ -159,6 +159,11 @@ def test_certificate_errors(toy):
         beta_certificate(toy, np.array([1.0]))
     with pytest.raises(ZeroMatrixError):
         beta_certificate(DenseMatrix(np.zeros((1, 2))), np.array([0.5, 0.5]))
+    # what custom_distribution refuses: NaN, a negative entry, a sum of 2, inf
+    x = DenseMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    for probs in ([np.nan, 0.5, 0.25, 0.25], [-0.5, 0.5, 0.5, 0.5], [0.5] * 4, [np.inf, 1.0, 1.0, 1.0]):
+        with pytest.raises(InvalidSpecError):
+            beta_certificate(x, np.array(probs))
 
 
 def test_certificate_scale_invariance():

@@ -1,8 +1,11 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elemsparse import (
     DenseMatrix,
@@ -16,7 +19,7 @@ from elemsparse import (
 )
 from elemsparse.bounds import gamma_rho_bounds
 from elemsparse.generate import GeneratorSpec, generate_matrix
-from elemsparse.matrix import coo_to_dense, entry_abs_sum
+from elemsparse.matrix import _CHUNK, _exact_sum, coo_to_dense, entry_abs_sum
 
 # full-SVD oracle for the fixed 20x20 gaussian below, computed once with
 # numpy.linalg.svd and frozen
@@ -178,3 +181,83 @@ def test_norm_ordering_invariants():
         assert spec <= fro * (1 + 1e-9)
         assert fro <= math.sqrt(min(m, n)) * spec * (1 + 1e-9)
         assert entry_abs_sum(x) <= math.sqrt(m * n) * fro * (1 + 1e-12)
+
+
+def _fsum_or_inf(a: np.ndarray) -> float:
+    try:
+        return math.fsum(a.tolist())
+    except OverflowError:
+        return math.inf
+
+
+_LENGTHS = st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 17])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    length=_LENGTHS,
+    seed=st.integers(0, 2**32 - 1),
+    low=st.floats(-320.0, 300.0),
+    high=st.floats(-320.0, 300.0),
+    signs=st.sampled_from(["+", "-", "+-"]),
+    zeros=st.sampled_from([0.0, 0.5, 1.0]),
+    edge=st.lists(st.floats(-1e300, 1e300), max_size=8),
+)
+def test_exact_sum_equals_fsum(length, seed, low, high, signs, zeros, edge):
+    # magnitudes 10^u for u between low and high, subnormals (below 2.2e-308)
+    # included, with a share of zeros and hypothesis's own edge floats
+    rng = np.random.default_rng(seed)
+    a = 10.0 ** rng.uniform(min(low, high), max(low, high), length)
+    a[rng.random(length) < zeros] = 0.0
+    if signs == "-":
+        a = -a
+    elif signs == "+-":
+        a[rng.random(length) < 0.5] *= -1.0
+    a[: len(edge)] = edge[:length]
+    assert _exact_sum(a) == math.fsum(a.tolist())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    length=_LENGTHS,
+    value=st.floats(1e300, np.finfo(np.float64).max),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_exact_sum_overflows_where_fsum_does(length, value, sign):
+    # same-signed values: inf exactly where math.fsum raises OverflowError
+    a = np.full(length, sign * value)
+    a[::2] /= 7.0
+    assert _exact_sum(a) == _fsum_or_inf(a)
+
+
+def test_exact_sum_edges():
+    big, tiny = np.finfo(np.float64).max, 5e-324
+    for a in (
+        [0.0], [0.0] * (_CHUNK + 1), [-0.0, 0.0], [tiny], [-tiny] * 3, [tiny, -tiny],
+        [big, 2.0**969],  # below the halfway point to 2^1024: big
+        [big, 2.0**970],  # the halfway point rounds to even, 2^1024: overflow
+        [big, -big, big], [1e300] * (3 * _CHUNK), [1.0, 1e100, 1.0, -1e100],
+    ):
+        a = np.array(a)
+        assert _exact_sum(a) == _fsum_or_inf(a)
+    # non-finite entries sum as math.fsum sums them
+    assert _exact_sum(np.array([1.0, np.inf])) == math.inf
+    assert math.isnan(_exact_sum(np.array([np.nan, 1.0])))
+    with pytest.raises(ValueError):
+        _exact_sum(np.array([np.inf, -np.inf]))
+    # a running sum that leaves float range where the total does not: math.fsum
+    # raises, and the exact total comes back
+    assert _exact_sum(np.array([1e308, 1e308, -1e308])) == 1e308
+
+
+def test_exact_sum_builds_no_list_of_its_input():
+    # a list of 200 000 floats takes over 6 MB; the chunked sum's temporaries
+    # stay far below the 1.6 MB the array itself holds
+    a = np.linspace(0.0, 1.0, 200_000)
+    tracemalloc.start()
+    try:
+        _exact_sum(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
