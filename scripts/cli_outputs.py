@@ -75,6 +75,16 @@ COMMANDS = [
     # three workers over one trial of each kind: the kinds run side by side
     ("compare-trials1-jobs3", ["compare", "--generate", "gaussian,9,8,2", "--epsilon-rel", "0.7", "--trials", "1",
                                "--seed", "6", "--jobs", "3"], None),
+    # the sampler's rule draws s <= 2 mn by the inverse-CDF table and s > 2 mn
+    # by multinomial while mn <= 2^15: 12x10 has 120 cells and 9x8 has 72
+    ("experiment-s-at-rule", ["experiment", "--generate", "gaussian,12,10,4", "--epsilon-rel", "0.6", "--s", "240",
+                              "--trials", "6", "--seed", "3", "--jobs", "2"], None),
+    ("experiment-s-past-rule", ["experiment", "--generate", "gaussian,12,10,4", "--epsilon-rel", "0.6", "--s", "241",
+                                "--trials", "6", "--seed", "3", "--jobs", "2"], None),
+    ("compare-s-at-rule", ["compare", "--generate", "gaussian,9,8,2", "--epsilon-rel", "0.7", "--s", "144",
+                           "--trials", "2", "--seed", "6", "--jobs", "3"], None),
+    ("compare-s-past-rule", ["compare", "--generate", "gaussian,9,8,2", "--epsilon-rel", "0.7", "--s", "145",
+                             "--trials", "2", "--seed", "6", "--jobs", "3"], None),
     ("compare-csv", ["compare", "--generate", "gaussian,7,9,8", "--epsilon-rel", "0.5", "--s", "80",
                      "--trials", "3", "--out-format", "csv", "--out", "compare.csv"], "compare.csv"),
     ("bounds-numbers", ["bounds", "--m", "100", "--n", "80", "--epsilon", "1", "--frobenius", "10"], None),
@@ -89,6 +99,10 @@ COMMANDS = [
                       "--out", "sketch.mtx"], "sketch.mtx"),
     ("sparsify-csv", ["sparsify", "--input", "input.csv", "--epsilon-rel", "0.6", "--dist", "l1",
                       "--out", "sketch.csv", "--out-format", "csv"], "sketch.csv"),
+    ("sparsify-s-at-rule", ["sparsify", "--generate", "gaussian,10,12,1", "--s", "240", "--seed", "5",
+                            "--out", "sketch-at-rule.mtx"], "sketch-at-rule.mtx"),
+    ("sparsify-s-past-rule", ["sparsify", "--generate", "gaussian,10,12,1", "--s", "241", "--seed", "5",
+                              "--out", "sketch-past-rule.mtx"], "sketch-past-rule.mtx"),
     ("sparsify-seed-past-2-64", ["sparsify", "--generate", "gaussian,6,5,1", "--s", "40",
                                  "--seed", str(2**64 + 3), "--out", "sketch-seed.mtx"], "sketch-seed.mtx"),
     ("sparsify-s-past-int64", ["sparsify", "--generate", "gaussian,4,5,1", "--epsilon", "1e-12",
@@ -122,7 +136,8 @@ COMMANDS = [
 
 
 # Rows with --jobs above 1, run again as <name>-forked under FORKED_ENV.
-JOBS_ROWS = ("experiment-jobs2", "experiment-jobs-above-trials", "compare-jobs3", "compare-trials1-jobs3")
+JOBS_ROWS = ("experiment-jobs2", "experiment-jobs-above-trials", "compare-jobs3", "compare-trials1-jobs3",
+             "experiment-s-at-rule", "experiment-s-past-rule", "compare-s-at-rule", "compare-s-past-rule")
 # One BLAS thread, so the process holds only its own thread and may fork.
 FORKED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 

@@ -45,7 +45,7 @@ from .errors import InvalidSpecError, _integer
 from .generate import GeneratorSpec, generate_matrix
 from .io import load_matrix
 from .matrix import DenseMatrix
-from .sampler import _SEED_MASK, _cell_values, _draw_counts
+from .sampler import _CHUNK, _SEED_MASK, _by_table, _cell_values, _draw_counts, _inverse_cdf
 from .spectral import _spectral_norm, _stable_rank
 
 __all__ = [
@@ -230,6 +230,22 @@ def _fork_safe() -> bool:
         return False
 
 
+def _difference(counts: np.ndarray, xf: np.ndarray, s: int, probs: np.ndarray, diff: np.ndarray) -> None:
+    """S - X = counts * x / (s * p) - x into diff, _CHUNK cells at a time
+    through ``_cell_values``, so bit for bit the densified ``sparsify``
+    sketch minus X with no mn array beside diff. counts may be diff's own
+    memory seen as int64: each chunk of counts is read before its cells are
+    written."""
+    n = min(xf.size, _CHUNK)
+    chunk = np.empty(n), np.empty(n)
+    for lo in range(0, xf.size, n):
+        hi = min(lo + n, xf.size)
+        c, sp = (a[: hi - lo] for a in chunk)
+        np.copyto(c, counts[lo:hi])
+        np.multiply(s, probs[lo:hi], out=sp)
+        np.subtract(_cell_values(c, xf[lo:hi], sp, diff[lo:hi]), xf[lo:hi], out=diff[lo:hi])
+
+
 def _run_trials(x: DenseMatrix, dists: tuple, s: int, seeds: tuple, jobs: int) -> list:
     """Every (distribution, seed) trial, run by one set of workers. Per
     distribution, in order, one (estimate, nnz, seconds) record per seed in
@@ -243,16 +259,18 @@ def _run_trials(x: DenseMatrix, dists: tuple, s: int, seeds: tuple, jobs: int) -
     calling thread; workers 1 .. w-1 are forked children, each pickling (its
     records, its exception or None) to a pipe that is read to EOF before it
     is reaped. A trial draws its cell counts, writes S - X = counts * x /
-    (s * p) - x into the worker's one mn buffer (the densified ``sparsify``
-    sketch minus X, bit for bit) and solves it. s * p sits in one more mn
-    buffer, filled for the first distribution before any fork, so workers
-    that stay on it only read it, and written again in place when a worker
-    moves to another distribution. Once a trial raises, it sets the stop
+    (s * p) - x into the worker's one mn buffer by ``_difference`` (the
+    densified ``sparsify`` sketch minus X, bit for bit) and solves it. Where
+    ``sampler._by_table`` sends s draws to the inverse-CDF table, each
+    distribution's table is built once before any fork, so workers only
+    read it, and the counts land in the worker's mn buffer itself, seen as
+    int64. Once a trial raises, it sets the stop
     byte and no worker starts another; every worker ends before this
     returns, and the exception of the lowest-numbered worker that raised is
     raised here.
     """
-    xf, sp, sp_of = x.flat(), s * dists[0].probs, 0  # sp is s * p of distribution sp_of
+    xf = x.flat()
+    tables = tuple(_inverse_cdf(d.probs) if _by_table(s, xf.size) else None for d in dists)  # or all None
     records = [None] * (len(dists) * len(seeds))  # by trial k
     workers = min(jobs, len(records), os.cpu_count() or 1) if jobs > 1 and _fork_safe() else 1
     stop = bytearray(1)  # nonzero once a trial has raised
@@ -262,21 +280,19 @@ def _run_trials(x: DenseMatrix, dists: tuple, s: int, seeds: tuple, jobs: int) -
     raised = [None] * workers  # each worker's exception, if it raised one
 
     def run(first: int) -> None:
-        nonlocal sp_of
-        diff = np.empty(x.m * x.n)
+        diff = np.empty(xf.size)
+        into = diff.view(np.int64)  # the table path counts here; the values then overwrite them
         try:
             for k in range(first, len(records), workers):
                 if stop[0]:
                     return
                 d, t = divmod(k, len(seeds))
                 t0 = time.perf_counter()
-                counts = _draw_counts(dists[d].probs, s, seeds[t])
-                if sp_of != d:
-                    np.multiply(s, dists[d].probs, out=sp)
-                    sp_of = d
-                np.subtract(_cell_values(counts, xf, sp, diff), xf, out=diff)
+                counts = _draw_counts(dists[d].probs, s, seeds[t], tables[d], into)
+                drawn = np.count_nonzero(counts)
+                _difference(counts, xf, s, dists[d].probs, diff)
                 est = _spectral_norm(diff.reshape(x.m, x.n))
-                records[k] = (est, np.count_nonzero(counts), time.perf_counter() - t0)
+                records[k] = (est, drawn, time.perf_counter() - t0)
         except BaseException as exc:
             raised[first] = exc
             stop[0] = 1

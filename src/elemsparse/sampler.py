@@ -4,10 +4,15 @@ The sketch of X from a sample multiset Omega of s cells is
 ``(1/s) * sum_t X[i_t, j_t] / p[i_t, j_t]`` placed at cell (i_t, j_t), so it
 depends only on how many times each cell was drawn: a ``SampleSet`` holds
 those per-cell counts, not the draws. The counts of s i.i.d. draws are
-Multinomial(s, p), so they are drawn by one ``multinomial`` call on a seeded
-PCG64 stream: O(mn) work and memory whatever s is, and a (distribution, s,
-seed) triple always regenerates the identical sample under one numpy
-version (numpy promises no stream across versions).
+Multinomial(s, p), drawn from a seeded PCG64 stream by one of two paths, and
+``_by_table`` picks the path from s and the cell count mn alone. Where
+s <= 2 mn and mn <= 2^15, s uniforms are looked up in the cumulative table
+of p through a guide table (inverse-CDF sampling; Chen & Asau 1974): an
+O(mn) build, shared by every draw from one distribution, then a few steps
+per uniform. Elsewhere one ``multinomial`` call draws them in O(mn)
+whatever s is. Either way a (distribution, s, seed) triple always
+regenerates the identical sample under one numpy version (numpy promises no
+stream across versions).
 """
 
 from __future__ import annotations
@@ -81,23 +86,141 @@ class SparseSketch:
     distribution_kind: DistributionKind
 
 
-def _draw_counts(probs: np.ndarray, s: int, seed: int) -> np.ndarray:
-    """How many of s i.i.d. draws from probs hit each cell: one
-    Multinomial(s, probs) draw from PCG64(seed mod 2^64), an int64 array as
-    long as probs. An s or seed that is not an integer, s above 2^63 - 1
-    (the most int64 counts hold) or below 1, and probs numpy will not draw
-    from are refused.
+_SUM_LIMIT = 1.0 + 1e-12  # numpy's multinomial refuses p whose leading entries sum above this
 
-    numpy gives the last category whatever the others leave, float rounding
-    of the running remainder included, so the draw ends at the last cell of
-    positive probability: no count lands on a trailing cell of probability 0.
+# The table path draws and looks up this many uniforms at a time, and a
+# Monte-Carlo trial turns this many counts at a time into S - X, through
+# scratch arrays of this length: memory O(1) in s.
+_CHUNK = 1 << 12
 
-    numpy computes each other count as a float64 binomial draw, so counts are
-    exact draws only up to s = 2^53. Above it they are rounded to float64:
-    the hybrid of [[3, 4], [0, 0]] at s = 2^63 - 1, seed 0, draws
-    3636643833541878272, a multiple of 512, for its first cell, and the
-    sketch is unbiased only to about 1e-16 relative. The counts still sum to
-    s exactly.
+# Full-vector steps of the fix-up scan before the draws still short of their
+# cell are found by binary search. With G >= mn buckets a quarter of the
+# draws are one cell short, and the worst of 4096 draws rarely seven.
+_SCAN = 16
+
+
+def _by_table(s: int, cells: int) -> bool:
+    """Whether s draws over cells cells take the inverse-CDF path: s up to
+    2 mn for mn up to 2^15, never for more cells. There one table build plus
+    one draw measured no slower than one ``multinomial`` call (README, "How
+    a sketch is drawn"). Past 2^15 cells each chunk's tally over all mn cells
+    and the table's 12 or so bytes a cell outweigh the gain: through the table, a
+    one-shot ``sparsify`` of a 500x500 matrix peaked 3.3 MiB higher."""
+    return cells <= 1 << 15 and s <= 2 * cells
+
+
+def _multinomial(probs: np.ndarray, s: int, seed: int) -> np.ndarray:
+    try:
+        return np.random.Generator(np.random.PCG64(seed)).multinomial(s, probs)
+    except ValueError as exc:  # numpy refuses p whose leading sum is above 1 + 1e-12
+        raise InvalidSpecError(f"cannot draw from these probabilities: {exc}") from None
+
+
+def _support_end(probs: np.ndarray) -> int:
+    """One past the last cell of positive probability."""
+    return probs.size if probs[-1] > 0.0 else int(np.flatnonzero(probs)[-1]) + 1
+
+
+@dataclass(frozen=True, eq=False)
+class _InverseCdf:
+    """The cumulative table of a distribution's cells up to its last cell of
+    positive probability, and its guide.
+
+    cdf is the running sum of p, clipped to 1 and ending at exactly 1.0, so
+    the last cell of positive probability takes what the others leave, as
+    numpy's ``multinomial`` gives it; a cell of probability 0 repeats its
+    predecessor's value and is never drawn. With G = guide.size - 1, the
+    power of two at least cdf.size, guide[b] is the first cell with
+    cdf > b / G: a uniform u in bucket floor(u G) belongs to the first cell
+    with cdf > u, which lies in guide[b] .. guide[b + 1].
+    """
+
+    cdf: np.ndarray
+    guide: np.ndarray
+
+
+def _inverse_cdf(probs: np.ndarray) -> _InverseCdf:
+    """The table of probs, in O(mn). It refuses what ``multinomial`` refuses:
+    whenever the in-order sum of p[:-1], within end * 2^-53 of numpy's, does
+    not settle numpy's verdict, or an entry is negative, NaN or above 1,
+    numpy's own check runs on p."""
+    end = _support_end(probs)
+    p = probs[:end]
+    cdf = np.cumsum(p)
+    head = float(cdf[-2]) if end > 1 else 0.0
+    if not (p.min() >= 0.0 and p.max() <= 1.0) or head > _SUM_LIMIT - end * 2.0**-52:
+        _multinomial(p, 0, 0)  # raises numpy's refusal; returns if numpy draws from p
+    if head > 1.0:
+        np.minimum(cdf, 1.0, out=cdf)
+    cdf[-1] = 1.0
+    buckets = 1 << (end - 1).bit_length()
+    guide = np.zeros(buckets + 1, dtype=np.int16 if probs.size < 2**15 else np.int32)  # holds 0 .. mn
+    edges = np.empty(min(end, _CHUNK))
+    for lo in range(0, end, _CHUNK):  # guide[b] counts the cells with ceil(cdf G) <= b
+        part = edges[: min(_CHUNK, end - lo)]
+        np.ceil(np.multiply(cdf[lo : lo + _CHUNK], buckets, out=part), out=part)  # exact: G is a power of two
+        first = int(part[0])
+        tally = np.bincount(part.astype(np.intp) - first)  # part is sorted, so this spans its own buckets
+        guide[first : first + tally.size] += tally
+    return _InverseCdf(cdf, np.cumsum(guide, out=guide))
+
+
+def _table_counts(table: _InverseCdf, s: int, seed: int, counts: np.ndarray) -> np.ndarray:
+    """The counts of np.searchsorted(table.cdf, u, side="right") over
+    u = Generator(PCG64(seed)).random(s), written into counts, an int64
+    array as long as probs, _CHUNK uniforms at a time. Each chunk's cells
+    are tallied by one bincount over all mn cells, which ``_by_table``
+    keeps few."""
+    cdf, guide = table.cdf, table.guide
+    buckets = guide.size - 1
+    counts.fill(0)
+    gen = np.random.Generator(np.random.PCG64(seed))
+    n = min(s, _CHUNK)
+    chunk = np.empty(n), np.empty(n), np.empty(n, dtype=np.intp), np.empty(n, dtype=bool)
+    for start in range(0, s, n):
+        u, at, cell, short = (a[: min(n, s - start)] for a in chunk)
+        guess = at.view(guide.dtype)[: u.size]  # the guide's cells, in at until at is needed
+        gen.random(out=u)
+        np.multiply(u, buckets, out=cell, casting="unsafe")  # the bucket floor(u G), exactly
+        np.take(guide, cell, out=guess, mode="clip")  # clip, as every index is in range: "raise" buffers out
+        np.copyto(cell, guess)
+        for _ in range(_SCAN):  # step each draw whose cell lies below its uniform
+            np.take(cdf, cell, out=at, mode="clip")
+            if not np.less_equal(at, u, out=short).any():
+                break
+            np.add(cell, short.view(np.uint8), out=cell)  # as bytes: no bool-to-intp cast
+        else:  # draws still short, as in one bucket of many tiny cells
+            behind = np.flatnonzero(short)
+            cell[behind] = np.searchsorted(cdf, u[behind], side="right")
+        np.add(counts, np.bincount(cell, minlength=counts.size), out=counts)
+    return counts
+
+
+def _draw_counts(
+    probs: np.ndarray, s: int, seed: int, table: _InverseCdf | None = None, counts: np.ndarray | None = None
+) -> np.ndarray:
+    """How many of s i.i.d. draws from probs hit each cell, from
+    PCG64(seed mod 2^64): an int64 array as long as probs. An s or seed that
+    is not an integer, s above 2^63 - 1 (the most int64 counts hold) or below
+    1, and probs numpy will not draw from are refused, on either path.
+
+    Where ``_by_table(s, probs.size)`` holds, the counts are those of
+    ``np.searchsorted(cdf, u, side="right")`` over u = ``random(s)``, with
+    cdf from ``_inverse_cdf(probs)``. A caller that draws from probs again
+    passes that table, and may pass counts, an int64 array as long as probs
+    that the draw overwrites and returns. Elsewhere they are one
+    ``multinomial(s, probs)`` draw, a new array.
+
+    Both paths end the draw at the last cell of positive probability, which
+    takes what the others leave, float rounding of the running sum
+    included: no count lands on a cell of probability 0.
+
+    On the ``multinomial`` path numpy computes each count but the last as a
+    float64 binomial draw, so counts are exact draws only up to s = 2^53.
+    Above it they are rounded to float64: the hybrid of [[3, 4], [0, 0]] at
+    s = 2^63 - 1, seed 0, draws 3636643833541878272, a multiple of 512, for
+    its first cell, and the sketch is unbiased only to about 1e-16 relative.
+    The counts still sum to s exactly.
     """
     s = _integer(s, "sample count")
     if s > (1 << 63) - 1:
@@ -105,11 +228,11 @@ def _draw_counts(probs: np.ndarray, s: int, seed: int) -> np.ndarray:
     if s < 1:
         raise InvalidSpecError(f"sample count must be >= 1, got {s}")
     seed = _integer(seed, "seed") & _SEED_MASK  # index(): a numpy integer & 2^64 - 1 overflows
-    end = probs.size if probs[-1] > 0.0 else int(np.flatnonzero(probs)[-1]) + 1
-    try:
-        counts = np.random.Generator(np.random.PCG64(seed)).multinomial(s, probs[:end])
-    except ValueError as exc:  # numpy refuses p whose leading sum is above 1 + 1e-12
-        raise InvalidSpecError(f"cannot draw from these probabilities: {exc}") from None
+    if _by_table(s, probs.size):
+        table = _inverse_cdf(probs) if table is None else table
+        return _table_counts(table, s, seed, np.empty(probs.size, dtype=np.int64) if counts is None else counts)
+    end = _support_end(probs)
+    counts = _multinomial(probs[:end], s, seed)
     if end < probs.size:  # the trailing cells of probability 0, never drawn
         counts = np.concatenate((counts, np.zeros(probs.size - end, dtype=np.int64)))
     return counts

@@ -37,7 +37,7 @@ from elemsparse import (
     sparsify,
     stable_rank,
 )
-from elemsparse import errors, experiment, spectral
+from elemsparse import errors, experiment, sampler, spectral
 from elemsparse.bounds import sample_size_corollary, sample_size_unsimplified
 from elemsparse.matrix import _scatter
 from elemsparse.experiment import (
@@ -203,6 +203,30 @@ def test_jobs_do_not_change_results(monkeypatch, solves):
         assert res.unconverged_trials == 0
 
 
+@pytest.mark.parametrize("chunk", [None, 7], ids=["chunk", "chunk7"])
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("s", [160, 161], ids=["table", "multinomial"])
+def test_harness_errors_are_sparsify_errors_on_both_paths(monkeypatch, s, jobs, chunk):
+    # GEN has 80 cells: s = 160 = 2 mn draws by the table, built once and
+    # shared by the workers, and s = 161 by multinomial; either way each
+    # trial's error is that of the sketch sparsify draws at its seed, also
+    # when the trials draw and assemble 7 values at a time
+    assert sampler._by_table(160, 80) and not sampler._by_table(161, 80)
+    if chunk:
+        monkeypatch.setattr(sampler, "_CHUNK", chunk)
+        monkeypatch.setattr(experiment, "_CHUNK", chunk)
+    _launcher(monkeypatch, jobs > 1)
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+    cfg = _cfg(trials=6, jobs=jobs, s_override=s)
+    x = generate_matrix(GEN)
+    alone = {kind: tuple(sketch_error(x, sparsify(x, s, seed, kind)).value for seed in range(5, 11))
+             for kind in (DistributionKind.HYBRID, DistributionKind.PURE_L1, DistributionKind.PURE_L2)}
+    assert run_experiment(cfg).errors == alone[DistributionKind.HYBRID]
+    for r in compare_distributions(cfg):
+        assert r.errors == alone[r.dist_kind]
+    _nothing_to_reap()
+
+
 def _without_walls(results):
     # one result or a tuple of them, each with wall_times set to None
     if isinstance(results, tuple):
@@ -334,10 +358,10 @@ def test_a_worker_error_is_raised_forked(monkeypatch, run, kind, before):
     starts = np.frombuffer(mmap.mmap(-1, 24), dtype=np.int64)  # worker 0's, worker 1's, and the sum at the failure
     parent, current = os.getpid(), {}
 
-    def draw(p, s, seed):
+    def draw(p, s, seed, *table_and_buffers):
         starts[_worker(parent)] += 1
         current["fails"] = np.array_equal(p, probs)
-        return draw_counts(p, s, seed)
+        return draw_counts(p, s, seed, *table_and_buffers)
 
     def failing(a):
         if _worker(parent) == 1 and current["fails"] and starts[0] > 0:

@@ -258,6 +258,34 @@ def test_matrix_market_writer_streams_in_chunks(tmp_path, monkeypatch):
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
+@st.composite
+def _coos(draw):
+    """A COO of up to 40 distinct cells in any order, every float edge
+    included: signed zeros, subnormals and magnitudes up to 1e300. Distinct
+    cells, as repeats would be summed and two large ones overflow."""
+    m, n = draw(st.integers(1, 600)), draw(st.integers(1, 600))
+    cells = draw(st.lists(st.integers(0, m * n - 1), max_size=min(40, m * n), unique=True))
+    edges = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e-300])
+    vals = draw(st.lists(_FINITE | edges, min_size=len(cells), max_size=len(cells)))
+    return SparseCOO(m, n, [c // n for c in cells], [c % n for c in cells], vals)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coo=_coos(), chunk=st.integers(1, 8))
+def test_matrix_market_body_is_the_f_string_formula(tmp_path_factory, coo, chunk):
+    # the text of a per-entry f"{i + 1} {j + 1} {v!r}" writer over the
+    # canonical COO, in whatever chunks the body is written
+    one = coo.canonicalize()
+    expected = f"%%MatrixMarket matrix coordinate real general\n{one.m} {one.n} {one.nnz}\n" + "".join(
+        f"{i + 1} {j + 1} {v!r}\n" for i, j, v in zip(one.rows.tolist(), one.cols.tolist(), one.vals.tolist())
+    )
+    path = tmp_path_factory.mktemp("mm") / "coo.mtx"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(elemsparse.io, "_WRITE_CHUNK", chunk)
+        write_matrix_market(path, coo)
+    assert path.read_text() == expected
+
+
 @settings(max_examples=80, deadline=None)
 @given(a=arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)), elements=_FINITE | st.just(0.0)))
 def test_matrix_market_round_trip_is_bit_identical(tmp_path_factory, a):

@@ -26,7 +26,8 @@ from elemsparse import (
     sparsify,
 )
 from elemsparse.matrix import coo_to_dense
-from elemsparse.sampler import _draw_counts, exact_expectation
+from elemsparse import sampler
+from elemsparse.sampler import _by_table, _draw_counts, _inverse_cdf, exact_expectation
 
 # chi-square inverse CDF at 0.999 with df=3 and df=19, frozen from scipy.stats.chi2.ppf
 CHI2_DF3_999 = 16.26623619623813
@@ -130,6 +131,7 @@ def test_largest_s_draws_at_once(toy):
     # one multinomial call costs O(mn) whatever s is; toy's trailing cells
     # have probability 0, and the count left by rounding goes to the last
     # cell of the support, never to them
+    assert not _by_table(2**63 - 1, 4)
     omega = draw_samples(hybrid_distribution(toy), 2**63 - 1, seed=0)
     assert omega.cells.tolist() == [0, 1]
     assert int(omega.counts.sum()) == 2**63 - 1
@@ -140,9 +142,11 @@ def test_build_alias_table_is_a_deprecated_identity(toy):
     assert build_alias_table(d) is d
 
 
-# Three sketches of the 4x5 low-rank-plus-noise matrix of seed 2 at s=60 and
-# seed 11, as numpy 2.4's multinomial draws them. numpy promises no stream
-# across versions (NEP 19), so a version that moves the stream fails here.
+# Sketches of the 4x5 low-rank-plus-noise matrix of seed 2 at seed 11, as
+# numpy 2.4 draws them: at s = 60 (s / mn = 3) by multinomial, and at s = 40
+# (s / mn = 2, the most the rule sends to the table) through the inverse-CDF
+# table from Generator.random. numpy promises no stream across versions
+# (NEP 19), so a version that moves either stream fails here.
 PINNED = {
     "hybrid": ([0, 1, 2, 5, 6, 7, 8, 9, 10, 12, 13, 15, 17, 18, 19], [3, 1, 6, 1, 1, 5, 24, 7, 1, 3, 1, 1, 1, 3, 2]),
     "l1": (
@@ -151,13 +155,27 @@ PINNED = {
     ),
     "l2": ([0, 1, 2, 6, 7, 8, 9, 12, 13, 17, 18, 19], [3, 1, 6, 1, 5, 19, 12, 4, 1, 1, 6, 1]),
 }
+PINNED_TABLE = {
+    "hybrid": ([0, 2, 4, 6, 7, 8, 9, 10, 12, 13, 17, 18], [3, 6, 3, 3, 2, 11, 3, 1, 2, 1, 2, 3]),
+    "l1": ([0, 2, 4, 6, 7, 8, 9, 12, 13, 16, 17, 18, 19], [3, 8, 2, 2, 2, 9, 5, 1, 2, 1, 1, 3, 1]),
+    "l2": ([0, 2, 6, 7, 8, 9, 12, 13, 17, 18], [3, 6, 4, 3, 15, 3, 1, 2, 1, 2]),
+}
 
 
 @pytest.mark.parametrize("kind", sorted(PINNED))
 def test_pinned_multinomial_sketches(kind):
     x = generate_matrix(GeneratorSpec("low-rank-plus-noise", 4, 5, 2))
+    assert not _by_table(60, 20)
     omega = draw_samples(distribution_for_kind(x, kind), 60, seed=11)
     assert (omega.cells.tolist(), omega.counts.tolist()) == PINNED[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_TABLE))
+def test_pinned_table_sketches(kind):
+    x = generate_matrix(GeneratorSpec("low-rank-plus-noise", 4, 5, 2))
+    assert _by_table(40, 20)
+    omega = draw_samples(distribution_for_kind(x, kind), 40, seed=11)
+    assert (omega.cells.tolist(), omega.counts.tolist()) == PINNED_TABLE[kind]
 
 
 def test_counts_chi_square_against_s_p():
@@ -166,6 +184,21 @@ def test_counts_chi_square_against_s_p():
     s = 10**6
     counts = _cell_counts(draw_samples(d, s, seed=13))
     expected = s * d.probs
+    assert float(((counts - expected) ** 2 / expected).sum()) <= CHI2_DF19_999
+
+
+def test_table_counts_chi_square_against_s_p():
+    # draws of different seeds are independent, so the counts of 25 000
+    # table draws of s = 40, through one table as the trial workers draw,
+    # are one Multinomial(10^6, p) draw
+    x = generate_matrix(GeneratorSpec("gaussian", 4, 5, 6))  # no zero cell: 19 degrees of freedom
+    d = hybrid_distribution(x)
+    assert _by_table(40, 20)
+    table, into = _inverse_cdf(d.probs), np.empty(20, dtype=np.int64)
+    counts = np.zeros(20, dtype=np.int64)
+    for seed in range(25_000):
+        counts += _draw_counts(d.probs, 40, seed, table, into)
+    expected = 10**6 * d.probs
     assert float(((counts - expected) ** 2 / expected).sum()) <= CHI2_DF19_999
 
 
@@ -190,13 +223,104 @@ def test_mean_sketch_matches_exact_expectation():
 
 @pytest.mark.parametrize("excess, refused", [(1.01e-12, True), (0.99e-12, False)], ids=["refused", "drawn"])
 def test_numpy_sum_check_is_a_typed_error(excess, refused):
-    # numpy refuses p whose leading entries sum above 1 + 1e-12
+    # numpy refuses p whose leading entries sum above 1 + 1e-12, and so does
+    # the table path, at s = 6 = 2 mn; at s = 7 multinomial draws
     probs = np.array([0.5, 0.5 + excess, 0.25])
-    if refused:
-        with pytest.raises(InvalidSpecError, match="cannot draw"):
-            _draw_counts(probs, 10, 0)
-    else:
-        assert int(_draw_counts(probs, 10, 0).sum()) == 10
+    assert _by_table(6, 3) and not _by_table(7, 3)
+    for s in (6, 7):
+        if refused:
+            with pytest.raises(InvalidSpecError, match=r"^cannot draw from these probabilities: sum\(pvals\[:-1\]\) > 1\.0$"):
+                _draw_counts(probs, s, 0)
+        else:  # the leading sum passes 1, so the last cell, left nothing, is never drawn
+            counts = _draw_counts(probs, s, 0)
+            assert int(counts.sum()) == s and counts[2] == 0
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [[0.5, -0.25, 0.75], [np.nan, 1.0], [0.25, 0.75, np.inf], [1.5]],
+    ids=["negative", "nan", "inf", "above-one"],
+)
+def test_table_path_refuses_what_multinomial_refuses(probs):
+    probs = np.array(probs)
+    for s in (1, 2 * probs.size, 2 * probs.size + 1):
+        with pytest.raises(InvalidSpecError, match=r"^cannot draw from these probabilities: pvals < 0, pvals > 1 or pvals contains NaNs$"):
+            _draw_counts(probs, s, 0)
+
+
+def _searched_counts(probs, s, seed):
+    """The table path's counts by its definition: the cells that
+    np.searchsorted finds for u = random(s) in the running sum of p up to its
+    last positive cell, clipped to 1 and ending at exactly 1.0."""
+    end = int(np.flatnonzero(probs)[-1]) + 1
+    cdf = np.minimum(np.cumsum(probs[:end]), 1.0)
+    cdf[-1] = 1.0
+    u = np.random.Generator(np.random.PCG64(seed)).random(s)
+    return np.bincount(np.searchsorted(cdf, u, side="right"), minlength=probs.size)
+
+
+def _tiny_cells_in_one_bucket():
+    # 10 000 cells of 2^-40 each, 9.1e-9 in all, sit at cdf 0.5, inside one
+    # of the 2^14 guide buckets, so draws there outrun the fix-up scan
+    probs = np.full(10_002, 2.0**-40)
+    probs[0] = 0.5
+    probs[-1] = 0.5 - 10_000 * 2.0**-40
+    return probs
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        np.array([0.0, 0.0, 0.0, 0.2, 0.3, 0.5]),
+        np.array([0.1, 0.0, 0.0, 0.4, 0.0, 0.5]),
+        np.array([0.3, 0.7, 0.0, 0.0, 0.0]),
+        np.array([0.0, 0.0, 1.0, 0.0, 0.0]),
+        np.array([1.0]),
+        _tiny_cells_in_one_bucket(),
+        np.array([5e-324, 1e-310, 0.25, 2e-320, 0.75, 0.0]),
+        np.array([0.5, 0.5 + 0.99e-12, 0.25]),
+        np.array([0.6, 0.6]),
+    ],
+    ids=["leading-zeros", "interior-zeros", "trailing-zeros", "all-mass-on-one", "one-cell", "tiny-cells-one-bucket",
+         "subnormal-shares", "leading-sum-past-one", "last-takes-the-rest"],
+)
+def test_table_counts_are_the_searchsorted_counts(monkeypatch, probs):
+    s = 2 * probs.size  # the most the rule sends to the table
+    assert _by_table(s, probs.size)
+    table, into = _inverse_cdf(probs), np.empty(probs.size, dtype=np.int64)
+    for seed in range(50):
+        expected = _searched_counts(probs, s, seed)
+        assert np.array_equal(_draw_counts(probs, s, seed), expected)
+        # a prebuilt table and a reused counts array, as each trial worker
+        # draws, and chunks of 7 uniforms, so the stream crosses chunk ends
+        with monkeypatch.context() as patch:
+            patch.setattr(sampler, "_CHUNK", 7)
+            assert np.array_equal(_draw_counts(probs, s, seed, table, into), expected)
+    assert np.all(expected[probs == 0.0] == 0)
+
+
+def test_table_guide_is_the_searchsorted_guide():
+    for probs in (_tiny_cells_in_one_bucket(), hybrid_distribution(generate_matrix(GeneratorSpec("power-law", 30, 40, 1))).probs):
+        table = _inverse_cdf(probs)
+        buckets = table.guide.size - 1
+        assert buckets >= table.cdf.size and buckets & (buckets - 1) == 0
+        edges = np.arange(buckets + 1) / buckets
+        assert np.array_equal(table.guide, np.searchsorted(table.cdf, edges, side="right"))
+
+
+def test_path_flips_at_the_rule():
+    # s up to 2 mn takes the table while mn <= 2^15; one more, multinomial
+    for cells in (1, 20, 10_000, 1 << 15):
+        assert _by_table(1, cells) and _by_table(2 * cells, cells) and not _by_table(2 * cells + 1, cells)
+    assert not _by_table(1, (1 << 15) + 1)
+    assert not _by_table(2**63 - 1, 1) and not _by_table(2**63 - 1, 1 << 15)
+    # on the 4x5 hybrid, s = 40 draws by the table and s = 41 by multinomial
+    x = generate_matrix(GeneratorSpec("gaussian", 4, 5, 6))
+    probs = hybrid_distribution(x).probs
+    for seed in range(5):
+        assert np.array_equal(_draw_counts(probs, 40, seed), _searched_counts(probs, 40, seed))
+        multinomial = np.random.Generator(np.random.PCG64(seed)).multinomial(41, probs)
+        assert np.array_equal(_draw_counts(probs, 41, seed), multinomial)
 
 
 @pytest.mark.parametrize(
