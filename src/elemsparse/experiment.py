@@ -12,15 +12,16 @@ JSON with no other change, and ``compare_payload`` writes the shared s,
 epsilon and seeds once and each kind's own figures beside them.
 
 Reproducibility contract: trial t of every distribution draws with seed
-(base_seed + t) mod 2^64. A trial draws only its cell counts and builds its
-S - X from them, never a sketch; that array is the densified
-``sparsify(x, s, seed, kind)`` sketch minus X, bit for bit, and its error is
-one ``spectral._spectral_norm`` solve (an exact Gram eigensolve where
-min(m, n) <= 300, Lanczos above). Both entry points run every (distribution,
-seed) trial of the plan in one ``_run_trials`` call from ``_results``: --jobs
-bounds its workers, which are the calling thread and forked children, or the
-calling thread alone where ``_fork_safe`` fails; each trial stores one record
-at its distribution and seed, so no result depends on which worker ran it.
+(base_seed + t) mod 2^64. The sampler owns each trial's draw and S - X:
+``_results`` sets up one ``sampler._trial_fill`` per distribution, whose
+S - X is the densified ``sparsify(x, s, seed, kind)`` sketch minus X, bit
+for bit, and the error is one ``spectral._spectral_norm`` solve of it (an
+exact Gram eigensolve where min(m, n) <= 300, Lanczos above). This module
+schedules: every (distribution, seed) trial of the plan runs in one
+``_run_trials`` call, whose workers --jobs bounds: the calling thread and
+forked children, or the calling thread alone where ``_fork_safe`` fails.
+Each trial stores one record at its distribution and seed, so no result
+depends on which worker ran it.
 ``_median_and_p90`` gives a result's median and p90 error without numpy's
 median and percentile, which import ``numpy.ma``. Serialized output is
 deterministic (sorted keys) apart from the wall_times block, which is
@@ -45,7 +46,7 @@ from .errors import InvalidSpecError, _integer
 from .generate import GeneratorSpec, generate_matrix
 from .io import load_matrix
 from .matrix import DenseMatrix
-from .sampler import _CHUNK, _SEED_MASK, _by_table, _cell_values, _draw_counts, _inverse_cdf
+from .sampler import _SEED_MASK, _trial_fill
 from .spectral import _spectral_norm, _stable_rank
 
 __all__ = [
@@ -230,49 +231,26 @@ def _fork_safe() -> bool:
         return False
 
 
-def _difference(counts: np.ndarray, xf: np.ndarray, s: int, probs: np.ndarray, diff: np.ndarray) -> None:
-    """S - X = counts * x / (s * p) - x into diff, _CHUNK cells at a time
-    through ``_cell_values``, so bit for bit the densified ``sparsify``
-    sketch minus X with no mn array beside diff. counts may be diff's own
-    memory seen as int64: each chunk of counts is read before its cells are
-    written."""
-    n = min(xf.size, _CHUNK)
-    chunk = np.empty(n), np.empty(n)
-    for lo in range(0, xf.size, n):
-        hi = min(lo + n, xf.size)
-        c, sp = (a[: hi - lo] for a in chunk)
-        np.copyto(c, counts[lo:hi])
-        np.multiply(s, probs[lo:hi], out=sp)
-        np.subtract(_cell_values(c, xf[lo:hi], sp, diff[lo:hi]), xf[lo:hi], out=diff[lo:hi])
-
-
-def _run_trials(x: DenseMatrix, dists: tuple, s: int, seeds: tuple, jobs: int) -> list:
-    """Every (distribution, seed) trial, run by one set of workers. Per
+def _run_trials(shape: tuple, fills: tuple, seeds: tuple, jobs: int) -> list:
+    """Every (distribution, seed) trial, run by one set of workers from one
+    ``sampler._trial_fill`` per distribution, set up before this call. Per
     distribution, in order, one (estimate, nnz, seconds) record per seed in
     seed order: the SpectralEstimate of ||S - X||_2, the sketch's count of
     distinct cells, and the trial's wall time (draw, assembly and solve).
 
     Trial k runs distribution k // len(seeds) at seed k % len(seeds). Of
-    w = min(jobs, trial count, CPU count) workers, or 1 where _fork_safe
+    w = min(jobs, trial count, usable CPUs) workers, or 1 where _fork_safe
     fails (threads calling LAPACK at once contend, so none is started),
-    worker i runs trials i, i + w, ... one at a time. Worker 0 is the
+    worker i runs trials i, i + w, ... one at a time, each filling and
+    solving the worker's one buffer of the given shape. Worker 0 is the
     calling thread; workers 1 .. w-1 are forked children, each pickling (its
     records, its exception or None) to a pipe that is read to EOF before it
-    is reaped. A trial draws its cell counts, writes S - X = counts * x /
-    (s * p) - x into the worker's one mn buffer by ``_difference`` (the
-    densified ``sparsify`` sketch minus X, bit for bit) and solves it. Where
-    ``sampler._by_table`` sends s draws to the inverse-CDF table, each
-    distribution's table is built once before any fork, so workers only
-    read it, and the counts land in the worker's mn buffer itself, seen as
-    int64. Once a trial raises, it sets the stop
-    byte and no worker starts another; every worker ends before this
-    returns, and the exception of the lowest-numbered worker that raised is
-    raised here.
+    is reaped. Once a trial raises, it sets the stop byte and no worker
+    starts another; every worker ends before this returns, and the
+    exception of the lowest-numbered worker that raised is raised here.
     """
-    xf = x.flat()
-    tables = tuple(_inverse_cdf(d.probs) if _by_table(s, xf.size) else None for d in dists)  # or all None
-    records = [None] * (len(dists) * len(seeds))  # by trial k
-    workers = min(jobs, len(records), os.cpu_count() or 1) if jobs > 1 and _fork_safe() else 1
+    records = [None] * (len(fills) * len(seeds))  # by trial k
+    workers = min(jobs, len(records), len(os.sched_getaffinity(0))) if jobs > 1 and _fork_safe() else 1
     stop = bytearray(1)  # nonzero once a trial has raised
     if workers > 1:
         import mmap
@@ -280,19 +258,15 @@ def _run_trials(x: DenseMatrix, dists: tuple, s: int, seeds: tuple, jobs: int) -
     raised = [None] * workers  # each worker's exception, if it raised one
 
     def run(first: int) -> None:
-        diff = np.empty(xf.size)
-        into = diff.view(np.int64)  # the table path counts here; the values then overwrite them
+        diff = np.empty(shape)
         try:
             for k in range(first, len(records), workers):
                 if stop[0]:
                     return
                 d, t = divmod(k, len(seeds))
                 t0 = time.perf_counter()
-                counts = _draw_counts(dists[d].probs, s, seeds[t], tables[d], into)
-                drawn = np.count_nonzero(counts)
-                _difference(counts, xf, s, dists[d].probs, diff)
-                est = _spectral_norm(diff.reshape(x.m, x.n))
-                records[k] = (est, drawn, time.perf_counter() - t0)
+                drawn = fills[d](seeds[t], diff.reshape(-1))
+                records[k] = (_spectral_norm(diff), drawn, time.perf_counter() - t0)
         except BaseException as exc:
             raised[first] = exc
             stop[0] = 1
@@ -328,7 +302,7 @@ def _run_trials(x: DenseMatrix, dists: tuple, s: int, seeds: tuple, jobs: int) -
     for exc in raised:
         if exc is not None:
             raise exc
-    return [records[d * len(seeds) : (d + 1) * len(seeds)] for d in range(len(dists))]
+    return [records[d * len(seeds) : (d + 1) * len(seeds)] for d in range(len(fills))]
 
 
 def _median_and_p90(values) -> tuple:
@@ -360,8 +334,9 @@ def _results(cfg: ExperimentConfig, kinds) -> tuple:
     )
     seeds = tuple((cfg.base_seed + t) & _SEED_MASK for t in range(cfg.trials))
     epsilon, cells = plan.request.epsilon, plan.x.m * plan.x.n
+    fills = tuple(_trial_fill(plan.x, d, plan.s) for d in plan.dists)
     results = []
-    for dist, records in zip(plan.dists, _run_trials(plan.x, plan.dists, plan.s, seeds, cfg.jobs)):
+    for dist, records in zip(plan.dists, _run_trials(plan.x.shape, fills, seeds, cfg.jobs)):
         ests, nnzs, walls = zip(*records)
         errors = tuple(est.value for est in ests)
         results.append(ExperimentResult(

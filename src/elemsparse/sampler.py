@@ -8,11 +8,15 @@ Multinomial(s, p), drawn from a seeded PCG64 stream by one of two paths, and
 ``_by_table`` picks the path from s and the cell count mn alone. Where
 s <= 2 mn and mn <= 2^15, s uniforms are looked up in the cumulative table
 of p through a guide table (inverse-CDF sampling; Chen & Asau 1974): an
-O(mn) build, shared by every draw from one distribution, then a few steps
-per uniform. Elsewhere one ``multinomial`` call draws them in O(mn)
-whatever s is. Either way a (distribution, s, seed) triple always
-regenerates the identical sample under one numpy version (numpy promises no
-stream across versions).
+O(mn) build, then a few steps per uniform. Elsewhere one ``multinomial``
+call draws them in O(mn) whatever s is. Either way a (distribution, s,
+seed) triple always regenerates the identical sample under one numpy
+version (numpy promises no stream across versions).
+
+``_draw_rule`` owns that rule and sets up each distribution's draw once;
+``draw_samples`` draws once through it, and the Monte-Carlo harness takes
+one ``_trial_fill`` per distribution, which draws each trial's counts and
+turns them into S - X in the trial worker's buffer.
 """
 
 from __future__ import annotations
@@ -89,8 +93,8 @@ class SparseSketch:
 _SUM_LIMIT = 1.0 + 1e-12  # numpy's multinomial refuses p whose leading entries sum above this
 
 # The table path draws and looks up this many uniforms at a time, and a
-# Monte-Carlo trial turns this many counts at a time into S - X, through
-# scratch arrays of this length: memory O(1) in s.
+# trial fill turns this many counts at a time into S - X, through scratch
+# arrays of this length: memory O(1) in s.
 _CHUNK = 1 << 12
 
 # Full-vector steps of the fix-up scan before the draws still short of their
@@ -116,36 +120,21 @@ def _multinomial(probs: np.ndarray, s: int, seed: int) -> np.ndarray:
         raise InvalidSpecError(f"cannot draw from these probabilities: {exc}") from None
 
 
-def _support_end(probs: np.ndarray) -> int:
-    """One past the last cell of positive probability."""
-    return probs.size if probs[-1] > 0.0 else int(np.flatnonzero(probs)[-1]) + 1
-
-
-@dataclass(frozen=True, eq=False)
-class _InverseCdf:
-    """The cumulative table of a distribution's cells up to its last cell of
-    positive probability, and its guide.
+def _inverse_cdf(p: np.ndarray) -> tuple:
+    """(cdf, guide), the table of p, a distribution's probabilities up to its
+    last cell of positive probability, in O(mn).
 
     cdf is the running sum of p, clipped to 1 and ending at exactly 1.0, so
-    the last cell of positive probability takes what the others leave, as
-    numpy's ``multinomial`` gives it; a cell of probability 0 repeats its
-    predecessor's value and is never drawn. With G = guide.size - 1, the
-    power of two at least cdf.size, guide[b] is the first cell with
-    cdf > b / G: a uniform u in bucket floor(u G) belongs to the first cell
-    with cdf > u, which lies in guide[b] .. guide[b + 1].
-    """
-
-    cdf: np.ndarray
-    guide: np.ndarray
-
-
-def _inverse_cdf(probs: np.ndarray) -> _InverseCdf:
-    """The table of probs, in O(mn). It refuses what ``multinomial`` refuses:
-    whenever the in-order sum of p[:-1], within end * 2^-53 of numpy's, does
-    not settle numpy's verdict, or an entry is negative, NaN or above 1,
-    numpy's own check runs on p."""
-    end = _support_end(probs)
-    p = probs[:end]
+    the last cell takes what the others leave, as numpy's ``multinomial``
+    gives it; a cell of probability 0 repeats its predecessor's value and is
+    never drawn. With G = guide.size - 1, the power of two at least p.size,
+    guide[b] is the first cell with cdf > b / G: a uniform u in bucket
+    floor(u G) belongs to the first cell with cdf > u, which lies in
+    guide[b] .. guide[b + 1]. It refuses what ``multinomial`` refuses:
+    whenever the in-order sum of p[:-1], within p.size * 2^-53 of numpy's,
+    does not settle numpy's verdict, or an entry is negative, NaN or above
+    1, numpy's own check runs on p."""
+    end = p.size
     cdf = np.cumsum(p)
     head = float(cdf[-2]) if end > 1 else 0.0
     if not (p.min() >= 0.0 and p.max() <= 1.0) or head > _SUM_LIMIT - end * 2.0**-52:
@@ -154,7 +143,7 @@ def _inverse_cdf(probs: np.ndarray) -> _InverseCdf:
         np.minimum(cdf, 1.0, out=cdf)
     cdf[-1] = 1.0
     buckets = 1 << (end - 1).bit_length()
-    guide = np.zeros(buckets + 1, dtype=np.int16 if probs.size < 2**15 else np.int32)  # holds 0 .. mn
+    guide = np.zeros(buckets + 1, dtype=np.int16 if end < 2**15 else np.int32)  # holds 0 .. end
     edges = np.empty(min(end, _CHUNK))
     for lo in range(0, end, _CHUNK):  # guide[b] counts the cells with ceil(cdf G) <= b
         part = edges[: min(_CHUNK, end - lo)]
@@ -162,16 +151,16 @@ def _inverse_cdf(probs: np.ndarray) -> _InverseCdf:
         first = int(part[0])
         tally = np.bincount(part.astype(np.intp) - first)  # part is sorted, so this spans its own buckets
         guide[first : first + tally.size] += tally
-    return _InverseCdf(cdf, np.cumsum(guide, out=guide))
+    return cdf, np.cumsum(guide, out=guide)
 
 
-def _table_counts(table: _InverseCdf, s: int, seed: int, counts: np.ndarray) -> np.ndarray:
-    """The counts of np.searchsorted(table.cdf, u, side="right") over
+def _table_counts(table: tuple, s: int, seed: int, counts: np.ndarray) -> np.ndarray:
+    """The counts of np.searchsorted(cdf, u, side="right") over
     u = Generator(PCG64(seed)).random(s), written into counts, an int64
     array as long as probs, _CHUNK uniforms at a time. Each chunk's cells
     are tallied by one bincount over all mn cells, which ``_by_table``
     keeps few."""
-    cdf, guide = table.cdf, table.guide
+    cdf, guide = table
     buckets = guide.size - 1
     counts.fill(0)
     gen = np.random.Generator(np.random.PCG64(seed))
@@ -196,30 +185,28 @@ def _table_counts(table: _InverseCdf, s: int, seed: int, counts: np.ndarray) -> 
     return counts
 
 
-def _draw_counts(
-    probs: np.ndarray, s: int, seed: int, table: _InverseCdf | None = None, counts: np.ndarray | None = None
-) -> np.ndarray:
-    """How many of s i.i.d. draws from probs hit each cell, from
-    PCG64(seed mod 2^64): an int64 array as long as probs. An s or seed that
-    is not an integer, s above 2^63 - 1 (the most int64 counts hold) or below
-    1, and probs numpy will not draw from are refused, on either path.
+def _draw_rule(probs: np.ndarray, s: int):
+    """s i.i.d. draws from probs, set up once per distribution: s is checked
+    (an integer from 1 to 2^63 - 1, the most int64 counts hold), the support
+    found and, where ``_by_table(s, probs.size)`` holds, the table built, so
+    no draw repeats any of it. probs numpy will not draw from are refused on
+    either path: here by the table build, at each draw by ``multinomial``.
 
-    Where ``_by_table(s, probs.size)`` holds, the counts are those of
-    ``np.searchsorted(cdf, u, side="right")`` over u = ``random(s)``, with
-    cdf from ``_inverse_cdf(probs)``. A caller that draws from probs again
-    passes that table, and may pass counts, an int64 array as long as probs
-    that the draw overwrites and returns. Elsewhere they are one
-    ``multinomial(s, probs)`` draw, a new array.
+    Returns draw(seed, into=None) -> counts: how many of the s draws from
+    PCG64(seed mod 2^64) hit each cell, an int64 array as long as probs. On
+    the table path they are the counts of ``np.searchsorted(cdf, u,
+    side="right")`` over u = ``random(s)``, written into the int64 array
+    into, as long as probs, or a new one when into is None. Elsewhere they
+    are one ``multinomial(s, probs)`` draw, a new array whatever into is.
 
     Both paths end the draw at the last cell of positive probability, which
     takes what the others leave, float rounding of the running sum
     included: no count lands on a cell of probability 0.
 
-    On the ``multinomial`` path numpy computes each count but the last as a
-    float64 binomial draw, so counts are exact draws only up to s = 2^53.
-    Above it they are rounded to float64: the hybrid of [[3, 4], [0, 0]] at
+    numpy's ``multinomial`` draws each count but the last as a float64
+    binomial, exact only up to s = 2^53: the hybrid of [[3, 4], [0, 0]] at
     s = 2^63 - 1, seed 0, draws 3636643833541878272, a multiple of 512, for
-    its first cell, and the sketch is unbiased only to about 1e-16 relative.
+    its first cell, so the sketch is unbiased only to about 1e-16 relative.
     The counts still sum to s exactly.
     """
     s = _integer(s, "sample count")
@@ -227,15 +214,21 @@ def _draw_counts(
         raise InvalidSpecError(f"sample count {s} is more than 2**63 - 1, the most int64 counts hold")
     if s < 1:
         raise InvalidSpecError(f"sample count must be >= 1, got {s}")
-    seed = _integer(seed, "seed") & _SEED_MASK  # index(): a numpy integer & 2^64 - 1 overflows
-    if _by_table(s, probs.size):
-        table = _inverse_cdf(probs) if table is None else table
-        return _table_counts(table, s, seed, np.empty(probs.size, dtype=np.int64) if counts is None else counts)
-    end = _support_end(probs)
-    counts = _multinomial(probs[:end], s, seed)
-    if end < probs.size:  # the trailing cells of probability 0, never drawn
-        counts = np.concatenate((counts, np.zeros(probs.size - end, dtype=np.int64)))
-    return counts
+    cells = probs.size
+    end = cells if probs[-1] > 0.0 else int(np.flatnonzero(probs)[-1]) + 1  # one past the last cell of p > 0
+    p = probs[:end]
+    table = _inverse_cdf(p) if _by_table(s, cells) else None
+
+    def draw(seed: int, into: np.ndarray | None = None) -> np.ndarray:
+        seed = _integer(seed, "seed") & _SEED_MASK  # index(): a numpy integer & 2^64 - 1 overflows
+        if table is not None:
+            return _table_counts(table, s, seed, np.empty(cells, dtype=np.int64) if into is None else into)
+        counts = _multinomial(p, s, seed)
+        if end < cells:  # the trailing cells of probability 0, never drawn
+            counts = np.concatenate((counts, np.zeros(cells - end, dtype=np.int64)))
+        return counts
+
+    return draw
 
 
 def build_alias_table(d: SamplingDistribution) -> SamplingDistribution:
@@ -248,7 +241,7 @@ def build_alias_table(d: SamplingDistribution) -> SamplingDistribution:
 def draw_samples(d: SamplingDistribution, s: int, seed: int) -> SampleSet:
     """s i.i.d. with-replacement draws from d, counted per cell; a pure
     function of (d, s, seed mod 2^64), the seed the SampleSet records."""
-    counts = _draw_counts(d.probs, s, seed)
+    counts = _draw_rule(d.probs, s)(seed)
     cells = np.flatnonzero(counts)
     return SampleSet(d.m, d.n, s, cells, counts[cells], operator.index(seed) & _SEED_MASK)
 
@@ -259,6 +252,35 @@ def _cell_values(counts, x, sp, out: np.ndarray) -> np.ndarray:
     never drawn, keeps counts * x = 0."""
     np.multiply(counts, x, out=out)
     return np.divide(out, sp, out=out, where=sp > 0.0)
+
+
+def _trial_fill(x: DenseMatrix, d: SamplingDistribution, s: int):
+    """A trial's draw and S - X for d at s, set up once by ``_draw_rule``.
+
+    Returns fill(seed, diff) -> nnz, which writes S - X = counts * x /
+    (s * p) - x into diff, a float64 array of mn cells, and returns the
+    sketch's count of distinct cells. S - X is formed ``_CHUNK`` cells at a
+    time through ``_cell_values``, so it is bit for bit the densified
+    ``sparsify(x, s, seed, d.kind)`` sketch minus X, with no mn array beside
+    diff. The table path counts into diff itself, seen as int64: each chunk
+    of counts is read before its cells are written.
+    """
+    draw, xf, probs = _draw_rule(d.probs, s), x.flat(), d.probs
+
+    def fill(seed: int, diff: np.ndarray) -> int:
+        counts = draw(seed, diff.view(np.int64))
+        nnz = np.count_nonzero(counts)
+        n = min(xf.size, _CHUNK)
+        chunk = np.empty(n), np.empty(n)
+        for lo in range(0, xf.size, n):
+            hi = min(lo + n, xf.size)
+            c, sp = (a[: hi - lo] for a in chunk)
+            np.copyto(c, counts[lo:hi])
+            np.multiply(s, probs[lo:hi], out=sp)
+            np.subtract(_cell_values(c, xf[lo:hi], sp, diff[lo:hi]), xf[lo:hi], out=diff[lo:hi])
+        return nnz
+
+    return fill
 
 
 def sampling_operator(

@@ -101,7 +101,7 @@ def test_monte_carlo_runs_load_no_masked_arrays_and_no_executor(tmp_path):
         "import json, sys\n"
         "import elemsparse\n"
         "from elemsparse import experiment\n"
-        "experiment.os.cpu_count = lambda: 2\n"
+        "experiment.os.sched_getaffinity = lambda pid: {0, 1}\n"
         "for forked, jobs in ((True, 1), (False, 2)):\n"
         "    experiment._fork_safe = lambda: forked\n"
         f"    elemsparse.run_experiment({cfg.format(jobs='jobs')})\n"

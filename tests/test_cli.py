@@ -226,7 +226,7 @@ def _jobs_outputs(tmp_path, monkeypatch, solves, args) -> list:
     unsafe, so that every --jobs runs one worker, and then on forked workers
     (CPython 3.12 and later warn when a process with a BLAS pool thread
     forks; a pinned fork is meant)."""
-    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: set(range(4)))
     warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
     texts = []
     for forked in (False, True):

@@ -162,6 +162,11 @@ def _launcher(monkeypatch, forked: bool) -> None:
     warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
 
 
+def _cpus(monkeypatch, count: int) -> None:
+    # pin how many CPUs the process may run on, which caps the workers
+    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
 def _worker(parent: int) -> int:
     # in a two-worker forked run, worker 0 is the parent and worker 1 a child
     return int(os.getpid() != parent)
@@ -183,7 +188,7 @@ def test_seeds_derived_from_base():
 def test_jobs_do_not_change_results(monkeypatch, solves):
     # each wall time is one trial's own: draw, assembly and solve, forked or
     # not; where fork is unsafe every --jobs runs one worker
-    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 4)
+    _cpus(monkeypatch, 4)
     runs = []
     for forked in (False, True):
         _launcher(monkeypatch, forked)
@@ -214,9 +219,8 @@ def test_harness_errors_are_sparsify_errors_on_both_paths(monkeypatch, s, jobs, 
     assert sampler._by_table(160, 80) and not sampler._by_table(161, 80)
     if chunk:
         monkeypatch.setattr(sampler, "_CHUNK", chunk)
-        monkeypatch.setattr(experiment, "_CHUNK", chunk)
     _launcher(monkeypatch, jobs > 1)
-    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+    _cpus(monkeypatch, 2)
     cfg = _cfg(trials=6, jobs=jobs, s_override=s)
     x = generate_matrix(GEN)
     alone = {kind: tuple(sketch_error(x, sparsify(x, s, seed, kind)).value for seed in range(5, 11))
@@ -239,7 +243,7 @@ def test_compare_jobs_do_not_change_results(monkeypatch, solves):
     # s and seeds, however many workers share the trials; eight forked
     # workers, more than the cores, lose no record, and where fork is unsafe
     # every --jobs runs one worker
-    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 8)
+    _cpus(monkeypatch, 8)
     runs = []
     for forked in (False, True):
         _launcher(monkeypatch, forked)
@@ -262,7 +266,7 @@ def test_compare_is_experiment_over_every_kind(monkeypatch, solves, form, jobs):
     # from the wall times and, for l1 and l2, the bound report: compare's is
     # the shared plan's, sized at the hybrid's beta = 1; forked or, where
     # fork is unsafe, on one worker
-    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+    _cpus(monkeypatch, 2)
     cfg = _cfg(epsilon=None, epsilon_rel=0.9, s_override=None, bound_form=form, trials=4, jobs=jobs)
     for forked in (False, True):
         _launcher(monkeypatch, forked)
@@ -296,7 +300,7 @@ def test_one_job_solves_every_trial_on_the_calling_thread(monkeypatch, solves, r
 
     _launcher(monkeypatch, forked)
     monkeypatch.setattr(experiment.os, "fork", no_fork)
-    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 8)
+    _cpus(monkeypatch, 8)
     run(_cfg(trials=4, jobs=jobs))
     assert solves == [True] * (4 if run is run_experiment else 12)
 
@@ -304,10 +308,10 @@ def test_one_job_solves_every_trial_on_the_calling_thread(monkeypatch, solves, r
 def test_workers_never_outnumber_trials_forked(monkeypatch, solves):
     # each run starts its workers in its one _run_trials call, for every
     # (distribution, seed) trial, and solves nothing outside it; a run asked
-    # for more workers than there are trials or CPUs gets the smaller count,
-    # and one worker when the CPU count is unknown. The calling thread is
-    # worker 0 and solves trials 0, w, ...; w workers fork w - 1 children
-    # and start no thread, and every child is reaped before the run returns
+    # for more workers than there are trials or usable CPUs gets the smaller
+    # count. The calling thread is worker 0 and solves trials 0, w, ...; w
+    # workers fork w - 1 children and start no thread, and every child is
+    # reaped before the run returns
     forked, calls = [], []  # each fork's pid, and the solves seen as each _run_trials call starts and ends
 
     def recording_fork():
@@ -329,8 +333,8 @@ def test_workers_never_outnumber_trials_forked(monkeypatch, solves):
     _launcher(monkeypatch, True)
     monkeypatch.setattr(experiment.os, "fork", recording_fork)
     monkeypatch.setattr(experiment, "_run_trials", counted)
-    for cpus, workers in ((8, 3), (2, 2), (None, 1)):
-        monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
+    for cpus, workers in ((8, 3), (2, 2)):
+        _cpus(monkeypatch, cpus)
         for run, trials, alone in ((run_experiment, 3, one), (compare_distributions, 1, one_each)):
             del forked[:], calls[:], solves[:]
             capped = run(_cfg(trials=trials, jobs=1000))
@@ -358,10 +362,15 @@ def test_a_worker_error_is_raised_forked(monkeypatch, run, kind, before):
     starts = np.frombuffer(mmap.mmap(-1, 24), dtype=np.int64)  # worker 0's, worker 1's, and the sum at the failure
     parent, current = os.getpid(), {}
 
-    def draw(p, s, seed, *table_and_buffers):
-        starts[_worker(parent)] += 1
-        current["fails"] = np.array_equal(p, probs)
-        return draw_counts(p, s, seed, *table_and_buffers)
+    def counted(x, d, s):
+        fill, fails = trial_fill(x, d, s), np.array_equal(d.probs, probs)
+
+        def start(seed, diff):
+            starts[_worker(parent)] += 1
+            current["fails"] = fails
+            return fill(seed, diff)
+
+        return start
 
     def failing(a):
         if _worker(parent) == 1 and current["fails"] and starts[0] > 0:
@@ -370,11 +379,11 @@ def test_a_worker_error_is_raised_forked(monkeypatch, run, kind, before):
         time.sleep(0.001)
         return solve(a)
 
-    draw_counts, solve = experiment._draw_counts, experiment._spectral_norm
+    trial_fill, solve = experiment._trial_fill, experiment._spectral_norm
     _launcher(monkeypatch, True)
-    monkeypatch.setattr(experiment, "_draw_counts", draw)
+    monkeypatch.setattr(experiment, "_trial_fill", counted)
     monkeypatch.setattr(experiment, "_spectral_norm", failing)
-    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+    _cpus(monkeypatch, 2)
     with pytest.raises(ElemsparseError, match="solve failed"):
         run(_cfg(trials=40, jobs=2))
     _nothing_to_reap()
@@ -400,7 +409,7 @@ def test_the_lowest_failing_worker_error_is_raised_forked(monkeypatch):
 
     _launcher(monkeypatch, True)
     monkeypatch.setattr(experiment, "_spectral_norm", failing)
-    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+    _cpus(monkeypatch, 2)
     with pytest.raises(ElemsparseError, match="worker 0 failed"):
         run_experiment(_cfg(trials=4, jobs=2))
     _nothing_to_reap()
@@ -425,7 +434,7 @@ def test_a_forked_worker_error_keeps_its_type_and_message(monkeypatch, error):
     solve = experiment._spectral_norm
     _launcher(monkeypatch, True)
     monkeypatch.setattr(experiment, "_spectral_norm", failing)
-    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+    _cpus(monkeypatch, 2)
     with pytest.raises(error) as info:
         run_experiment(_cfg(trials=4, jobs=2))
     assert type(info.value) is error
@@ -446,7 +455,7 @@ def test_a_forked_worker_that_dies_is_an_error(monkeypatch):
     solve = experiment._spectral_norm
     _launcher(monkeypatch, True)
     monkeypatch.setattr(experiment, "_spectral_norm", dying)
-    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+    _cpus(monkeypatch, 2)
     with pytest.raises(ChildProcessError, match="trial worker 1 ended without a result"):
         run_experiment(_cfg(trials=4, jobs=2))
     _nothing_to_reap()
@@ -467,7 +476,7 @@ def test_forked_workers_are_reaped(monkeypatch):
     fork = os.fork
     _launcher(monkeypatch, True)
     monkeypatch.setattr(experiment.os, "fork", recording_fork)
-    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+    _cpus(monkeypatch, 2)
     run_experiment(_cfg(trials=4, jobs=2))
     _nothing_to_reap()
     monkeypatch.setattr(experiment, "_spectral_norm", failing)
@@ -490,7 +499,7 @@ def test_a_forked_run_writes_buffered_output_once():
         "    forks.append(1)\n"
         "    return fork()\n"
         "experiment._fork_safe = lambda: True\n"
-        "experiment.os.cpu_count = lambda: 2\n"
+        "experiment.os.sched_getaffinity = lambda pid: {0, 1}\n"
         "experiment.os.fork = recording_fork\n"
         "print('before the run')\n"
         "spec = elemsparse.GeneratorSpec('gaussian', 8, 10, 21)\n"
@@ -500,6 +509,66 @@ def test_a_forked_run_writes_buffered_output_once():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "before the run\n1\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity to set")
+def test_workers_are_capped_by_the_usable_cpus():
+    # a fresh interpreter whose BLAS runs on the calling thread, so it may
+    # fork, restricted to one CPU forks no worker for --jobs 2 however many
+    # the machine has; allowed two, it forks one
+    code = (
+        "import os, sys\n"
+        "import elemsparse\n"
+        "from elemsparse import experiment\n"
+        "forks, fork = [], os.fork\n"
+        "def recording_fork():\n"
+        "    forks.append(1)\n"
+        "    return fork()\n"
+        "experiment.os.fork = recording_fork\n"
+        "os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[: int(sys.argv[1])])\n"
+        "assert experiment._fork_safe()\n"
+        "spec = elemsparse.GeneratorSpec('gaussian', 8, 10, 21)\n"
+        "elemsparse.run_experiment(elemsparse.ExperimentConfig(spec, epsilon=4.0, s_override=60, trials=4, jobs=2))\n"
+        "print(len(os.sched_getaffinity(0)), len(forks))\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    for cpus in sorted({1, min(2, len(os.sched_getaffinity(0)))}):
+        res = subprocess.run([sys.executable, "-c", code, str(cpus)], capture_output=True, text=True, env=env, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == f"{cpus} {cpus - 1}\n"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("s, tables", [(160, 1), (161, 0)], ids=["table", "multinomial"])
+def test_each_table_is_built_once_before_any_fork(monkeypatch, s, tables, jobs):
+    # GEN has 80 cells: at s = 160 = 2 mn each distribution's inverse-CDF
+    # table is built once per run, when its trial fill is set up, before any
+    # worker forks, so no trial builds one, in the parent or in a child; at
+    # s = 161 multinomial draws and no table is built
+    built = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)  # tables built, and those built after a fork
+    forks = []
+
+    def counted(p):
+        built[0] += 1
+        built[1] += bool(forks)  # a child inherits the fork its parent recorded
+        return inverse_cdf(p)
+
+    def recording_fork():
+        forks.append(1)
+        return fork()
+
+    inverse_cdf, fork = sampler._inverse_cdf, os.fork
+    _launcher(monkeypatch, jobs > 1)
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(sampler, "_inverse_cdf", counted)
+    monkeypatch.setattr(experiment.os, "fork", recording_fork)
+    for run, kinds in ((run_experiment, 1), (compare_distributions, 3)):
+        built[:] = 0
+        del forks[:]
+        run(_cfg(trials=6, jobs=jobs, s_override=s))
+        assert built.tolist() == [tables * kinds, 0]
+        assert len(forks) == jobs - 1
+    _nothing_to_reap()
 
 
 def test_fork_is_safe_on_linux_with_one_thread(monkeypatch, solves):
@@ -530,7 +599,7 @@ def test_fork_is_safe_on_linux_with_one_thread(monkeypatch, solves):
     listdir = os.listdir
     monkeypatch.setattr(experiment.os, "listdir", no_proc)
     monkeypatch.setattr(experiment.sys, "platform", "linux")
-    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+    _cpus(monkeypatch, 2)
     assert not experiment._fork_safe()
     one = run_experiment(_cfg(trials=4, jobs=1))
     del solves[:]
@@ -544,7 +613,10 @@ def test_fork_is_safe_on_linux_with_one_thread(monkeypatch, solves):
 def test_trial_difference_is_the_densified_sketch_minus_x(monkeypatch, kind):
     # the harness builds S - X from the drawn counts, never through a COO
     # sketch; each solved array must be that sketch's, bit for bit, and each
-    # record's nnz that sketch's nnz
+    # record's nnz that sketch's nnz, on both sides of the draw rule: at
+    # s = 900 on 600 cells the table draws, with leading cells of
+    # probability 0, and at s = 5000 multinomial draws, with a last row of
+    # probability 0, so the draw ends before the trailing cells
     operands = []
 
     def capture(a):
@@ -553,15 +625,19 @@ def test_trial_difference_is_the_densified_sketch_minus_x(monkeypatch, kind):
 
     solve = experiment._spectral_norm
     monkeypatch.setattr(experiment, "_spectral_norm", capture)
-    a = generate_matrix(GeneratorSpec("low-rank-plus-noise", 30, 20, 4)).data.copy()
-    a[0, :5] = 0.0  # cells of probability 0 keep S - X = -x = 0
-    x = DenseMatrix(a)
-    seeds = tuple(range(2**64 - 4, 2**64 + 6))  # the draws wrap past 2^64
-    [records] = experiment._run_trials(x, (distribution_for_kind(x, kind),), 900, seeds, 1)
-    sketches = [sparsify(x, 900, seed, kind).matrix for seed in seeds]
-    expected = [_scatter(sk) - x.data for sk in sketches]
-    assert np.stack(operands).tobytes() == np.stack(expected).tobytes()
-    assert [nnz for _, nnz, _ in records] == [sk.nnz for sk in sketches]
+    assert sampler._by_table(900, 600) and not sampler._by_table(5000, 600)
+    for s, zeros in ((900, np.s_[0, :5]), (5000, np.s_[-1, :])):
+        a = generate_matrix(GeneratorSpec("low-rank-plus-noise", 30, 20, 4)).data.copy()
+        a[zeros] = 0.0  # cells of probability 0 keep S - X = -x = 0
+        x = DenseMatrix(a)
+        seeds = tuple(range(2**64 - 4, 2**64 + 6))  # the draws wrap past 2^64
+        del operands[:]
+        fill = sampler._trial_fill(x, distribution_for_kind(x, kind), s)
+        [records] = experiment._run_trials(x.shape, (fill,), seeds, 1)
+        sketches = [sparsify(x, s, seed, kind).matrix for seed in seeds]
+        expected = [_scatter(sk) - x.data for sk in sketches]
+        assert np.stack(operands).tobytes() == np.stack(expected).tobytes()
+        assert [nnz for _, nnz, _ in records] == [sk.nnz for sk in sketches]
 
 
 def test_emitted_s_matches_bounds_module():

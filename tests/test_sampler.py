@@ -27,7 +27,7 @@ from elemsparse import (
 )
 from elemsparse.matrix import coo_to_dense
 from elemsparse import sampler
-from elemsparse.sampler import _by_table, _draw_counts, _inverse_cdf, exact_expectation
+from elemsparse.sampler import _by_table, _draw_rule, _inverse_cdf, exact_expectation
 
 # chi-square inverse CDF at 0.999 with df=3 and df=19, frozen from scipy.stats.chi2.ppf
 CHI2_DF3_999 = 16.26623619623813
@@ -110,7 +110,7 @@ def test_draw_validation(toy):
     # a fractional s would draw floor(s) cells while the sketch divides by s,
     # so it is refused before the draw, and so is a fractional seed
     with pytest.raises(InvalidSpecError, match=r"^sample count must be an integer, got 10\.5$"):
-        _draw_counts(d.probs, 10.5, 0)
+        _draw_rule(d.probs, 10.5)(0)
     with pytest.raises(InvalidSpecError, match=r"^sample count must be an integer, got 10\.0$"):
         draw_samples(d, 10.0, seed=1)
     with pytest.raises(InvalidSpecError, match=r"^seed must be an integer, got 1\.5$"):
@@ -194,10 +194,10 @@ def test_table_counts_chi_square_against_s_p():
     x = generate_matrix(GeneratorSpec("gaussian", 4, 5, 6))  # no zero cell: 19 degrees of freedom
     d = hybrid_distribution(x)
     assert _by_table(40, 20)
-    table, into = _inverse_cdf(d.probs), np.empty(20, dtype=np.int64)
+    draw, into = _draw_rule(d.probs, 40), np.empty(20, dtype=np.int64)
     counts = np.zeros(20, dtype=np.int64)
     for seed in range(25_000):
-        counts += _draw_counts(d.probs, 40, seed, table, into)
+        counts += draw(seed, into)
     expected = 10**6 * d.probs
     assert float(((counts - expected) ** 2 / expected).sum()) <= CHI2_DF19_999
 
@@ -230,9 +230,9 @@ def test_numpy_sum_check_is_a_typed_error(excess, refused):
     for s in (6, 7):
         if refused:
             with pytest.raises(InvalidSpecError, match=r"^cannot draw from these probabilities: sum\(pvals\[:-1\]\) > 1\.0$"):
-                _draw_counts(probs, s, 0)
+                _draw_rule(probs, s)(0)
         else:  # the leading sum passes 1, so the last cell, left nothing, is never drawn
-            counts = _draw_counts(probs, s, 0)
+            counts = _draw_rule(probs, s)(0)
             assert int(counts.sum()) == s and counts[2] == 0
 
 
@@ -245,7 +245,7 @@ def test_table_path_refuses_what_multinomial_refuses(probs):
     probs = np.array(probs)
     for s in (1, 2 * probs.size, 2 * probs.size + 1):
         with pytest.raises(InvalidSpecError, match=r"^cannot draw from these probabilities: pvals < 0, pvals > 1 or pvals contains NaNs$"):
-            _draw_counts(probs, s, 0)
+            _draw_rule(probs, s)(0)
 
 
 def _searched_counts(probs, s, seed):
@@ -287,25 +287,25 @@ def _tiny_cells_in_one_bucket():
 def test_table_counts_are_the_searchsorted_counts(monkeypatch, probs):
     s = 2 * probs.size  # the most the rule sends to the table
     assert _by_table(s, probs.size)
-    table, into = _inverse_cdf(probs), np.empty(probs.size, dtype=np.int64)
+    draw, into = _draw_rule(probs, s), np.empty(probs.size, dtype=np.int64)
     for seed in range(50):
         expected = _searched_counts(probs, s, seed)
-        assert np.array_equal(_draw_counts(probs, s, seed), expected)
-        # a prebuilt table and a reused counts array, as each trial worker
+        assert np.array_equal(_draw_rule(probs, s)(seed), expected)
+        # one set-up draw counting into a reused array, as each trial fill
         # draws, and chunks of 7 uniforms, so the stream crosses chunk ends
         with monkeypatch.context() as patch:
             patch.setattr(sampler, "_CHUNK", 7)
-            assert np.array_equal(_draw_counts(probs, s, seed, table, into), expected)
+            assert draw(seed, into) is into and np.array_equal(into, expected)
     assert np.all(expected[probs == 0.0] == 0)
 
 
 def test_table_guide_is_the_searchsorted_guide():
     for probs in (_tiny_cells_in_one_bucket(), hybrid_distribution(generate_matrix(GeneratorSpec("power-law", 30, 40, 1))).probs):
-        table = _inverse_cdf(probs)
-        buckets = table.guide.size - 1
-        assert buckets >= table.cdf.size and buckets & (buckets - 1) == 0
+        cdf, guide = _inverse_cdf(probs)
+        buckets = guide.size - 1
+        assert buckets >= cdf.size and buckets & (buckets - 1) == 0
         edges = np.arange(buckets + 1) / buckets
-        assert np.array_equal(table.guide, np.searchsorted(table.cdf, edges, side="right"))
+        assert np.array_equal(guide, np.searchsorted(cdf, edges, side="right"))
 
 
 def test_path_flips_at_the_rule():
@@ -318,9 +318,9 @@ def test_path_flips_at_the_rule():
     x = generate_matrix(GeneratorSpec("gaussian", 4, 5, 6))
     probs = hybrid_distribution(x).probs
     for seed in range(5):
-        assert np.array_equal(_draw_counts(probs, 40, seed), _searched_counts(probs, 40, seed))
+        assert np.array_equal(_draw_rule(probs, 40)(seed), _searched_counts(probs, 40, seed))
         multinomial = np.random.Generator(np.random.PCG64(seed)).multinomial(41, probs)
-        assert np.array_equal(_draw_counts(probs, 41, seed), multinomial)
+        assert np.array_equal(_draw_rule(probs, 41)(seed), multinomial)
 
 
 @pytest.mark.parametrize(
