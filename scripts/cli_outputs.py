@@ -51,6 +51,15 @@ ZERO_ROWS_MTX = "%%MatrixMarket matrix coordinate real general\n0 0 0\n"
 # A size line declaring -1 entries, refused at that line.
 NEGATIVE_NNZ_MTX = "%%MatrixMarket matrix coordinate real general\n2 2 -1\n"
 
+# A 4x5 file in CRLF endings with comment and blank lines before the size
+# line, tabs between fields, a comment after an entry, and the cell (2, 3)
+# listed twice, so its two values add up.
+MESSY_MTX = "\r\n".join([
+    "%%MatrixMarket matrix coordinate real general", "% a 4x5 matrix", "", "4 5 8",
+    "1\t1\t2.5", "1 4 -1.25 % a trailing comment", "2\t3 0.75", "% between entries", "2 3 -3",
+    "3 2\t1e-3", "3 5 4", "4 1 -0.5", "4 4 6.125",
+]) + "\r\n"
+
 # (name, argv after "elemsparse", output file or None for stdout)
 COMMANDS = [
     ("experiment-jobs2", ["experiment", "--generate", "gaussian,12,10,4", "--epsilon-rel", "0.6",
@@ -132,6 +141,8 @@ COMMANDS = [
      "sketch-zero-rows.mtx"),
     ("mtx-negative-nnz", ["sparsify", "--input", "negative-nnz.mtx", "--s", "5", "--out", "sketch-negative-nnz.mtx"],
      "sketch-negative-nnz.mtx"),
+    ("mtx-messy", ["sparsify", "--input", "messy.mtx", "--s", "30", "--seed", "4", "--out", "sketch-messy.mtx"],
+     "sketch-messy.mtx"),
 ]
 
 
@@ -181,6 +192,7 @@ def main() -> None:
     (outdir / "separator.csv").write_text(SEPARATOR_CSV)
     (outdir / "zero-rows.mtx").write_text(ZERO_ROWS_MTX)
     (outdir / "negative-nnz.mtx").write_text(NEGATIVE_NNZ_MTX)
+    (outdir / "messy.mtx").write_bytes(MESSY_MTX.encode("ascii"))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     twins = [(row, _forked_twin(*row)) for row in COMMANDS if row[0] in JOBS_ROWS]
     rows = [(*row, env) for row in COMMANDS] + [(*twin, {**env, **FORKED_ENV}) for _, twin in twins]

@@ -22,8 +22,8 @@ single entry, rank one, two gaussian, power law, rank deficient and a
 gaussian scaled by 1e-170) and three extreme-scale gaussian members (scaled
 by 1e160, -1e160 and 1e-165) are each solved on their own. That is
 13 * 4 * 11 = 572 solves. The dispatch block solves the same members under
-the default settings, plus those of one 320x301 shape, above the largest
-dense shape, so 14 * 11 = 154 solves more.
+the default settings, plus those of one 301x301 shape, the smallest square
+shape that takes Lanczos, so 14 * 11 = 154 solves more.
 """
 
 import sys
@@ -39,9 +39,9 @@ from elemsparse import spectral  # noqa: E402
 SHAPES = [(1, 1), (1, 6), (6, 1), (2, 3), (3, 2), (4, 4), (9, 6), (6, 9), (20, 13), (13, 20), (33, 32),
           (120, 40), (40, 120)]
 
-# Shapes of the dispatch block: every min(m, n) of SHAPES takes the dense
-# path, and 320x301 takes Lanczos.
-DISPATCH_SHAPES = [*SHAPES, (320, 301)]
+# Shapes of the dispatch block: every shape of SHAPES takes the dense path,
+# and 301x301 takes Lanczos.
+DISPATCH_SHAPES = [*SHAPES, (301, 301)]
 
 SETTINGS = [
     ("default", {}),

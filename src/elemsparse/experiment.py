@@ -16,8 +16,8 @@ Reproducibility contract: trial t of every distribution draws with seed
 ``_results`` sets up one ``sampler._trial_fill`` per distribution, whose
 S - X is the densified ``sparsify(x, s, seed, kind)`` sketch minus X, bit
 for bit, and the error is one ``spectral._spectral_norm`` solve of it (an
-exact Gram eigensolve where min(m, n) <= 300, Lanczos above). This module
-schedules: every (distribution, seed) trial of the plan runs in one
+exact Gram eigensolve on the shapes where that is cheaper, else Lanczos).
+This module schedules: every (distribution, seed) trial of the plan runs in one
 ``_run_trials`` call, whose workers --jobs bounds: the calling thread and
 forked children, or the calling thread alone where ``_fork_safe`` fails.
 Each trial stores one record at its distribution and seed, so no result

@@ -2,11 +2,14 @@
 
 CSV files are one matrix row per line, comma-separated decimals with no
 digit separators. Matrix Market entries not listed are zero; duplicate
-coordinates accumulate.
+coordinates accumulate. After the size line, numpy's own reader parses a
+Matrix Market body straight from the file, and one pass adds the entries
+into the dense matrix.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
 from pathlib import Path
 from typing import NoReturn
@@ -14,7 +17,7 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import DimensionError, ParseError
-from .matrix import DenseMatrix, SparseCOO, check_cell_count, coo_to_dense
+from .matrix import DenseMatrix, SparseCOO, check_cell_count
 
 __all__ = [
     "FORMATS",
@@ -28,6 +31,8 @@ FORMATS = ("matrix-market", "csv")
 
 _MM_HEADER = "%%MatrixMarket"
 _MM_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+# Suffixes by which numpy's reader, given a name, opens a file as compressed.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 # Entries formatted and written per write call: the body is never held whole.
 _WRITE_CHUNK = 1 << 16
@@ -55,12 +60,17 @@ def load_matrix(path, fmt: str | None = None) -> DenseMatrix:
 def _load_matrix_market(path) -> DenseMatrix:
     """Read a coordinate real general Matrix Market file (grammar in the README).
 
-    The header and the size line are read line by line. The body is parsed by
-    one ``np.loadtxt`` call into ``(int64 i, int64 j, float64 v)`` records read
-    from the open file, and the index range and the entry count are checked on
-    whole arrays. When the parse or a check refuses the file,
-    ``_refuse_matrix_market_body`` reads it again line by line to name the
-    offending line.
+    The header, the size line and every line before it are read line by line.
+    The body is parsed by one ``np.loadtxt`` call into ``(int64 i, int64 j,
+    float64 v)`` records. Given a name, numpy's reader reads the file itself in
+    chunks, skipping the lines already read, which is far faster than from a
+    file object, line by line; it reads from the open file instead where the
+    file cannot be sought (a pipe) or where numpy would open the name as
+    compressed (by its suffix). The index range and the entry count are
+    checked on whole arrays, and one ``np.bincount`` adds the entries into the
+    dense matrix, duplicate cells in file order, as ``matrix._scatter`` does.
+    When the parse or a check refuses the file, ``_refuse_matrix_market_body``
+    reads it again line by line to name the offending line.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline()
@@ -84,6 +94,11 @@ def _load_matrix_market(path) -> DenseMatrix:
                 size_raw = raw
         size_lineno = lineno
         m, n, nnz = _parse_size_line(path, size_lineno, size_raw)
+        # Joined to the working directory, not normalized: a name starts at the
+        # root, so numpy never takes it for a URL, and a '..' after a symbolic
+        # link still names the file open here.
+        name = os.path.join(os.getcwd(), os.fsdecode(path))
+        source, skip = (name, size_lineno) if fh.seekable() and not name.endswith(_COMPRESSED) else (fh, 0)
         with warnings.catch_warnings():
             # numpy 1.23-1.26 read an int64 field such as "1.0" or "2.9" as a
             # float, truncate it and only warn; as an error the field refuses
@@ -92,7 +107,9 @@ def _load_matrix_market(path) -> DenseMatrix:
             # a body with no entries is valid when nnz is 0
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             try:
-                entries = np.loadtxt(fh, dtype=_MM_ENTRY, comments="%", ndmin=1)
+                entries = np.loadtxt(
+                    source, dtype=_MM_ENTRY, comments="%", ndmin=1, skiprows=skip, encoding="ascii"
+                )
             except (ValueError, DeprecationWarning) as exc:
                 _refuse_matrix_market_body(path, size_lineno, m, n, nnz, str(exc))
     i, j = entries["i"], entries["j"]
@@ -100,7 +117,11 @@ def _load_matrix_market(path) -> DenseMatrix:
         nnz > 0 and (i.min() < 1 or i.max() > m or j.min() < 1 or j.max() > n)
     ):
         _refuse_matrix_market_body(path, size_lineno, m, n, nnz)
-    return coo_to_dense(SparseCOO(m, n, i - 1, j - 1, entries["v"]))
+    cells = i - 1  # the row-major cell (i - 1) * n + j - 1, built in place
+    cells *= n
+    cells += j
+    cells -= 1
+    return DenseMatrix(np.bincount(cells, weights=entries["v"], minlength=m * n).reshape(m, n))
 
 
 def _mm_content(raw: str) -> str:
@@ -141,29 +162,30 @@ def _refuse_matrix_market_body(path, size_lineno: int, m: int, n: int, nnz: int,
     whole arrays; it runs only on a file already refused. ``reason`` is
     loadtxt's message, reported if no line breaks the documented grammar.
     """
+    count, lineno = 0, size_lineno
     with open(path, "r", encoding="ascii") as fh:
-        lines = fh.readlines()
-    count = 0
-    for lineno, raw in enumerate(lines[size_lineno:], start=size_lineno + 1):
-        text = _mm_content(raw)
-        if not text:
-            continue
-        words = text.split()
-        if len(words) != 3:
-            raise ParseError(f"expected 'i j value', got {raw.strip()!r}", path=path, line=lineno)
-        try:
-            _unseparated(text)
-            i, j, _ = int(words[0]), int(words[1]), float(words[2])
-        except ValueError:
-            raise ParseError(f"malformed entry {raw.strip()!r}", path=path, line=lineno) from None
-        if not (1 <= i <= m and 1 <= j <= n):
-            raise ParseError(
-                f"index ({i}, {j}) outside declared size ({m}, {n})", path=path, line=lineno
-            )
-        count += 1
+        for _ in range(size_lineno):
+            fh.readline()
+        for lineno, raw in enumerate(fh, start=size_lineno + 1):
+            text = _mm_content(raw)
+            if not text:
+                continue
+            words = text.split()
+            if len(words) != 3:
+                raise ParseError(f"expected 'i j value', got {raw.strip()!r}", path=path, line=lineno)
+            try:
+                _unseparated(text)
+                i, j, _ = int(words[0]), int(words[1]), float(words[2])
+            except ValueError:
+                raise ParseError(f"malformed entry {raw.strip()!r}", path=path, line=lineno) from None
+            if not (1 <= i <= m and 1 <= j <= n):
+                raise ParseError(
+                    f"index ({i}, {j}) outside declared size ({m}, {n})", path=path, line=lineno
+                )
+            count += 1
     if count != nnz:
         raise ParseError(
-            f"size line declared {nnz} entries but file has {count}", path=path, line=len(lines)
+            f"size line declared {nnz} entries but file has {count}", path=path, line=lineno
         )
     raise ParseError(f"malformed entries: {reason}", path=path)
 

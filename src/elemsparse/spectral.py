@@ -5,17 +5,18 @@ Used for the error measurement ``||sketch - X||_2`` and by ``stable_rank``.
 ``_spectral_norm`` takes one dense 2-d array: ``spectral_norm`` hands it a
 copy of its operand, ``sketch_error`` and the experiment harness a trial's
 ``S - X``, densified at the size of X, which the program already holds dense.
-It picks the path from the shape alone. Where min(m, n) <= _DENSE_MAX_DIM,
-``_gram_norm`` takes sigma_1 as the square root of the top eigenvalue of the
-Gram matrix, which is exact to roundoff and reports 0 steps, ``converged``
-True and residual 0.0. Above it, ``_lanczos_norm`` stops on a residual
-certificate for its top Ritz triple, so ``converged`` means the reported
-value lies within ``_TOL`` (relative) of a singular value; one test per
-Lanczos step makes that decision, breakdown and the exact last step
-included. Both paths consume their operand: ``_scale_down`` scales it in
-place by a power of two, which keeps products in float range and is undone
-exactly on the result. So a result does not depend on the scale of its
-matrix, and ``spectral_norm`` solves a copy.
+It picks the path from the shape alone, by cost: where small + small^2 / big
+<= 2 * _DENSE_MAX_DIM, small and big the two dimensions (up to 300 x 300 on
+a square operand), ``_gram_norm`` takes sigma_1 as the square root of the
+top eigenvalue of the Gram matrix, which is exact to roundoff and reports 0
+steps, ``converged`` True and residual 0.0. Otherwise ``_lanczos_norm``
+stops on a residual certificate for its top Ritz triple, so ``converged``
+means the reported value lies within ``_TOL`` (relative) of a singular
+value; one test per Lanczos step makes that decision, breakdown and the
+exact last step included. Both paths consume their operand: ``_scale_down``
+scales it in place by a power of two, which keeps products in float range
+and is undone exactly on the result. So a result does not depend on the
+scale of its matrix, and ``spectral_norm`` solves a copy.
 """
 
 from __future__ import annotations
@@ -39,11 +40,14 @@ _START_SEED = 0
 # Steps between residual tests; a test costs one SVD of the k x k bidiagonal,
 # which outweighs a Lanczos step on small operators.
 _CHECK_EVERY = 4
-# Operands with min(m, n) <= _DENSE_MAX_DIM are solved exactly from their Gram
-# matrix, larger ones by Lanczos. The Gram solve costs O(mn min(m, n)) time
-# and min(m, n)^2 memory; on square S - X operands it is the faster of the two
-# up to about 300-325, and Lanczos is from 350 (the crossover table is in
-# ROADMAP.md).
+# An operand with small + small^2 / big <= 2 * _DENSE_MAX_DIM, small and big
+# its two dimensions, is solved exactly from its Gram matrix, any other by
+# Lanczos. The Gram solve costs O(big small^2 + small^3) time and small^2
+# memory, a Lanczos step O(big small), and the step count barely moves with
+# big. On square S - X operands the Gram solve is the faster of the two up to
+# about 300-325 and Lanczos from 350, so the rule takes 300^2 and not 301^2;
+# on tall ones the Gram solve stays faster far longer (1204x301 and 1600x400:
+# the crossover table is in ROADMAP.md).
 _DENSE_MAX_DIM = 300
 
 
@@ -159,9 +163,11 @@ def _gram_norm(a: np.ndarray) -> SpectralEstimate:
 
 def _spectral_norm(a: np.ndarray) -> SpectralEstimate:
     """Top singular value of the 2-d float64 array a: exactly by _gram_norm
-    where min(m, n) <= _DENSE_MAX_DIM, by _lanczos_norm above. a is
+    where small + small^2 / big <= 2 * _DENSE_MAX_DIM (small and big its two
+    dimensions; compared in integers), by _lanczos_norm otherwise. a is
     consumed."""
-    solve = _gram_norm if min(a.shape) <= _DENSE_MAX_DIM else _lanczos_norm
+    small, big = sorted(a.shape)
+    solve = _gram_norm if small * (big + small) <= 2 * _DENSE_MAX_DIM * big else _lanczos_norm
     return solve(a)
 
 
@@ -180,16 +186,17 @@ def spectral_norm(a) -> SpectralEstimate:
     """Top singular value of a dense matrix, with its Lanczos step count,
     convergence flag and Ritz residual.
 
-    Where min(m, n) <= _DENSE_MAX_DIM (300) the value is exact and comes
-    back as SpectralEstimate(value, 0, True, 0.0). Above it, converged is
-    True exactly when the Lanczos residual test held; after _MAX_STEPS
-    (5000) steps, when that is below min(m, n), the last estimate comes back
-    with converged=False. A Lanczos estimate never exceeds the true norm.
-    Non-convergence is signaled, not raised. The operand is checked as a
-    DenseMatrix is: a NaN or infinite entry raises NonFiniteError, and a
-    1-d or empty one ShapeMismatchError. The solve runs on a copy of a, and
-    2^k a takes the same path and steps as a; a norm above the float range
-    reads inf, with numpy's overflow warning.
+    Where small + small^2 / big <= 2 * _DENSE_MAX_DIM (600), small and big
+    the two dimensions (so up to 300 x 300 square and 1600 x 400 tall), the
+    value is exact and comes back as SpectralEstimate(value, 0, True, 0.0).
+    Otherwise converged is True exactly when the Lanczos residual test held;
+    after _MAX_STEPS (5000) steps, when that is below min(m, n), the last
+    estimate comes back with converged=False. A Lanczos estimate never
+    exceeds the true norm. Non-convergence is signaled, not raised. The
+    operand is checked as a DenseMatrix is: a NaN or infinite entry raises
+    NonFiniteError, and a 1-d or empty one ShapeMismatchError. The solve runs
+    on a copy of a, and 2^k a takes the same path and steps as a; a norm
+    above the float range reads inf, with numpy's overflow warning.
     """
     return _spectral_norm(np.array(_values(a), order="C"))
 

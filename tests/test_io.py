@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from elemsparse import (
     write_matrix_market,
 )
 from elemsparse.io import detect_format
+from elemsparse.matrix import _scatter, coo_to_dense
 
 MM_HEADER = "%%MatrixMarket matrix coordinate real general"
 
@@ -102,6 +104,119 @@ def test_matrix_market_grammar_edges(tmp_path, body, nnz, expect):
     else:
         np.testing.assert_array_equal(load_matrix(path).data, expect)
 
+
+@pytest.mark.parametrize("newline", ["\r", "\n"])
+def test_count_mismatch_names_the_last_line(tmp_path, newline):
+    # a CR-only file, and one with no final newline, whose last line is 5
+    text = newline.join([MM_HEADER, "% c", "2 2 3", "1 1 1.5", "2 2 -1"])
+    path = tmp_path / "n.mtx"
+    path.write_bytes(text.encode("ascii"))
+    with pytest.raises(ParseError) as exc:
+        load_matrix(path)
+    assert str(exc.value) == f"{path}:5: size line declared 3 entries but file has 2"
+
+
+def test_duplicate_cells_add_in_file_order(tmp_path):
+    # (1e16 + 1) - 1e16 is 0.0 in file order, 1.0 in any order that adds 1 last
+    x = load_matrix(_write(tmp_path, "d.mtx", f"{MM_HEADER}\n2 2 3\n1 2 1e16\n1 2 1\n1 2 -1e16\n"))
+    expected = _scatter(SparseCOO(2, 2, [0, 0, 0], [1, 1, 1], [1e16, 1.0, -1e16]))
+    assert x.data.tobytes() == expected.tobytes()
+    assert x.data[0, 1] == 0.0
+
+
+def test_loader_reads_the_body_by_name_and_builds_no_coo(tmp_path, monkeypatch):
+    sources, coos = [], []
+    loadtxt, post_init = np.loadtxt, SparseCOO.__post_init__
+
+    def recording_loadtxt(source, *args, **kwargs):
+        sources.append(source)
+        return loadtxt(source, *args, **kwargs)
+
+    def recording_post_init(self):
+        coos.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(np, "loadtxt", recording_loadtxt)
+    monkeypatch.setattr(SparseCOO, "__post_init__", recording_post_init)
+    path = _write(tmp_path, "a.mtx", f"{MM_HEADER}\n% c\n2 2 2\n1 1 1.5\n2 1 -2\n")
+    np.testing.assert_array_equal(load_matrix(path).data, [[1.5, 0.0], [-2.0, 0.0]])
+    assert sources == [str(path)] and coos == []
+
+
+def test_compressed_suffix_is_read_as_plain_text(tmp_path):
+    # numpy's reader would open a name ending in .gz with gzip
+    path = _write(tmp_path, "x.gz", f"{MM_HEADER}\n2 2 1\n2 2 3.5\n")
+    np.testing.assert_array_equal(load_matrix(path, fmt="matrix-market").data, [[0.0, 0.0], [0.0, 3.5]])
+
+
+def test_url_shaped_relative_name_is_read_from_disk(tmp_path, monkeypatch):
+    # numpy's reader fetches a name of the form scheme://host/... as a URL;
+    # should the loader ever hand it one, the fetch fails here, offline
+    def no_fetch(url, *args, **kwargs):
+        raise AssertionError(f"fetched {url!r}")
+
+    monkeypatch.setattr("urllib.request.urlopen", no_fetch)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "http:" / "host").mkdir(parents=True)
+    (tmp_path / "http:" / "host" / "a.mtx").write_text(f"{MM_HEADER}\n1 2 1\n1 2 -4\n")
+    np.testing.assert_array_equal(load_matrix("http://host/a.mtx").data, [[0.0, -4.0]])
+
+
+def test_dot_dot_after_a_symbolic_link_names_the_linked_file(tmp_path, monkeypatch):
+    # link/../x.mtx is real/x.mtx, not the x.mtx beside link, which a
+    # normalized name would read the body from
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "real" / "sub").mkdir(parents=True)
+    (tmp_path / "link").symlink_to(tmp_path / "real" / "sub")
+    (tmp_path / "real" / "x.mtx").write_text(f"{MM_HEADER}\n1 2 1\n1 1 7\n")
+    (tmp_path / "x.mtx").write_text(f"{MM_HEADER}\n1 2 1\n1 2 9\n")
+    np.testing.assert_array_equal(load_matrix("link/../x.mtx").data, [[7.0, 0.0]])
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_pipe_is_read_through_its_open_file():
+    # a pipe cannot be read again from its start by name
+    r, w = os.pipe()
+    try:
+        os.write(w, f"{MM_HEADER}\n2 2 2\n1 1 1.5\n2 2 -1\n".encode("ascii"))
+        os.close(w)
+        x = load_matrix(f"/dev/fd/{r}", fmt="matrix-market")
+    finally:
+        os.close(r)
+    np.testing.assert_array_equal(x.data, [[1.5, 0.0], [0.0, -1.0]])
+
+
+_JUNK = st.lists(st.sampled_from(["", "%", "% note", "  \t", "%%x 1 2"]), max_size=2)
+
+
+@st.composite
+def _mm_texts(draw):
+    """A Matrix Market file of up to 12 entries, duplicates included, with its
+    triples: LF, CRLF or CR endings, fields split by spaces and tabs, comment
+    and blank lines before and after the size line and between entries, and
+    trailing comments."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    k = draw(st.integers(0, 12))
+    rows = draw(st.lists(st.integers(0, m - 1), min_size=k, max_size=k))
+    cols = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
+    vals = draw(st.lists(st.floats(-1e6, 1e6) | st.sampled_from([5e-324, -0.0, 1e16, -1e16]), min_size=k, max_size=k))
+    sep = st.sampled_from([" ", "\t", " \t ", "  "])
+    tail = st.sampled_from(["", " ", "\t", " % c"])
+    lines = [MM_HEADER, *draw(_JUNK), f"{m}{draw(sep)}{n}{draw(sep)}{k}{draw(tail)}", *draw(_JUNK)]
+    for i, j, v in zip(rows, cols, vals):
+        lines += [f"{draw(sep)}{i + 1}{draw(sep)}{j + 1}{draw(sep)}{v!r}{draw(tail)}", *draw(_JUNK)]
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    return text, SparseCOO(m, n, rows, cols, vals)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_mm_texts())
+def test_matrix_market_loads_as_the_coo_of_its_triples(tmp_path_factory, case):
+    text, coo = case
+    path = tmp_path_factory.mktemp("mm") / "h.mtx"
+    path.write_bytes(text.encode("ascii"))
+    assert load_matrix(path).data.tobytes() == coo_to_dense(coo).data.tobytes()
 
 
 def test_float_index_refused_under_any_warning_filters(tmp_path, monkeypatch):

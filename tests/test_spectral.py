@@ -267,10 +267,10 @@ def test_solves_agree_with_dense_norm(spec, monkeypatch):
 
 
 def test_paths_meet_at_the_crossover():
-    # the dispatch changes path between min(m, n) = _DENSE_MAX_DIM and one
-    # more; on both sides the two paths give the same value
+    # on square operands the dispatch changes path between _DENSE_MAX_DIM and
+    # one more; on both sides the two paths give the same value
     for small in (spectral._DENSE_MAX_DIM, spectral._DENSE_MAX_DIM + 1):
-        x = generate_matrix(GeneratorSpec("gaussian", small + 20, small, small))
+        x = generate_matrix(GeneratorSpec("gaussian", small, small, small))
         sk = sparsify(x, s=x.m * x.n, seed=1)
         diff = _densify(sk.matrix) - x.data
         dense = _gram_norm(diff.copy())
@@ -280,13 +280,39 @@ def test_paths_meet_at_the_crossover():
         assert sketch_error(x, sk) == (dense if small == spectral._DENSE_MAX_DIM else lanczos)
 
 
+@pytest.mark.parametrize(
+    "shape, path",
+    [
+        ((300, 300), "dense"),
+        ((301, 301), "lanczos"),
+        ((350, 350), "lanczos"),
+        ((1204, 301), "dense"),
+        ((301, 1204), "dense"),
+        ((1600, 400), "dense"),
+        # small + small^2 / big crosses 600 between these two
+        ((303, 301), "lanczos"),
+        ((304, 301), "dense"),
+    ],
+)
+def test_dispatch_by_cost(monkeypatch, shape, path):
+    # tall and wide operands take the Gram solve far past 300 x 300, where
+    # it is the cheaper path (the crossover table in ROADMAP.md)
+    taken = []
+    monkeypatch.setattr(spectral, "_gram_norm", lambda a: taken.append("dense"))
+    monkeypatch.setattr(spectral, "_lanczos_norm", lambda a: taken.append("lanczos"))
+    spectral._spectral_norm(np.zeros(shape))
+    assert taken == [path]
+
+
 def test_second_singular_value_trap(monkeypatch):
     # Power iteration stopped on sigma_2 = 13.19256... of this difference and
-    # reported it as converged; Lanczos's residual certificate finds sigma_1,
-    # and the dense path, which takes this 100 x 100 difference by default,
-    # gets every eigenvalue. The sketch is frozen
-    # (scripts/make_trap_fixture.py): the sampler's stream draws another one
-    # from its seed.
+    # reported it as converged; Lanczos's residual certificate finds sigma_1
+    # = 13.36239..., and the dense path, which takes this 100 x 100
+    # difference by default, gets every eigenvalue. The fixture freezes the
+    # sample multiset of the hybrid sketch of the gaussian 100 x 100 matrix
+    # of seed 44 at s = 15 202 and seed 29, as the Walker/Vose alias-table
+    # sampler of commit 8313b72 drew it; today's sampler draws another one
+    # from that seed.
     doc = json.loads(TRAP.read_text(encoding="ascii"))
     x = generate_matrix(GeneratorSpec(**doc["generator"]))
     d = hybrid_distribution(x)
