@@ -84,8 +84,9 @@ COMMANDS = [
     # three workers over one trial of each kind: the kinds run side by side
     ("compare-trials1-jobs3", ["compare", "--generate", "gaussian,9,8,2", "--epsilon-rel", "0.7", "--trials", "1",
                                "--seed", "6", "--jobs", "3"], None),
-    # the sampler's rule draws s <= 2 mn by the inverse-CDF table and s > 2 mn
-    # by multinomial while mn <= 2^15: 12x10 has 120 cells and 9x8 has 72
+    # the sampler's rule draws s <= 2 mn by the inverse-CDF table while
+    # mn <= 2^15, and 2 mn < s <= 2^53 by Poisson counts and a top-up: 12x10
+    # has 120 cells and 9x8 has 72
     ("experiment-s-at-rule", ["experiment", "--generate", "gaussian,12,10,4", "--epsilon-rel", "0.6", "--s", "240",
                               "--trials", "6", "--seed", "3", "--jobs", "2"], None),
     ("experiment-s-past-rule", ["experiment", "--generate", "gaussian,12,10,4", "--epsilon-rel", "0.6", "--s", "241",
@@ -112,6 +113,14 @@ COMMANDS = [
                             "--out", "sketch-at-rule.mtx"], "sketch-at-rule.mtx"),
     ("sparsify-s-past-rule", ["sparsify", "--generate", "gaussian,10,12,1", "--s", "241", "--seed", "5",
                               "--out", "sketch-past-rule.mtx"], "sketch-past-rule.mtx"),
+    # past 2^15 cells s <= 2 mn draws by multinomial: 182x181 has 32 942 cells
+    ("sparsify-many-cells", ["sparsify", "--generate", "gaussian,182,181,1", "--s", "1000", "--seed", "5",
+                             "--out", "sketch-many-cells.mtx"], "sketch-many-cells.mtx"),
+    # the Poisson path's last s, 2^53, and multinomial's first one past it
+    ("sparsify-s-at-2-53", ["sparsify", "--generate", "gaussian,4,5,1", "--s", str(2**53), "--seed", "5",
+                            "--out", "sketch-at-2-53.mtx"], "sketch-at-2-53.mtx"),
+    ("sparsify-s-past-2-53", ["sparsify", "--generate", "gaussian,4,5,1", "--s", str(2**53 + 1), "--seed", "5",
+                              "--out", "sketch-past-2-53.mtx"], "sketch-past-2-53.mtx"),
     ("sparsify-seed-past-2-64", ["sparsify", "--generate", "gaussian,6,5,1", "--s", "40",
                                  "--seed", str(2**64 + 3), "--out", "sketch-seed.mtx"], "sketch-seed.mtx"),
     ("sparsify-s-past-int64", ["sparsify", "--generate", "gaussian,4,5,1", "--epsilon", "1e-12",

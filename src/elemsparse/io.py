@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import warnings
+from io import StringIO
 from pathlib import Path
 from typing import NoReturn
 
@@ -64,13 +65,14 @@ def _load_matrix_market(path) -> DenseMatrix:
     The body is parsed by one ``np.loadtxt`` call into ``(int64 i, int64 j,
     float64 v)`` records. Given a name, numpy's reader reads the file itself in
     chunks, skipping the lines already read, which is far faster than from a
-    file object, line by line; it reads from the open file instead where the
-    file cannot be sought (a pipe) or where numpy would open the name as
-    compressed (by its suffix). The index range and the entry count are
-    checked on whole arrays, and one ``np.bincount`` adds the entries into the
-    dense matrix, duplicate cells in file order, as ``matrix._scatter`` does.
-    When the parse or a check refuses the file, ``_refuse_matrix_market_body``
-    reads it again line by line to name the offending line.
+    file object, line by line. Where the file cannot be sought (a pipe) or
+    numpy would open the name as compressed (by its suffix), the rest of the
+    open file is read as text instead, and parsed and kept from there. The
+    index range and the entry count are checked on whole arrays, and one
+    ``np.bincount`` adds the entries into the dense matrix, duplicate cells
+    in file order, as ``matrix._scatter`` does. When the parse or a check
+    refuses the file, ``_refuse_matrix_market_body`` reads the kept text, or
+    the file again by name, line by line to name the offending line.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline()
@@ -98,7 +100,9 @@ def _load_matrix_market(path) -> DenseMatrix:
         # root, so numpy never takes it for a URL, and a '..' after a symbolic
         # link still names the file open here.
         name = os.path.join(os.getcwd(), os.fsdecode(path))
-        source, skip = (name, size_lineno) if fh.seekable() and not name.endswith(_COMPRESSED) else (fh, 0)
+        by_name = fh.seekable() and not name.endswith(_COMPRESSED)
+        body = None if by_name else fh.read()  # kept: a pipe cannot be read again to name a refused line
+        source, skip = (name, size_lineno) if by_name else (StringIO(body), 0)
         with warnings.catch_warnings():
             # numpy 1.23-1.26 read an int64 field such as "1.0" or "2.9" as a
             # float, truncate it and only warn; as an error the field refuses
@@ -111,12 +115,12 @@ def _load_matrix_market(path) -> DenseMatrix:
                     source, dtype=_MM_ENTRY, comments="%", ndmin=1, skiprows=skip, encoding="ascii"
                 )
             except (ValueError, DeprecationWarning) as exc:
-                _refuse_matrix_market_body(path, size_lineno, m, n, nnz, str(exc))
+                _refuse_matrix_market_body(path, size_lineno, m, n, nnz, str(exc), body)
     i, j = entries["i"], entries["j"]
     if entries.shape[0] != nnz or (
         nnz > 0 and (i.min() < 1 or i.max() > m or j.min() < 1 or j.max() > n)
     ):
-        _refuse_matrix_market_body(path, size_lineno, m, n, nnz)
+        _refuse_matrix_market_body(path, size_lineno, m, n, nnz, body=body)
     cells = i - 1  # the row-major cell (i - 1) * n + j - 1, built in place
     cells *= n
     cells += j
@@ -154,17 +158,21 @@ def _parse_size_line(path, lineno: int, raw: str) -> tuple[int, int, int]:
     return m, n, nnz
 
 
-def _refuse_matrix_market_body(path, size_lineno: int, m: int, n: int, nnz: int, reason: str = "") -> NoReturn:
+def _refuse_matrix_market_body(
+    path, size_lineno: int, m: int, n: int, nnz: int, reason: str = "", body: str | None = None
+) -> NoReturn:
     """Raise the ParseError naming the first body line that breaks the grammar
     or the index range, or the entry count's mismatch at the last line.
 
     This is the line-by-line form of what ``_load_matrix_market`` checks on
     whole arrays; it runs only on a file already refused. ``reason`` is
     loadtxt's message, reported if no line breaks the documented grammar.
+    ``body`` is the text after the size line where the loader read it through
+    its handle; otherwise the file is read again by name.
     """
     count, lineno = 0, size_lineno
-    with open(path, "r", encoding="ascii") as fh:
-        for _ in range(size_lineno):
+    with open(path, "r", encoding="ascii") if body is None else StringIO(body) as fh:
+        for _ in range(size_lineno if body is None else 0):
             fh.readline()
         for lineno, raw in enumerate(fh, start=size_lineno + 1):
             text = _mm_content(raw)

@@ -4,14 +4,17 @@ The sketch of X from a sample multiset Omega of s cells is
 ``(1/s) * sum_t X[i_t, j_t] / p[i_t, j_t]`` placed at cell (i_t, j_t), so it
 depends only on how many times each cell was drawn: a ``SampleSet`` holds
 those per-cell counts, not the draws. The counts of s i.i.d. draws are
-Multinomial(s, p), drawn from a seeded PCG64 stream by one of two paths, and
-``_by_table`` picks the path from s and the cell count mn alone. Where
-s <= 2 mn and mn <= 2^15, s uniforms are looked up in the cumulative table
-of p through a guide table (inverse-CDF sampling; Chen & Asau 1974): an
-O(mn) build, then a few steps per uniform. Elsewhere one ``multinomial``
-call draws them in O(mn) whatever s is. Either way a (distribution, s,
-seed) triple always regenerates the identical sample under one numpy
-version (numpy promises no stream across versions).
+Multinomial(s, p), drawn from a seeded PCG64 stream by one of three paths,
+which ``_by_table`` and ``_by_poisson`` pick from s and the cell count mn
+alone. Where s <= 2 mn and mn <= 2^15, s uniforms are looked up in the
+cumulative table of p through a guide table (inverse-CDF sampling; Chen &
+Asau 1974): an O(mn) build, then a few steps per uniform. Where
+2 mn < s <= 2^53, one Poisson draw per cell, redrawn while the counts sum
+above s, plus an inverse-CDF top-up of the draws still missing, gives the
+same law in O(mn) (Poissonization, the ``poisson`` module). Elsewhere one
+``multinomial`` call draws them in O(mn) whatever s is. Either way a
+(distribution, s, seed) triple always regenerates the identical sample
+under one numpy version (numpy promises no stream across versions).
 
 ``_draw_rule`` owns that rule and sets up each distribution's draw once;
 ``draw_samples`` draws once through it, and the Monte-Carlo harness takes
@@ -29,6 +32,7 @@ import numpy as np
 from .distributions import DistributionKind, SamplingDistribution, _certified_beta, _check_shape, distribution_for_kind
 from .errors import InvalidSpecError, ShapeMismatchError, ZeroProbabilityError, _integer
 from .matrix import DenseMatrix, SparseCOO
+from .poisson import _by_poisson, _poisson_counts, _poisson_end
 
 __all__ = [
     "SampleSet",
@@ -120,6 +124,16 @@ def _multinomial(probs: np.ndarray, s: int, seed: int) -> np.ndarray:
         raise InvalidSpecError(f"cannot draw from these probabilities: {exc}") from None
 
 
+def _check_drawable(p: np.ndarray, head: float) -> None:
+    """Refuse p, given head, the sum of p[:-1] in order or by np.sum, as
+    numpy's ``multinomial`` refuses it: whenever head, within p.size * 2^-53
+    of numpy's sum, does not settle numpy's verdict, or an entry is
+    negative, NaN or above 1, numpy's own check runs on p and raises its
+    refusal."""
+    if not (p.min() >= 0.0 and p.max() <= 1.0) or head > _SUM_LIMIT - p.size * 2.0**-52:
+        _multinomial(p, 0, 0)  # raises numpy's refusal; returns if numpy draws from p
+
+
 def _inverse_cdf(p: np.ndarray) -> tuple:
     """(cdf, guide), the table of p, a distribution's probabilities up to its
     last cell of positive probability, in O(mn).
@@ -130,15 +144,12 @@ def _inverse_cdf(p: np.ndarray) -> tuple:
     never drawn. With G = guide.size - 1, the power of two at least p.size,
     guide[b] is the first cell with cdf > b / G: a uniform u in bucket
     floor(u G) belongs to the first cell with cdf > u, which lies in
-    guide[b] .. guide[b + 1]. It refuses what ``multinomial`` refuses:
-    whenever the in-order sum of p[:-1], within p.size * 2^-53 of numpy's,
-    does not settle numpy's verdict, or an entry is negative, NaN or above
-    1, numpy's own check runs on p."""
+    guide[b] .. guide[b + 1]. It refuses what ``multinomial`` refuses
+    (``_check_drawable``)."""
     end = p.size
     cdf = np.cumsum(p)
     head = float(cdf[-2]) if end > 1 else 0.0
-    if not (p.min() >= 0.0 and p.max() <= 1.0) or head > _SUM_LIMIT - end * 2.0**-52:
-        _multinomial(p, 0, 0)  # raises numpy's refusal; returns if numpy draws from p
+    _check_drawable(p, head)
     if head > 1.0:
         np.minimum(cdf, 1.0, out=cdf)
     cdf[-1] = 1.0
@@ -188,26 +199,35 @@ def _table_counts(table: tuple, s: int, seed: int, counts: np.ndarray) -> np.nda
 def _draw_rule(probs: np.ndarray, s: int):
     """s i.i.d. draws from probs, set up once per distribution: s is checked
     (an integer from 1 to 2^63 - 1, the most int64 counts hold), the support
-    found and, where ``_by_table(s, probs.size)`` holds, the table built, so
-    no draw repeats any of it. probs numpy will not draw from are refused on
-    either path: here by the table build, at each draw by ``multinomial``.
+    found and the path chosen, and, where ``_by_table(s, probs.size)``
+    holds, the table built, so no draw repeats any of it. probs numpy will
+    not draw from are refused with numpy's message on every path: here on
+    the table and Poisson paths, at each draw by ``multinomial``.
 
     Returns draw(seed, into=None) -> counts: how many of the s draws from
-    PCG64(seed mod 2^64) hit each cell, an int64 array as long as probs. On
-    the table path they are the counts of ``np.searchsorted(cdf, u,
-    side="right")`` over u = ``random(s)``, written into the int64 array
-    into, as long as probs, or a new one when into is None. Elsewhere they
-    are one ``multinomial(s, probs)`` draw, a new array whatever into is.
+    PCG64(seed mod 2^64) hit each cell, an int64 array as long as probs.
+    into, when given, is an int64 array as long as probs that the draw may
+    overwrite. On the table path the counts are those of
+    ``np.searchsorted(cdf, u, side="right")`` over u = ``random(s)``,
+    written into into, or into a new array when into is None, and so are
+    those of the Poisson path (``_by_poisson``), ``poisson._poisson_counts``.
+    Elsewhere they are one ``multinomial(s, probs)`` draw, a new array
+    whatever into is.
 
-    Both paths end the draw at the last cell of positive probability, which
+    Every path ends the draw at the last cell of positive probability, which
     takes what the others leave, float rounding of the running sum
-    included: no count lands on a cell of probability 0.
+    included: no count lands on a cell of probability 0. numpy lets the
+    running sum of all cells but the last pass 1 by up to 1e-12; then
+    ``multinomial`` and the table give every cell after the one where it
+    reaches 1 nothing, and the Poisson path ends its draw at that cell.
 
-    numpy's ``multinomial`` draws each count but the last as a float64
-    binomial, exact only up to s = 2^53: the hybrid of [[3, 4], [0, 0]] at
-    s = 2^63 - 1, seed 0, draws 3636643833541878272, a multiple of 512, for
-    its first cell, so the sketch is unbiased only to about 1e-16 relative.
-    The counts still sum to s exactly.
+    The Poisson path stops at s = 2^53, up to which every Poisson count is
+    an exact integer in float64. Above it, numpy's ``multinomial`` draws each
+    count but the last as a float64 binomial, exact only up to s = 2^53: the
+    hybrid of [[3, 4], [0, 0]] at s = 2^63 - 1, seed 0, draws
+    3636643833541878272, a multiple of 512, for its first cell, so the
+    sketch is unbiased only to about 1e-16 relative. The counts still sum
+    to s exactly.
     """
     s = _integer(s, "sample count")
     if s > (1 << 63) - 1:
@@ -216,13 +236,20 @@ def _draw_rule(probs: np.ndarray, s: int):
         raise InvalidSpecError(f"sample count must be >= 1, got {s}")
     cells = probs.size
     end = cells if probs[-1] > 0.0 else int(np.flatnonzero(probs)[-1]) + 1  # one past the last cell of p > 0
+    table = _inverse_cdf(probs[:end]) if _by_table(s, cells) else None
+    poisson = _by_poisson(s, cells)
+    if poisson:  # checked without a table; the draw ends where the running sum reaches 1
+        stop, head = _poisson_end(probs[:end])
+        _check_drawable(probs[:end], head)
+        end = stop
     p = probs[:end]
-    table = _inverse_cdf(p) if _by_table(s, cells) else None
 
     def draw(seed: int, into: np.ndarray | None = None) -> np.ndarray:
         seed = _integer(seed, "seed") & _SEED_MASK  # index(): a numpy integer & 2^64 - 1 overflows
         if table is not None:
             return _table_counts(table, s, seed, np.empty(cells, dtype=np.int64) if into is None else into)
+        if poisson:
+            return _poisson_counts(p, s, seed, np.empty(cells, dtype=np.int64) if into is None else into)
         counts = _multinomial(p, s, seed)
         if end < cells:  # the trailing cells of probability 0, never drawn
             counts = np.concatenate((counts, np.zeros(cells - end, dtype=np.int64)))
@@ -262,8 +289,9 @@ def _trial_fill(x: DenseMatrix, d: SamplingDistribution, s: int):
     sketch's count of distinct cells. S - X is formed ``_CHUNK`` cells at a
     time through ``_cell_values``, so it is bit for bit the densified
     ``sparsify(x, s, seed, d.kind)`` sketch minus X, with no mn array beside
-    diff. The table path counts into diff itself, seen as int64: each chunk
-    of counts is read before its cells are written.
+    diff beyond the counts a ``multinomial`` draw returns. The table and
+    Poisson paths count into diff itself, seen as int64: each chunk of
+    counts is read before its cells are written.
     """
     draw, xf, probs = _draw_rule(d.probs, s), x.flat(), d.probs
 

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import re
@@ -106,7 +107,8 @@ def test_sparsify_seed_is_reduced_mod_2_64(tmp_path, capsys):
 
 
 def test_sparsify_draws_a_billion_cells_at_once(tmp_path, capsys):
-    # one multinomial draw costs O(mn) whatever s is, so s = 10^9 returns at once
+    # each Poisson stage costs O(mn) and leaves about 2 sqrt(s) draws, so
+    # s = 10^9 takes a few stages and returns at once
     out = tmp_path / "sk.mtx"
     assert main(["sparsify", "--generate", "gaussian,4,5,1", "--s", str(10**9), "--out", str(out)]) == 0
     x = generate_matrix(GeneratorSpec("gaussian", 4, 5, 1))
@@ -321,6 +323,36 @@ def test_module_entry_point(tmp_path):
     )
     assert res.returncode == 0
     assert json.loads(res.stdout)["report"]["s_theorem1"] >= 1
+
+
+def _without_wall_times(text: str) -> str:
+    if not text.startswith("{"):
+        return text
+    doc = json.loads(text)
+    doc.pop("wall_times", None)
+    return json.dumps(doc, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["bounds", "--m", "10", "--n", "10", "--epsilon", "1", "--delta", "0.1", "--frobenius", "3"], 0),
+        (["bounds", "--m", "5", "--n", "5", "--frobenius", "2"], 1),
+        (["experiment", "--generate", "gaussian,6,6,2", "--epsilon", "0.0001", "--s", "3", "--trials", "4"], 2),
+    ],
+    ids=["ok", "error", "violation"],
+)
+def test_module_exits_as_main_returns(argv, code):
+    # python -m elemsparse freezes the collector once main returns, so the
+    # exit makes no collection pass; its exit code and output are main's,
+    # and main itself leaves a library caller's collector as it was
+    res = subprocess.run([sys.executable, "-m", "elemsparse", *argv], capture_output=True, text=True)
+    frozen = gc.get_freeze_count()
+    rc, out, err = _run(argv)
+    assert gc.get_freeze_count() == frozen
+    assert res.returncode == rc == code
+    assert (_without_wall_times(res.stdout), res.stderr) == (_without_wall_times(out), err)
+    assert res.stdout if code != 1 else res.stderr
 
 
 _MTX_HEADER = "%%MatrixMarket matrix coordinate real general\n"

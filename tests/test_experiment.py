@@ -37,7 +37,7 @@ from elemsparse import (
     sparsify,
     stable_rank,
 )
-from elemsparse import errors, experiment, sampler, spectral
+from elemsparse import errors, experiment, poisson, sampler, spectral
 from elemsparse.bounds import sample_size_corollary, sample_size_unsimplified
 from elemsparse.matrix import _scatter
 from elemsparse.experiment import (
@@ -210,15 +210,17 @@ def test_jobs_do_not_change_results(monkeypatch, solves):
 
 @pytest.mark.parametrize("chunk", [None, 7], ids=["chunk", "chunk7"])
 @pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("s", [160, 161], ids=["table", "multinomial"])
+@pytest.mark.parametrize("s", [160, 161], ids=["table", "multinomial"])  # 161 > 2 mn: Poisson counts
 def test_harness_errors_are_sparsify_errors_on_both_paths(monkeypatch, s, jobs, chunk):
     # GEN has 80 cells: s = 160 = 2 mn draws by the table, built once and
-    # shared by the workers, and s = 161 by multinomial; either way each
-    # trial's error is that of the sketch sparsify draws at its seed, also
-    # when the trials draw and assemble 7 values at a time
-    assert sampler._by_table(160, 80) and not sampler._by_table(161, 80)
+    # shared by the workers, and s = 161 by Poisson counts and a top-up;
+    # either way each trial's error is that of the sketch sparsify draws at
+    # its seed, also when the trials draw, top up and assemble 7 values at a
+    # time
+    assert sampler._by_table(160, 80) and sampler._by_poisson(161, 80)
     if chunk:
         monkeypatch.setattr(sampler, "_CHUNK", chunk)
+        monkeypatch.setattr(poisson, "_CHUNK", chunk)
     _launcher(monkeypatch, jobs > 1)
     _cpus(monkeypatch, 2)
     cfg = _cfg(trials=6, jobs=jobs, s_override=s)
@@ -539,13 +541,14 @@ def test_workers_are_capped_by_the_usable_cpus():
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("s, tables", [(160, 1), (161, 0)], ids=["table", "multinomial"])
+@pytest.mark.parametrize("s, tables", [(160, 1), (161, 0)], ids=["table", "multinomial"])  # 161: Poisson counts
 def test_each_table_is_built_once_before_any_fork(monkeypatch, s, tables, jobs):
     # GEN has 80 cells: at s = 160 = 2 mn each distribution's inverse-CDF
     # table is built once per run, when its trial fill is set up, before any
     # worker forks, so no trial builds one, in the parent or in a child; at
-    # s = 161 multinomial draws and no table is built
-    built = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)  # tables built, and those built after a fork
+    # s = 161 the Poisson path builds no table; either rule checks p once
+    # per run, also before any fork
+    built = np.frombuffer(mmap.mmap(-1, 32), dtype=np.int64)  # tables and sums, and those after a fork
     forks = []
 
     def counted(p):
@@ -553,10 +556,17 @@ def test_each_table_is_built_once_before_any_fork(monkeypatch, s, tables, jobs):
         built[1] += bool(forks)  # a child inherits the fork its parent recorded
         return inverse_cdf(p)
 
+    def checked(p, head):
+        built[2] += 1
+        built[3] += bool(forks)
+        return check_drawable(p, head)
+
     def recording_fork():
         forks.append(1)
         return fork()
 
+    check_drawable = sampler._check_drawable
+    monkeypatch.setattr(sampler, "_check_drawable", checked)
     inverse_cdf, fork = sampler._inverse_cdf, os.fork
     _launcher(monkeypatch, jobs > 1)
     _cpus(monkeypatch, 2)
@@ -566,7 +576,7 @@ def test_each_table_is_built_once_before_any_fork(monkeypatch, s, tables, jobs):
         built[:] = 0
         del forks[:]
         run(_cfg(trials=6, jobs=jobs, s_override=s))
-        assert built.tolist() == [tables * kinds, 0]
+        assert built.tolist() == [tables * kinds, 0, kinds, 0]
         assert len(forks) == jobs - 1
     _nothing_to_reap()
 
@@ -613,10 +623,11 @@ def test_fork_is_safe_on_linux_with_one_thread(monkeypatch, solves):
 def test_trial_difference_is_the_densified_sketch_minus_x(monkeypatch, kind):
     # the harness builds S - X from the drawn counts, never through a COO
     # sketch; each solved array must be that sketch's, bit for bit, and each
-    # record's nnz that sketch's nnz, on both sides of the draw rule: at
+    # record's nnz that sketch's nnz, on all three paths of the draw rule: at
     # s = 900 on 600 cells the table draws, with leading cells of
-    # probability 0, and at s = 5000 multinomial draws, with a last row of
-    # probability 0, so the draw ends before the trailing cells
+    # probability 0; at s = 5000 Poisson counts and a top-up, and at
+    # s = 2^53 + 1 multinomial, both with a last row of probability 0, so
+    # the draw ends before the trailing cells
     operands = []
 
     def capture(a):
@@ -625,8 +636,8 @@ def test_trial_difference_is_the_densified_sketch_minus_x(monkeypatch, kind):
 
     solve = experiment._spectral_norm
     monkeypatch.setattr(experiment, "_spectral_norm", capture)
-    assert sampler._by_table(900, 600) and not sampler._by_table(5000, 600)
-    for s, zeros in ((900, np.s_[0, :5]), (5000, np.s_[-1, :])):
+    assert sampler._by_table(900, 600) and sampler._by_poisson(5000, 600) and not sampler._by_poisson(2**53 + 1, 600)
+    for s, zeros in ((900, np.s_[0, :5]), (5000, np.s_[-1, :]), (2**53 + 1, np.s_[-1, :])):
         a = generate_matrix(GeneratorSpec("low-rank-plus-noise", 30, 20, 4)).data.copy()
         a[zeros] = 0.0  # cells of probability 0 keep S - X = -x = 0
         x = DenseMatrix(a)

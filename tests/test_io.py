@@ -186,6 +186,35 @@ def test_pipe_is_read_through_its_open_file():
     np.testing.assert_array_equal(x.data, [[1.5, 0.0], [0.0, -1.0]])
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize(
+    "body, line, message",
+    [
+        ("% two entries\n1 1 1.5\n3 2 -1\n", 6, "index (3, 2) outside declared size (2, 2)"),
+        ("1 1 1.5\n2 x 1\n", 5, "malformed entry '2 x 1'"),
+        ("1 1 1.5\n% one short\n", 5, "size line declared 2 entries but file has 1"),
+    ],
+    ids=["index", "malformed", "count"],
+)
+def test_refused_pipe_names_the_bad_line(tmp_path, body, line, message):
+    # the pipe is drained by the parse, so the refusal scans the text the
+    # loader kept, and names the line it names for the same file on disk
+    text = f"{MM_HEADER}\n% a comment\n2 2 2\n{body}"
+    (tmp_path / "bad.mtx").write_text(text)
+    r, w = os.pipe()
+    try:
+        os.write(w, text.encode("ascii"))
+        os.close(w)
+        with pytest.raises(ParseError) as piped:
+            load_matrix(f"/dev/fd/{r}", fmt="matrix-market")
+    finally:
+        os.close(r)
+    with pytest.raises(ParseError) as on_disk:
+        load_matrix(tmp_path / "bad.mtx")
+    for exc in (piped.value, on_disk.value):
+        assert exc.line == line and str(exc).endswith(message), str(exc)
+
+
 _JUNK = st.lists(st.sampled_from(["", "%", "% note", "  \t", "%%x 1 2"]), max_size=2)
 
 

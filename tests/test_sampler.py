@@ -26,8 +26,8 @@ from elemsparse import (
     sparsify,
 )
 from elemsparse.matrix import coo_to_dense
-from elemsparse import sampler
-from elemsparse.sampler import _by_table, _draw_rule, _inverse_cdf, exact_expectation
+from elemsparse import poisson, sampler
+from elemsparse.sampler import _by_poisson, _by_table, _draw_rule, _inverse_cdf, exact_expectation
 
 # chi-square inverse CDF at 0.999 with df=3 and df=19, frozen from scipy.stats.chi2.ppf
 CHI2_DF3_999 = 16.26623619623813
@@ -128,7 +128,7 @@ def test_draw_validation(toy):
 
 
 def test_largest_s_draws_at_once(toy):
-    # one multinomial call costs O(mn) whatever s is; toy's trailing cells
+    # past 2^53 one multinomial call costs O(mn) whatever s is; toy's trailing cells
     # have probability 0, and the count left by rounding goes to the last
     # cell of the support, never to them
     assert not _by_table(2**63 - 1, 4)
@@ -143,17 +143,39 @@ def test_build_alias_table_is_a_deprecated_identity(toy):
 
 
 # Sketches of the 4x5 low-rank-plus-noise matrix of seed 2 at seed 11, as
-# numpy 2.4 draws them: at s = 60 (s / mn = 3) by multinomial, and at s = 40
-# (s / mn = 2, the most the rule sends to the table) through the inverse-CDF
-# table from Generator.random. numpy promises no stream across versions
-# (NEP 19), so a version that moves either stream fails here.
+# numpy 2.4 draws them: at s = 60 (s / mn = 3) by Poisson counts and a
+# top-up, at s = 40 (s / mn = 2, the most the rule sends to the table)
+# through the inverse-CDF table from Generator.random, and at s = 2^53 + 1,
+# one past the Poisson path, by multinomial. numpy promises no stream across
+# versions (NEP 19), so a version that moves any of the three streams fails
+# here.
 PINNED = {
-    "hybrid": ([0, 1, 2, 5, 6, 7, 8, 9, 10, 12, 13, 15, 17, 18, 19], [3, 1, 6, 1, 1, 5, 24, 7, 1, 3, 1, 1, 1, 3, 2]),
+    "hybrid": ([0, 2, 3, 6, 7, 8, 9, 11, 12, 18, 19], [8, 2, 1, 4, 12, 17, 7, 1, 1, 5, 2]),
     "l1": (
-        [0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 16, 17, 18, 19],
-        [3, 2, 6, 1, 2, 1, 4, 17, 7, 1, 1, 4, 1, 1, 1, 2, 3, 3],
+        [0, 1, 2, 3, 4, 6, 7, 8, 9, 10, 12, 13, 16, 17, 18, 19],
+        [7, 1, 4, 1, 4, 2, 10, 13, 5, 2, 1, 3, 1, 1, 3, 2],
     ),
-    "l2": ([0, 1, 2, 6, 7, 8, 9, 12, 13, 17, 18, 19], [3, 1, 6, 1, 5, 19, 12, 4, 1, 1, 6, 1]),
+    "l2": ([0, 2, 4, 6, 7, 8, 9, 10, 12, 13, 18], [7, 2, 1, 2, 9, 24, 7, 1, 1, 1, 5]),
+}
+PINNED_MULTINOMIAL = {  # the counts of all 20 cells
+    "hybrid": [
+        788617073907386, 214507509363980, 745856574921782, 41569723733313, 197734230658763, 45416535548327,
+        503911804977668, 1005938436405712, 2374647178804710, 1030889225301360, 181021500035684, 84540998421452,
+        411660624320989, 288272557043614, 20219006143765, 53238271245717, 52196224869943, 198233273998229,
+        615316599365571, 153411905673028,
+    ],
+    "l1": [
+        784196843308908, 307264911754792, 755552415966980, 75741500344090, 288290698638312, 82133724616208,
+        577598577863646, 920115216280249, 1570127565950435, 934826490604317, 268839834741936, 142789317523211,
+        500406030756935, 385200309019801, 38524153183846, 94870038910762, 93192721438114, 288862905995301,
+        663287834376429, 235378163466721,
+    ],
+    "l2": [
+        793037304506047, 121750105696527, 736160733974168, 7397947207348, 107177762646452, 8699344492672,
+        430225032306345, 1091761656981811, 3179166861013122, 1126951929141924, 93203163022784, 26292679576964,
+        322915209165979, 191344800057906, 1913858157909, 11606506101461, 11199726994280, 107603638457946,
+        567345349679556, 71445645559792,
+    ],
 }
 PINNED_TABLE = {
     "hybrid": ([0, 2, 4, 6, 7, 8, 9, 10, 12, 13, 17, 18], [3, 6, 3, 3, 2, 11, 3, 1, 2, 1, 2, 3]),
@@ -162,10 +184,19 @@ PINNED_TABLE = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(PINNED))
+@pytest.mark.parametrize("kind", sorted(PINNED_MULTINOMIAL))
 def test_pinned_multinomial_sketches(kind):
     x = generate_matrix(GeneratorSpec("low-rank-plus-noise", 4, 5, 2))
-    assert not _by_table(60, 20)
+    s = 2**53 + 1
+    assert not _by_table(s, 20) and not _by_poisson(s, 20)
+    omega = draw_samples(distribution_for_kind(x, kind), s, seed=11)
+    assert omega.cells.tolist() == list(range(20)) and omega.counts.tolist() == PINNED_MULTINOMIAL[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED))
+def test_pinned_poisson_sketches(kind):
+    x = generate_matrix(GeneratorSpec("low-rank-plus-noise", 4, 5, 2))
+    assert _by_poisson(60, 20)
     omega = draw_samples(distribution_for_kind(x, kind), 60, seed=11)
     assert (omega.cells.tolist(), omega.counts.tolist()) == PINNED[kind]
 
@@ -223,17 +254,19 @@ def test_mean_sketch_matches_exact_expectation():
 
 @pytest.mark.parametrize("excess, refused", [(1.01e-12, True), (0.99e-12, False)], ids=["refused", "drawn"])
 def test_numpy_sum_check_is_a_typed_error(excess, refused):
-    # numpy refuses p whose leading entries sum above 1 + 1e-12, and so does
-    # the table path, at s = 6 = 2 mn; at s = 7 multinomial draws
+    # numpy refuses p whose leading entries sum above 1 + 1e-12, and so do
+    # the table path, at s = 6 = 2 mn, and the Poisson path, at s = 7 and at
+    # s = 10^6, once per rule; past 2^53 multinomial refuses at each draw
     probs = np.array([0.5, 0.5 + excess, 0.25])
-    assert _by_table(6, 3) and not _by_table(7, 3)
-    for s in (6, 7):
+    assert _by_table(6, 3) and _by_poisson(7, 3) and _by_poisson(10**6, 3) and not _by_poisson(2**53 + 1, 3)
+    for s in (6, 7, 10**6, 2**53 + 1):
         if refused:
             with pytest.raises(InvalidSpecError, match=r"^cannot draw from these probabilities: sum\(pvals\[:-1\]\) > 1\.0$"):
                 _draw_rule(probs, s)(0)
         else:  # the leading sum passes 1, so the last cell, left nothing, is never drawn
-            counts = _draw_rule(probs, s)(0)
-            assert int(counts.sum()) == s and counts[2] == 0
+            for seed in range(20):
+                counts = _draw_rule(probs, s)(seed)
+                assert int(counts.sum()) == s and counts[2] == 0
 
 
 @pytest.mark.parametrize(
@@ -243,7 +276,7 @@ def test_numpy_sum_check_is_a_typed_error(excess, refused):
 )
 def test_table_path_refuses_what_multinomial_refuses(probs):
     probs = np.array(probs)
-    for s in (1, 2 * probs.size, 2 * probs.size + 1):
+    for s in (1, 2 * probs.size, 2 * probs.size + 1, 10**6, 2**53 + 1):  # table, Poisson and multinomial
         with pytest.raises(InvalidSpecError, match=r"^cannot draw from these probabilities: pvals < 0, pvals > 1 or pvals contains NaNs$"):
             _draw_rule(probs, s)(0)
 
@@ -309,18 +342,141 @@ def test_table_guide_is_the_searchsorted_guide():
 
 
 def test_path_flips_at_the_rule():
-    # s up to 2 mn takes the table while mn <= 2^15; one more, multinomial
+    # s up to 2 mn takes the table while mn <= 2^15; one more, up to 2^53,
+    # the Poisson path (and s > 4, so each stage aims at a positive count);
+    # the rest, multinomial
     for cells in (1, 20, 10_000, 1 << 15):
         assert _by_table(1, cells) and _by_table(2 * cells, cells) and not _by_table(2 * cells + 1, cells)
-    assert not _by_table(1, (1 << 15) + 1)
-    assert not _by_table(2**63 - 1, 1) and not _by_table(2**63 - 1, 1 << 15)
-    # on the 4x5 hybrid, s = 40 draws by the table and s = 41 by multinomial
+        assert not _by_poisson(2 * cells, cells)
+        assert _by_poisson(max(2 * cells + 1, 5), cells) and _by_poisson(2**53, cells)
+        assert not _by_poisson(2**53 + 1, cells) and not _by_table(2**53 + 1, cells)
+    assert not _by_poisson(4, 1) and not _by_table(3, 1)
+    assert not _by_table(1, (1 << 15) + 1) and not _by_poisson(2 * ((1 << 15) + 1), (1 << 15) + 1)
+    assert _by_poisson(2 * ((1 << 15) + 1) + 1, (1 << 15) + 1)
+    assert not _by_table(2**63 - 1, 1) and not _by_poisson(2**63 - 1, 1 << 15)
+    # on the 4x5 hybrid, s = 40 draws by the table, s = 41 and 2^53 by
+    # Poisson counts and s = 2^53 + 1 and 2^63 - 1 by multinomial, byte for
+    # byte numpy's own
     x = generate_matrix(GeneratorSpec("gaussian", 4, 5, 6))
     probs = hybrid_distribution(x).probs
     for seed in range(5):
         assert np.array_equal(_draw_rule(probs, 40)(seed), _searched_counts(probs, 40, seed))
-        multinomial = np.random.Generator(np.random.PCG64(seed)).multinomial(41, probs)
-        assert np.array_equal(_draw_rule(probs, 41)(seed), multinomial)
+        for s in (41, 2**53):
+            counts = _draw_rule(probs, s)(seed)
+            assert int(counts.sum()) == s
+            assert not np.array_equal(counts, np.random.Generator(np.random.PCG64(seed)).multinomial(s, probs))
+        for s in (2**53 + 1, 2**63 - 1):
+            multinomial = np.random.Generator(np.random.PCG64(seed)).multinomial(s, probs)
+            assert np.array_equal(_draw_rule(probs, s)(seed), multinomial)
+
+
+# interior and trailing cells of probability 0, and two heavy cells
+_POISSON_PROBS = np.array([0.4, 0.0, 0.3, 0.1, 0.15, 0.05, 0.0, 0.0])
+
+
+def test_poisson_counts_sum_to_s():
+    probs = _POISSON_PROBS
+    for s in (17, 18, 1000, 10**9, 2**53 - 1, 2**53):
+        assert _by_poisson(s, probs.size)
+        draw = _draw_rule(probs, s)
+        for seed in range(10):
+            counts = draw(seed)
+            assert counts.dtype == np.int64 and counts.shape == probs.shape
+            assert int(counts.sum()) == s and counts.min() >= 0
+            assert np.all(counts[probs == 0.0] == 0)  # interior and trailing zeros never drawn
+
+
+@pytest.mark.parametrize("margin", [poisson._MARGIN, -1.0], ids=["margin", "rejections"])
+def test_poisson_counts_have_the_multinomial_moments(monkeypatch, margin):
+    # Multinomial(s, p) has mean s p, variance s p (1 - p) and covariance
+    # -s p_i p_j; independent Poisson counts would have variance s p and no
+    # covariance. At margin -1 each stage aims above s, so about five of six
+    # stages sum above s and are drawn again; Poisson calls, running sums
+    # and top-up blocks of 3 cross chunk ends.
+    probs, s, n = _POISSON_PROBS, 50, 6_000
+    stages = []
+
+    def counted(left, cells):
+        stages.append(left)
+        return by_poisson(left, cells)
+
+    by_poisson = poisson._by_poisson
+    monkeypatch.setattr(poisson, "_MARGIN", margin)
+    monkeypatch.setattr(poisson, "_CHUNK", 3)
+    monkeypatch.setattr(poisson, "_by_poisson", counted)
+    draw = _draw_rule(probs, s)
+    del stages[:]
+    counts = np.stack([draw(seed) for seed in range(n)]).astype(np.float64)
+    assert len(stages) / n > 5 if margin < 0 else len(stages) / n < 3
+    assert np.all(counts.sum(axis=1) == s) and np.all(counts[:, probs == 0.0] == 0)
+    mean, var = s * probs, s * probs * (1.0 - probs)
+    support = probs > 0.0
+    assert np.all(np.abs(counts.mean(axis=0) - mean)[support] <= 4.0 * np.sqrt(var[support] / n))
+    assert np.all(np.abs(counts.var(axis=0) - var)[support] <= 5.0 * var[support] * np.sqrt(2.0 / n))
+    cov = np.cov(counts[:, 0], counts[:, 2])[0, 1]
+    assert abs(cov - (-s * probs[0] * probs[2])) <= 5.0 * np.sqrt((var[0] * var[2] + cov**2) / n)
+
+
+def test_poisson_counts_chi_square_against_s_p():
+    # the counts of 25 000 draws of s = 41 > 2 mn, as the trial workers draw
+    # them, are one Multinomial(1 025 000, p) draw
+    x = generate_matrix(GeneratorSpec("gaussian", 4, 5, 6))  # no zero cell: 19 degrees of freedom
+    d = hybrid_distribution(x)
+    assert _by_poisson(41, 20)
+    draw, into = _draw_rule(d.probs, 41), np.empty(20, dtype=np.int64)
+    counts = np.zeros(20, dtype=np.int64)
+    for seed in range(25_000):
+        counts += draw(seed, into)
+    expected = 25_000 * 41 * d.probs
+    assert float(((counts - expected) ** 2 / expected).sum()) <= CHI2_DF19_999
+
+
+@pytest.mark.parametrize("chunk", [3, 4096])
+@pytest.mark.parametrize(
+    "probs",
+    [_POISSON_PROBS, np.array([1.0]), _tiny_cells_in_one_bucket(), np.array([0.5, 0.5 + 0.99e-12, 0.25])[:2]],
+    ids=["zeros", "one-cell", "tiny-cells", "leading-sum-past-one"],
+)
+def test_top_up_is_the_searchsorted_top_up(monkeypatch, probs, chunk):
+    # the top-up's uniforms are the running sums of left + 1 exponentials
+    # over their sum (added chunk by chunk), and each goes where
+    # np.searchsorted puts it in np.cumsum(p)[:-1]: the merge over chunks of
+    # the running sum places every draw as one search over the whole would
+    monkeypatch.setattr(poisson, "_CHUNK", chunk)
+    for left in (1, 2, 7, 50):
+        for seed in range(5):
+            e = np.random.Generator(np.random.PCG64(seed)).standard_exponential(left + 1)
+            scale = sum(float(e[i : i + chunk].sum()) for i in range(0, left + 1, chunk))
+            cells = np.searchsorted(np.cumsum(probs)[:-1], np.cumsum(e[:left]) / scale, side="right")
+            counts = np.zeros(probs.size + 2, dtype=np.int64)
+            poisson._top_up(probs, left, np.random.Generator(np.random.PCG64(seed)), counts)
+            assert np.array_equal(counts, np.bincount(cells, minlength=probs.size + 2))
+
+
+def test_poisson_rule_keeps_no_table():
+    # the rule holds no array of its own, only a view of probs; a draw
+    # counts into into, as the table path does, or into a new array
+    probs = hybrid_distribution(generate_matrix(GeneratorSpec("power-law", 30, 40, 1))).probs
+    draw = _draw_rule(probs, 5000)
+    held = [c.cell_contents for c in draw.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+    assert held and all(np.shares_memory(a, probs) for a in held)
+    into = np.full(probs.size, -1, dtype=np.int64)
+    for seed in range(3):
+        assert draw(seed, into) is into and np.array_equal(into, draw(seed))
+
+
+def test_many_cells_at_most_2_mn_stay_multinomial():
+    # 2^15 + 1 cells, one of them and the last four of probability 0: s up
+    # to 2 mn draws by multinomial over the support, byte for byte numpy's
+    cells = (1 << 15) + 1
+    probs = np.random.default_rng(3).random(cells)
+    probs[[7, -4, -3, -2, -1]] = 0.0
+    probs /= probs.sum()
+    for s in (1, 1000, 2 * cells):
+        assert not _by_table(s, cells) and not _by_poisson(s, cells)
+        for seed in (0, 9):
+            expected = np.random.Generator(np.random.PCG64(seed)).multinomial(s, probs[:-4])
+            assert np.array_equal(_draw_rule(probs, s)(seed), np.concatenate((expected, [0, 0, 0, 0])))
 
 
 @pytest.mark.parametrize(
